@@ -24,18 +24,6 @@ module Hashing = Ct_util.Hashing
 module Suites = Harness.Suites
 
 module CT = Cachetrie.Make (Hashing.Int_key)
-module Ctrie_map = Ctrie.Make (Hashing.Int_key)
-module Chm_map = Chm.Split_ordered.Make (Hashing.Int_key)
-module Skiplist_map = Skiplist.Make (Hashing.Int_key)
-
-(* Boxed-slot twin of the cache-trie (generated from the same source,
-   slot representation swapped) so both memory layouts are measured in
-   the same run. *)
-module CT_boxed = struct
-  include Cachetrie_boxed.Make (Hashing.Int_key)
-
-  let name = "cachetrie-boxed"
-end
 
 (* All generators honour CT_BENCH_SEED so a run is reproducible
    end-to-end; the seed is recorded in the emitted JSON. *)
@@ -238,11 +226,6 @@ let minor_words_instance =
     (module Minor_words_exact)
     (Measure.register (module Minor_words_exact))
 
-(* Structures measured by the read-path micro benches: every registered
-   map plus the boxed-slot cache-trie twin for the layout A/B. *)
-let read_modules : (module Suites.IMAP) list =
-  Suites.structures @ [ (module CT_boxed) ]
-
 let json_meta ~scale extra =
   Json.Obj
     ([
@@ -251,7 +234,6 @@ let json_meta ~scale extra =
        ( "scale",
          Json.String
            (match scale with Suites.Quick -> "quick" | Suites.Full -> "full") );
-       ("slots_repr", Json.String Ct_util.Slots.repr);
        ( "domains_available",
          Json.Int (Harness.Parallel.available_domains ()) );
      ]
@@ -260,8 +242,7 @@ let json_meta ~scale extra =
 (* Micro benches with two bechamel instances: OLS ns/run against the
    monotonic clock and minor words/run against the allocation counter.
    The acceptance bar lives here: cachetrie find/mem must report 0
-   minor words per op, and flat-slot lookup must not be slower than the
-   boxed twin measured in the same run. *)
+   minor words per op. *)
 let run_micro_json scale =
   Harness.Report.section "Persisted micro benches (BENCH_micro.json)";
   Printf.printf
@@ -269,10 +250,10 @@ let run_micro_json scale =
     batch bench_n bench_seed;
   let groups =
     [
-      ("find", List.map find_test read_modules);
-      ("mem", List.map mem_test read_modules);
-      ("lookup", List.map lookup_test read_modules);
-      ("insert", List.map insert_test read_modules);
+      ("find", List.map find_test Suites.structures);
+      ("mem", List.map mem_test Suites.structures);
+      ("lookup", List.map lookup_test Suites.structures);
+      ("insert", List.map insert_test Suites.structures);
       ("micro", [ collision_test (); snapshot_test () ]);
     ]
   in
@@ -444,7 +425,7 @@ let run_sweeps scale =
           done;
           record "lookup" M.name p (fst !best_lookup) (snd !best_lookup))
         threads)
-    read_modules;
+    Suites.structures;
   (* Batch-vs-scalar lookup curves: the staged [find_batch] path at
      several chunk sizes over the same prefilled structures and probe
      ranges as the scalar sweep above (which is the K=1-equivalent
@@ -486,7 +467,7 @@ let run_sweeps scale =
                 M.name p (fst !best) (snd !best))
             batch_ks)
         threads)
-    read_modules;
+    Suites.structures;
   (* Word-count aggregation: each domain folds its slice of a Zipf word
      stream into shared per-word counters (find, then CAS-bump via
      replace_if / put_if_absent).  The batched variant warms each
@@ -546,7 +527,7 @@ let run_sweeps scale =
             (Printf.sprintf "wordcount_batch_k%d" wc_k)
             M.name p (fst !best_batch) (snd !best_batch))
         threads)
-    read_modules;
+    Suites.structures;
   (* Allocation deltas, measured on this domain alone so the
      [Gc.minor_words] counter is exact. *)
   let alloc_rows =
@@ -604,7 +585,7 @@ let run_sweeps scale =
             ("find_batch_minor_words_per_op", Json.Float find_batch_w);
             ("insert_minor_words_per_op", Json.Float insert_w);
           ])
-      read_modules
+      Suites.structures
   in
   Harness.Report.print_table
     ~header:

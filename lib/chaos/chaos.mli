@@ -4,12 +4,12 @@
     {e helping}: any domain that finds a frozen slot, a live
     ENode/FNode/XNode descriptor, or an announced SNode transaction
     can complete the stalled operation itself (PAPER.md §3.4–§3.7),
-    and likewise for the Ctrie's TNode cleanup and the snapshotting
-    Ctrie's GCAS/RDCSS descriptors.  The scheduler alone almost never
-    produces the adversarial interleavings those paths exist for, so
-    this module forces them: it installs hooks on the
-    {!Ct_util.Yieldpoint} sites that bracket every CAS in
-    [Cachetrie], [Ctrie] and [Ctrie_snap].
+    and likewise for the Ctrie's TNode cleanup and GCAS/RDCSS
+    descriptors.  The scheduler alone almost never produces the
+    adversarial interleavings those paths exist for, so this module
+    forces them: it installs hooks on the {!Ct_util.Yieldpoint} sites
+    that bracket every CAS in [Cachetrie], [Ctrie_snap] and the other
+    lock-free maps.
 
     Three injectors, all driven by seeded {!Ct_util.Rng} state:
 

@@ -1,8 +1,4 @@
 module Slots = Ct_util.Slots
-(* ^ Line 1 is load-bearing: lib/core/dune generates cachetrie_boxed.ml
-   by replacing exactly this line with an alias to Atomic_slots.Boxed,
-   so the boxed seed layout stays benchmarkable against the flat one in
-   the same binary.  Keep the alias on line 1, alone. *)
 
 (* Cache-trie: lock-free concurrent hash trie with a quiescently
    consistent cache (Prokopec, PPoPP'18).
@@ -10,11 +6,9 @@ module Slots = Ct_util.Slots
    The implementation follows the paper's pseudocode (Figures 2-8)
    with the OCaml-specific decisions documented in DESIGN.md:
 
-   - ANodes are [Slots.t] arrays (Ct_util.Atomic_slots): by default a
-     single flat array CASed field-by-field through the runtime's
-     [caml_atomic_cas_field], with the seed's one-[Atomic.t]-box-per-
-     slot layout kept as the [Boxed] fallback behind the same
-     interface.  Either way a slot is a stable location for the
+   - ANodes are [Slots.t] arrays (Ct_util.Slots): a single flat array
+     CASed field-by-field through the runtime's
+     [caml_atomic_cas_field].  A slot is a stable location for the
      lifetime of its ANode, so CAS identities work exactly as in the
      paper (DESIGN.md "Slot layout").
    - The SNode [txn] field is a closed variant instead of [Any].
@@ -1523,9 +1517,8 @@ module Make (H : Hashing.HASHABLE) = struct
     hist
 
   (* Word-cost model (see DESIGN.md): array = 1 + length; per-slot
-     overhead = Slots.overhead_words_per_slot (2 for the boxed layout's
-     Atomic box, 0 flat); SNode block = 5 (+ its txn box); list cell =
-     3; LNode = 3. *)
+     overhead = Slots.overhead_words_per_slot (0: the slot is the
+     cell); SNode block = 5 (+ its txn box); list cell = 3; LNode = 3. *)
   let footprint_words t =
     let rec node_words (node : 'v node) =
       match node with

@@ -252,11 +252,19 @@ module Make (H : Hashing.HASHABLE) = struct
   let copy_inode t (i : 'v inode) (gen : gen) : 'v inode =
     { gen; main = Atomic.make (boxed (gcas_read_box t i).node) }
 
-  (* Copy a CNode, regenerating its I-node children. *)
+  (* Copy a CNode, regenerating its older-generation I-node children.
+     Children already in [gen] are kept, not copied: a CNode copied out
+     of an older generation gains [gen] children before it is renewed
+     (an insert that splits an SNode adds one), and an operation may be
+     updating such a child right now.  A copy would carry its main node
+     from before that update, and publishing the renewed CNode would
+     silently drop the update. *)
   let renewed t bmp arr (gen : gen) : 'v main =
     let narr =
       Array.map
-        (function IN child -> IN (copy_inode t child gen) | SN _ as b -> b)
+        (function
+          | IN child when child.gen != gen -> IN (copy_inode t child gen)
+          | (IN _ | SN _) as b -> b)
         arr
     in
     CNode { bmp; arr = narr }

@@ -19,24 +19,20 @@ module CT_nocache = struct
     create_with ~config:{ Cachetrie.default_config with enable_cache = false } ()
 end
 
-module Ctrie_map = Ctrie.Make (Hashing.Int_key)
 module Ctrie_snap_map = Ctrie_snap.Make (Hashing.Int_key)
 module Chm_map = Chm.Split_ordered.Make (Hashing.Int_key)
 module Chm_striped = Chm.Striped.Make (Hashing.Int_key)
 module Skiplist_map = Skiplist.Make (Hashing.Int_key)
-module Cow_map = Hamts.Cow_map.Make (Hashing.Int_key)
 module Folklore_map = Oa.Folklore.Make (Hashing.Int_key)
 
 let structures : (module IMAP) list =
   [
     (module CT);
     (module CT_nocache);
-    (module Ctrie_map);
     (module Ctrie_snap_map);
     (module Chm_map);
     (module Chm_striped);
     (module Skiplist_map);
-    (module Cow_map);
     (module Folklore_map);
   ]
 

@@ -13,11 +13,11 @@ type scale = Quick | Full
 module type IMAP = Ct_util.Map_intf.CONCURRENT_MAP with type key = int
 
 val structures : (module IMAP) list
-(** All maps under test: cachetrie, cachetrie w/o cache, ctrie,
-    ctrie-snap (with O(1) snapshots), chm (split-ordered), chm-striped,
-    skiplist, cow-hamt (persistent HAMT behind an atomic root), and
-    oa-folklore (the "folklore" open-addressing table with help-driven
-    migration, the flat-layout contender). *)
+(** All maps under test: cachetrie, cachetrie w/o cache, ctrie-snap
+    (the Ctrie baseline, with O(1) snapshots), chm (split-ordered),
+    chm-striped, skiplist, and oa-folklore (the "folklore"
+    open-addressing table with help-driven migration, the flat-layout
+    contender). *)
 
 val structure_names : string list
 

@@ -62,8 +62,12 @@ type target = {
 let plain name m = { t_name = name; t_map = m; t_setup = ignore; t_teardown = ignore }
 
 module CT = Cachetrie.Make (Colliding_key)
-module CTR = Ctrie.Make (Colliding_key)
 module CSN = Ctrie_snap.Make (Colliding_key)
+
+(* The same Ctrie on the same key geometry pushed 20 bits down: every
+   scenario then runs below a chain of single-branch I-nodes, so
+   collisions, splits and contractions happen at depth. *)
+module CTR = Ctrie_snap.Make (Ct_util.Hashing.Deep (Colliding_key))
 module SO = Chm.Split_ordered.Make (Colliding_key)
 module SL = Skiplist.Make (Colliding_key)
 
@@ -210,6 +214,11 @@ let scenarios_for (target : target) : Mc_core.scenario list =
     (* Two writers on one key: the fundamental CAS race. *)
     s ~name:"ins-ins-same-key"
       [ [ Insert (0, 10) ]; [ Insert (0, 20) ] ];
+    (* Two removers on one key: at most one may get the binding, and
+       the loser races the winner's unlinking (in the tries, entombing
+       and parent contraction). *)
+    s ~name:"rem-rem-same-key"
+      [ [ Insert (0, 10); Remove 0 ]; [ Remove 0 ] ];
     (* Full-hash collision: builds and mutates LNodes / binding lists
        concurrently. *)
     s ~name:"lnode-build" [ [ Insert (0, 10) ]; [ Insert (1, 20) ] ];

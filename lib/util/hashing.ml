@@ -48,3 +48,10 @@ module Constant_hash_int = struct
   let equal = Int.equal
   let hash _ = 42
 end
+
+module Deep (H : HASHABLE) = struct
+  type t = H.t
+
+  let equal = H.equal
+  let hash k = H.hash k lsl 20
+end

@@ -47,5 +47,13 @@ module Constant_hash_int : HASHABLE with type t = int
 (** Pathological: every key hashes to 42 — all keys end up in one
     collision list (LNode).  Test-only. *)
 
+module Deep (H : HASHABLE) : HASHABLE with type t = H.t
+(** Pathological: [H]'s hash shifted left by 20 bits, so the low 20
+    bits of every truncated hash are zero.  Every key sits below a
+    chain of single-branch nodes and only 12 hash bits stay
+    significant, so maps of more than a few thousand keys also build
+    collision lists.  The result is not truncated, so raw hashes with
+    high bits set still exercise the maps' own masking.  Test-only. *)
+
 val fnv1a : string -> int
 (** 32-bit FNV-1a string hash. *)

@@ -17,7 +17,7 @@ module type CONCURRENT_MAP = sig
 
   val name : string
   (** Short structure name used in benchmark reports ("cachetrie",
-      "ctrie", "chm", "skiplist", ...). *)
+      "ctrie-snap", "chm", "skiplist", ...). *)
 
   val create : unit -> 'v t
   (** [create ()] makes an empty map. *)
@@ -157,9 +157,9 @@ module type INT_MAKER = functor (H : Hashing.HASHABLE with type t = int) ->
   CONCURRENT_MAP with type key = int
 
 (** Scalar-loop implementation of the batch operations, for structures
-    without a staged traversal (lock-striped table, skip list,
-    copy-on-write HAMT).  The contract is the batch ops' own: a batch
-    IS the corresponding loop, only faster where staging helps. *)
+    without a staged traversal (lock-striped table, skip list).  The
+    contract is the batch ops' own: a batch IS the corresponding loop,
+    only faster where staging helps. *)
 module Batch_fallback (M : sig
   type key
   type 'v t

@@ -16,7 +16,7 @@
    of the BENCH_obs.json overhead measurement runs.
 
    A global registry keeps a weak reference to every live instance so
-   exporters can aggregate per family ("cachetrie", "ctrie", ...)
+   exporters can aggregate per family ("cachetrie", "ctrie-snap", ...)
    without the structures registering anywhere explicitly.  Weak, so
    the thousands of short-lived maps the property tests create are
    collected normally. *)

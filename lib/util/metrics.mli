@@ -71,7 +71,7 @@ type t
 val create : family:string -> t
 (** [create ~family] makes a zeroed counter block sized from
     [Domain.recommended_domain_count] and registers it (weakly) under
-    [family] — the structure name ("cachetrie", "ctrie", ...). *)
+    [family] — the structure name ("cachetrie", "ctrie-snap", ...). *)
 
 val family : t -> string
 

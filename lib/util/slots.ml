@@ -1,0 +1,50 @@
+(* A plain array whose fields are CASed in place.  [Obj.t array] and
+   not ['a array] so the compiler can never specialize an access into
+   the unboxed-float path; [make] additionally rejects arrays the
+   runtime would build with [Double_array_tag]. *)
+type 'a t = Obj.t array
+
+let overhead_words_per_slot = 0
+
+(* The runtime's field CAS: SC success ordering, GC write barrier
+   included (same primitive [Atomic.compare_and_set] compiles to,
+   with an explicit field index). *)
+external unsafe_cas : Obj.t array -> int -> Obj.t -> Obj.t -> bool
+  = "ct_slots_cas_stub"
+[@@noalloc]
+
+let make n v =
+  let a = Array.make n (Obj.repr v) in
+  if Obj.tag (Obj.repr a) = Obj.double_array_tag then
+    invalid_arg "Slots.make: float slots are unsupported";
+  a
+
+let length = Array.length
+
+(* [Obj.field]/[Obj.set_field] rather than [Array.unsafe_get]/[set]:
+   the argument type is already [Obj.t array] so an array access
+   would be safe too, but going through [Obj] keeps the float-array
+   question out of the generated code entirely.  [Obj.set_field] is
+   [caml_modify]: a release store plus the GC write barrier, so a
+   reader that sees the new pointer sees the object behind it. *)
+let[@inline] get a i : 'a = Obj.obj (Obj.field (Obj.repr a) i)
+let[@inline] set a i (v : 'a) = Obj.set_field (Obj.repr a) i (Obj.repr v)
+
+let[@inline] cas a i (expected : 'a) (repl : 'a) =
+  unsafe_cas a i (Obj.repr expected) (Obj.repr repl)
+
+(* The slot array IS the node, so the cell address is the miss:
+   hint the line without reading the field. *)
+let[@inline] prefetch a i = Prefetch.cell a i
+
+let iter f a =
+  for i = 0 to Array.length a - 1 do
+    f (get a i)
+  done
+
+let fold f acc a =
+  let acc = ref acc in
+  for i = 0 to Array.length a - 1 do
+    acc := f !acc (get a i)
+  done;
+  !acc

@@ -653,16 +653,13 @@ module Battery (Maker : Map_intf.INT_MAKER) = struct
 end
 
 module Cachetrie_battery = Battery (Cachetrie.Make)
-
-(* The boxed-slot twin runs the identical battery: the layout swap must
-   be behaviourally invisible. *)
-module Cachetrie_boxed_battery = Battery (Cachetrie_boxed.Make)
-module Ctrie_battery = Battery (Ctrie.Make)
+module Boxed_cachetrie_battery = Battery (Variants.Boxed_cachetrie)
+module Ctrie_battery = Battery (Variants.Deep_ctrie)
 module Ctrie_snap_battery = Battery (Ctrie_snap.Make)
 module Chm_battery = Battery (Chm.Split_ordered.Make)
 module Striped_battery = Battery (Chm.Striped.Make)
 module Skiplist_battery = Battery (Skiplist.Make)
-module Cow_battery = Battery (Hamts.Cow_map.Make)
+module Cow_battery = Battery (Variants.Cow_clone)
 
 (* The folklore open-addressing table only constructs over int keys
    (it packs them into slot words); the INT_MAKER battery covers it in

@@ -19,8 +19,8 @@ module Yp = Ct_util.Yieldpoint
 module Rng = Ct_util.Rng
 module Hashing = Ct_util.Hashing
 module CT = Cachetrie.Make (Hashing.Int_key)
-module CTR = Ctrie.Make (Hashing.Int_key)
 module CSN = Ctrie_snap.Make (Hashing.Int_key)
+module CTR = Variants.Deep_ctrie (Hashing.Int_key)
 
 let check_bool = Alcotest.(check bool)
 
@@ -207,23 +207,25 @@ let test_crash_compression_publish () =
   check_bool "compression completed by helper" true
     ((CT.cache_stats t).compressions >= 1)
 
-(* Ctrie: crash after entombing a TNode, before clean_parent. *)
+(* Ctrie: crash after the entombing GCAS commits, before clean_parent.
+   The victim's remove runs exactly one GCAS (child CNode -> TNode), so
+   its first commit is the entombing one. *)
 let test_crash_ctrie_tnode () =
   Fun.protect ~finally:Chaos.clear @@ fun () ->
   let a, b = ctrie_pair () in
-  let t = CTR.create () in
-  CTR.insert t a 100;
-  CTR.insert t b 101;
-  let inj = Chaos.crash ~phase:Yp.After (site "ctrie.remove.cas") in
-  let crashed = crash_in_domain inj (fun () -> ignore (CTR.remove t b)) in
+  let t = CSN.create () in
+  CSN.insert t a 100;
+  CSN.insert t b 101;
+  let inj = Chaos.crash ~phase:Yp.After (site "ctrie_snap.gcas.commit") in
+  let crashed = crash_in_domain inj (fun () -> ignore (CSN.remove t b)) in
   check_bool "victim crashed after entomb" true crashed;
-  check_residue "TNode" (CTR.validate t);
+  check_residue "TNode" (CSN.validate t);
   Chaos.clear ();
   (* Any traversal through the entombed I-node cleans it. *)
   check_bool "lookup through TNode" true
-    (in_domain (fun () -> CTR.lookup t a) = Some 100);
-  check_valid "after clean" (CTR.validate t);
-  check_bool "b stays removed" true (CTR.lookup t b = None)
+    (in_domain (fun () -> CSN.lookup t a) = Some 100);
+  check_valid "after clean" (CSN.validate t);
+  check_bool "b stays removed" true (CSN.lookup t b = None)
 
 (* Snapshotting Ctrie: crash between the GCAS publish and its commit;
    a peer's plain lookup completes the commit. *)
@@ -283,6 +285,40 @@ let test_stall_helping_expansion () =
     (CT.lookup t a = Some 100 && CT.lookup t b = Some 101
    && CT.lookup t c = Some 102)
 
+(* Ctrie copy-on-write: renewing a CNode must not copy a child that is
+   already in the current generation.  In a writable snapshot, an
+   insert that splits an SNode adds a current-generation child X to a
+   CNode whose other children are still shared with the source.  The
+   victim parks just before publishing into X; a peer then walks into
+   an old sibling, which renews the CNode.  Had the renewal copied X,
+   the victim's update would land in the orphaned original. *)
+let test_stall_renewal_keeps_live_child () =
+  Fun.protect ~finally:Chaos.clear @@ fun () ->
+  let module CB = Ctrie_snap.Make (Hashing.Bad_hash_int) in
+  (* Identity hashes, 5 bits a level: all keys share root slot 0;
+     [y1]/[y2] form an I-node at level-1 slot 2, [a]/[b]/[c] share
+     level-1 slot 1 and split at level 2. *)
+  let y1 = 2 lsl 5 and a = 1 lsl 5 in
+  let y2 = y1 + (1 lsl 10) and b = a + (1 lsl 10) and c = a + (2 lsl 10) in
+  let src = CB.create () in
+  List.iter (fun k -> CB.insert src k k) [ y1; y2; a ];
+  let t = CB.snapshot src in
+  CB.insert t b b;
+  let inj = Chaos.stall (site "ctrie_snap.gcas.publish") in
+  let victim = Domain.spawn (fun () -> Chaos.as_victim inj (fun () -> CB.insert t c c)) in
+  await ~what:"victim parked before publishing into the split" (fun () ->
+      Chaos.stalled inj);
+  check_bool "old sibling read through the renewal" true (CB.lookup t y1 = Some y1);
+  Chaos.release inj;
+  Domain.join victim;
+  Chaos.clear ();
+  check_bool "parked insert survives the renewal" true (CB.lookup t c = Some c);
+  List.iter
+    (fun k -> check_bool "binding kept" true (CB.lookup t k = Some k))
+    [ y1; y2; a; b ];
+  check_valid "clone after renewal" (CB.validate t);
+  check_bool "source untouched" true (CB.lookup src b = None && CB.lookup src c = None)
+
 (* ----------------------- lock-freedom battery ---------------------- *)
 
 (* A chaos subject: one shared instance of a structure plus a mixed
@@ -317,6 +353,8 @@ let cachetrie_subject ~cache () =
   in
   { s_step = step; s_validate = (fun () -> CT.validate t); s_last = last }
 
+(* The Ctrie at depth (Variants.Deep_ctrie), without snapshots: a
+   parked victim sits on I-node chains several levels deep. *)
 let ctrie_subject () =
   let t = CTR.create () in
   for k = 0 to key_range - 1 do
@@ -537,6 +575,7 @@ let suite =
     ("crash_gcas_publish", `Quick, test_crash_gcas_publish);
     ("crash_rdcss_publish", `Quick, test_crash_rdcss_publish);
     ("stall_helping_expansion", `Quick, test_stall_helping_expansion);
+    ("stall_renewal_keeps_live_child", `Quick, test_stall_renewal_keeps_live_child);
     ( "lock_freedom_cachetrie",
       `Slow,
       lock_freedom_battery "cachetrie" "cachetrie."
@@ -545,7 +584,9 @@ let suite =
       `Slow,
       lock_freedom_battery "cachetrie-nc" "cachetrie."
         (cachetrie_subject ~cache:false) );
-    ("lock_freedom_ctrie", `Slow, lock_freedom_battery "ctrie" "ctrie." ctrie_subject);
+    ( "lock_freedom_ctrie",
+      `Slow,
+      lock_freedom_battery "ctrie" "ctrie_snap." ctrie_subject );
     ( "lock_freedom_ctrie_snap",
       `Slow,
       lock_freedom_battery "ctrie-snap" "ctrie_snap." ctrie_snap_subject );

@@ -1,12 +1,150 @@
-(* Tests for the snapshotting Ctrie (PPoPP 2012): GCAS/RDCSS snapshot
-   semantics on top of the shared battery coverage. *)
+(* Tests for the snapshotting Ctrie (PPoPP 2012): entombment and
+   contraction, pathological hashes, GCAS/RDCSS snapshot semantics and
+   the persistence snapshots give, on top of the shared battery
+   coverage. *)
 
 open Ct_util
 module CS = Ctrie_snap.Make (Hashing.Int_key)
+module CS_bad = Ctrie_snap.Make (Hashing.Bad_hash_int)
 
 let check_int = Alcotest.(check int)
 let check_opt = Alcotest.(check (option int))
 let check_bool = Alcotest.(check bool)
+
+(* ------------------- entombment and contraction -------------------- *)
+
+let test_contraction_after_removals () =
+  (* Fill enough to create inner CNodes, remove everything; entombment
+     plus clean_parent must leave a working, compact trie. *)
+  let t = CS.create () in
+  let n = 5_000 in
+  for i = 0 to n - 1 do
+    CS.insert t i i
+  done;
+  for i = 0 to n - 1 do
+    if CS.remove t i <> Some i then Alcotest.failf "remove lost %d" i
+  done;
+  check_int "empty" 0 (CS.size t);
+  (* Reuse after total contraction. *)
+  for i = 0 to 99 do
+    CS.insert t i (-i)
+  done;
+  for i = 0 to 99 do
+    check_opt "reusable" (Some (-i)) (CS.lookup t i)
+  done
+
+let test_tomb_then_lookup () =
+  (* Two deep-colliding keys (identity hash): removing one entombs the
+     other; lookups must keep finding it through the tomb. *)
+  let t = CS_bad.create () in
+  let k1 = 0b1_00000 and k2 = 0b10_00000 in
+  (* same lowest 5 bits *)
+  CS_bad.insert t k1 1;
+  CS_bad.insert t k2 2;
+  check_opt "both in" (Some 1) (CS_bad.lookup t k1);
+  check_opt "remove k1" (Some 1) (CS_bad.remove t k1);
+  check_opt "k2 via tomb" (Some 2) (CS_bad.lookup t k2);
+  check_opt "k2 update ok" (Some 2) (CS_bad.add t k2 22);
+  check_opt "k2 new" (Some 22) (CS_bad.lookup t k2);
+  check_int "one key" 1 (CS_bad.size t)
+
+let test_deep_chains () =
+  let t = CS_bad.create () in
+  let n = 2_000 in
+  for i = 0 to n - 1 do
+    CS_bad.insert t (i * 32) i (* share lowest 5 bits -> deep CNode chain *)
+  done;
+  check_int "size" n (CS_bad.size t);
+  for i = 0 to n - 1 do
+    if CS_bad.lookup t (i * 32) <> Some i then Alcotest.failf "lost %d" i
+  done
+
+let test_lnode_entomb () =
+  let module CC = Ctrie_snap.Make (Hashing.Constant_hash_int) in
+  let t = CC.create () in
+  CC.insert t 1 10;
+  CC.insert t 2 20;
+  CC.insert t 3 30;
+  check_opt "removed from lnode" (Some 20) (CC.remove t 2);
+  check_opt "remaining 1" (Some 10) (CC.lookup t 1);
+  check_opt "remaining 3" (Some 30) (CC.lookup t 3);
+  (* Down to one: the LNode entombs into a TNode. *)
+  check_opt "removed 1" (Some 10) (CC.remove t 1);
+  check_opt "survivor" (Some 30) (CC.lookup t 3);
+  CC.insert t 4 40;
+  check_opt "growable again" (Some 40) (CC.lookup t 4);
+  check_int "size 2" 2 (CC.size t)
+
+(* Property: structural invariants hold after arbitrary op sequences,
+   including under pathological hashes. *)
+let prop_invariants to_key ops =
+  let t = CS_bad.create () in
+  List.iter
+    (fun (tag, k, v) ->
+      let k = to_key k in
+      match tag mod 3 with
+      | 0 -> CS_bad.insert t k v
+      | 1 -> ignore (CS_bad.remove t k)
+      | _ -> ignore (CS_bad.put_if_absent t k v))
+    ops;
+  match CS_bad.validate t with
+  | Ok () -> true
+  | Error e -> QCheck.Test.fail_reportf "ctrie invariant violated: %s" e
+
+let prop_invariants_mixed ops =
+  let t = CS.create () in
+  List.iter
+    (fun (tag, k, v) ->
+      match tag mod 3 with
+      | 0 -> CS.insert t k v
+      | 1 -> ignore (CS.remove t k)
+      | _ -> ignore (CS.replace t k v))
+    ops;
+  match CS.validate t with
+  | Ok () -> true
+  | Error e -> QCheck.Test.fail_reportf "ctrie invariant violated: %s" e
+
+let qchecks =
+  List.map
+    (QCheck_alcotest.to_alcotest ~long:false)
+    [
+      QCheck.Test.make ~count:150 ~name:"ctrie invariants (mixed hashes)"
+        QCheck.(list (triple small_nat (int_bound 63) (int_bound 999)))
+        prop_invariants_mixed;
+      QCheck.Test.make ~count:100 ~name:"ctrie invariants (deep identity hashes)"
+        QCheck.(list (triple small_nat (int_bound 31) (int_bound 999)))
+        (prop_invariants (fun k -> k * 1024));
+      QCheck.Test.make ~count:100 ~name:"ctrie invariants (shallow identity hashes)"
+        QCheck.(list (triple small_nat (int_bound 31) (int_bound 999)))
+        (prop_invariants (fun k -> k));
+    ]
+
+let test_validate_after_concurrency () =
+  let t = CS.create () in
+  let barrier = Atomic.make 0 in
+  let n_domains = 4 in
+  let workers =
+    List.init n_domains (fun d ->
+        Domain.spawn (fun () ->
+            Atomic.incr barrier;
+            while Atomic.get barrier < n_domains do
+              Domain.cpu_relax ()
+            done;
+            for round = 1 to 3 do
+              for i = 0 to 2_999 do
+                match (i + d + round) land 3 with
+                | 0 | 1 -> CS.insert t i (d + i)
+                | 2 -> ignore (CS.remove t i)
+                | _ -> ignore (CS.lookup t i)
+              done
+            done))
+  in
+  List.iter Domain.join workers;
+  match CS.validate t with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "post-concurrency invariant: %s" e
+
+(* ---------------------------- snapshots ---------------------------- *)
 
 let test_snapshot_isolates_original () =
   let t = CS.create () in
@@ -302,6 +440,212 @@ let test_snapshot_size_linearizable () =
       Alcotest.failf "snapshot history not linearizable (trial %d)" _trial;
     Hashtbl.reset visited
   done
+
+(* ------------------- persistence through snapshots ----------------- *)
+
+(* A persistent HAMT's guarantees, with snapshots as the versions:
+   every version keeps exactly the bindings it had when it was taken,
+   whatever is later written to the others, and stays structurally
+   valid. *)
+
+let assert_valid name validate t =
+  match validate t with Ok () -> () | Error e -> Alcotest.failf "%s: %s" name e
+
+let test_versions_are_independent () =
+  let v0 = CS.create () in
+  let v1 = CS.snapshot v0 in
+  CS.insert v1 1 10;
+  let v2 = CS.snapshot v1 in
+  CS.insert v2 2 20;
+  let v3 = CS.snapshot v2 in
+  ignore (CS.remove v3 1);
+  let v4 = CS.snapshot v2 in
+  CS.insert v4 1 99;
+  check_opt "v0 has nothing" None (CS.lookup v0 1);
+  check_opt "v1 has 1" (Some 10) (CS.lookup v1 1);
+  check_opt "v1 lacks 2" None (CS.lookup v1 2);
+  check_opt "v2 has both" (Some 20) (CS.lookup v2 2);
+  check_opt "v3 dropped 1" None (CS.lookup v3 1);
+  check_opt "v3 kept 2" (Some 20) (CS.lookup v3 2);
+  check_opt "v4 rebound 1" (Some 99) (CS.lookup v4 1);
+  check_opt "v2 unchanged by v4" (Some 10) (CS.lookup v2 1);
+  List.iter (assert_valid "versions" CS.validate) [ v0; v1; v2; v3; v4 ]
+
+let test_add_returns_previous () =
+  let v1 = CS.create () in
+  check_opt "fresh" None (CS.add v1 5 50);
+  let v2 = CS.snapshot v1 in
+  check_opt "v2 sees the shared binding" (Some 50) (CS.add v2 5 51);
+  check_opt "v1 sees its own" (Some 50) (CS.add v1 5 52);
+  check_opt "v2 kept its write" (Some 51) (CS.lookup v2 5)
+
+let test_remove_absent_is_noop () =
+  let v1 = CS.create () in
+  CS.insert v1 1 1;
+  let v2 = CS.snapshot v1 in
+  check_opt "no binding" None (CS.remove v2 42);
+  check_opt "v2 intact" (Some 1) (CS.lookup v2 1);
+  check_int "v2 size" 1 (CS.size v2);
+  check_opt "v1 intact" (Some 1) (CS.lookup v1 1);
+  assert_valid "after no-op remove" CS.validate v2
+
+let test_mass_removal_collapses () =
+  let n = 10_000 in
+  let t = CS.create () in
+  for i = 0 to n - 1 do
+    CS.insert t i i
+  done;
+  let frozen = CS.snapshot t in
+  for i = 100 to n - 1 do
+    ignore (CS.remove t i)
+  done;
+  check_int "survivors" 100 (CS.size t);
+  check_int "frozen version keeps all" n (CS.size frozen);
+  assert_valid "collapsed" CS.validate t;
+  assert_valid "frozen" CS.validate frozen;
+  (* Contraction must also work on paths copied out of the older
+     generation: 100 keys need a small fraction of 10k keys' nodes. *)
+  let live = CS.footprint_words t and full = CS.footprint_words frozen in
+  check_bool
+    (Printf.sprintf "collapsed footprint %d vs %d words" live full)
+    true
+    (live * 20 < full)
+
+let test_snapshot_collisions () =
+  let module CC = Ctrie_snap.Make (Hashing.Constant_hash_int) in
+  let t = CC.create () in
+  for i = 0 to 9 do
+    CC.insert t i (i * 2)
+  done;
+  let frozen = CC.snapshot t in
+  for i = 0 to 8 do
+    ignore (CC.remove t i)
+  done;
+  check_opt "last one" (Some 18) (CC.lookup t 9);
+  check_int "one left" 1 (CC.size t);
+  check_int "ten colliders frozen" 10 (CC.size frozen);
+  for i = 0 to 9 do
+    check_opt "frozen collider" (Some (i * 2)) (CC.lookup frozen i)
+  done;
+  assert_valid "live LNode" CC.validate t;
+  assert_valid "frozen LNode" CC.validate frozen
+
+let test_deep_identity_hashes () =
+  let t = CS_bad.create () in
+  for i = 0 to 999 do
+    CS_bad.insert t (i * 1024) i
+  done;
+  let frozen = CS_bad.snapshot t in
+  (* Rebinding every key copies every deep path. *)
+  for i = 0 to 999 do
+    CS_bad.insert t (i * 1024) (-i)
+  done;
+  for i = 0 to 999 do
+    if CS_bad.lookup frozen (i * 1024) <> Some i then Alcotest.failf "frozen lost %d" i;
+    if CS_bad.lookup t (i * 1024) <> Some (-i) then Alcotest.failf "live lost %d" i
+  done;
+  assert_valid "deep live" CS_bad.validate t;
+  assert_valid "deep frozen" CS_bad.validate frozen
+
+let test_many_keys_across_versions () =
+  let n = 30_000 in
+  let v1 = CS.create () in
+  for i = 0 to n - 1 do
+    CS.insert v1 i i
+  done;
+  let v2 = CS.snapshot v1 in
+  for i = n to (2 * n) - 1 do
+    CS.insert v2 i i
+  done;
+  for i = 0 to n - 1 do
+    if i land 1 = 0 then ignore (CS.remove v1 i)
+  done;
+  check_int "v1 halved" (n / 2) (CS.size v1);
+  check_int "v2 doubled" (2 * n) (CS.size v2);
+  for i = 0 to (2 * n) - 1 do
+    let in_v1 = i < n && i land 1 = 1 in
+    if CS.lookup v1 i <> (if in_v1 then Some i else None) then Alcotest.failf "v1 key %d" i;
+    if CS.lookup v2 i <> Some i then Alcotest.failf "v2 lost %d" i
+  done;
+  assert_valid "v1" CS.validate v1;
+  assert_valid "v2" CS.validate v2
+
+(* Property: every version taken along a random history agrees with the
+   model map it had at that point. *)
+let prop_versions ops =
+  let module IM = Map.Make (Int) in
+  let t = CS.create () and m = ref IM.empty and versions = ref [] in
+  List.iter
+    (fun (tag, k, v) ->
+      match tag mod 4 with
+      | 0 ->
+          CS.insert t k v;
+          m := IM.add k v !m
+      | 1 ->
+          ignore (CS.remove t k);
+          m := IM.remove k !m
+      | 2 ->
+          if CS.lookup t k <> IM.find_opt k !m then
+            QCheck.Test.fail_reportf "lookup mismatch on %d" k
+      | _ -> versions := (CS.snapshot t, !m) :: !versions)
+    ops;
+  List.for_all
+    (fun (version, model) ->
+      (match CS.validate version with
+      | Ok () -> ()
+      | Error e -> QCheck.Test.fail_reportf "version invariants: %s" e);
+      List.sort compare (CS.to_list version) = IM.bindings model)
+    ((t, !m) :: !versions)
+
+(* A snapshot of a copy-on-write clone: the ballast is shared by three
+   versions and the clone's own paths are half renewed. *)
+module CW = Variants.Cow_clone (Hashing.Int_key)
+
+let test_cow_snapshot () =
+  let t = CW.create () in
+  for i = 0 to 99 do
+    CW.insert t i i
+  done;
+  let s = CW.snapshot t in
+  for i = 0 to 99 do
+    CW.insert t i (-i)
+  done;
+  CW.insert t 1000 1;
+  for i = 0 to 99 do
+    if CW.lookup s i <> Some i then Alcotest.failf "cow snapshot key %d changed" i
+  done;
+  check_int "snapshot size" 100 (CW.size s);
+  check_int "live size" 101 (CW.size t);
+  assert_valid "clone" CW.validate t;
+  assert_valid "snapshot of clone" CW.validate s
+
+let hamt_suite =
+  [
+    QCheck_alcotest.to_alcotest ~long:false
+      (QCheck.Test.make ~count:150 ~name:"hamt agrees with Map"
+         QCheck.(list (triple small_nat (int_bound 63) (int_bound 999)))
+         prop_versions);
+    ("versions_are_independent", `Quick, test_versions_are_independent);
+    ("add_returns_previous", `Quick, test_add_returns_previous);
+    ("remove_absent_is_noop", `Quick, test_remove_absent_is_noop);
+    ("many_keys_across_versions", `Quick, test_many_keys_across_versions);
+    ("mass_removal_collapses", `Quick, test_mass_removal_collapses);
+    ("collisions", `Quick, test_snapshot_collisions);
+    ("deep_identity_hashes", `Quick, test_deep_identity_hashes);
+    ("cow_snapshot", `Quick, test_cow_snapshot);
+  ]
+
+(* The Ctrie's own structure (entombment, contraction, pathological
+   hashes), run on the repository's only Ctrie. *)
+let ctrie_suite =
+  qchecks
+  @ [
+      ("validate_after_concurrency", `Slow, test_validate_after_concurrency);
+      ("contraction_after_removals", `Quick, test_contraction_after_removals);
+      ("tomb_then_lookup", `Quick, test_tomb_then_lookup);
+      ("deep_chains", `Quick, test_deep_chains);
+      ("lnode_entomb", `Quick, test_lnode_entomb);
+    ]
 
 let suite =
   [

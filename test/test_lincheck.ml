@@ -202,12 +202,12 @@ let test_accepts_replace_if_then_remove_if () =
 (* ------------------- real structures, random runs ------------------ *)
 
 module CT = Cachetrie.Make (Ct_util.Hashing.Int_key)
-module CTB = Cachetrie_boxed.Make (Ct_util.Hashing.Int_key)
-module CTR = Ctrie.Make (Ct_util.Hashing.Int_key)
+module CTB = Variants.Boxed_cachetrie (Ct_util.Hashing.Int_key)
+module CTR = Variants.Deep_ctrie (Ct_util.Hashing.Int_key)
 module SO = Chm.Split_ordered.Make (Ct_util.Hashing.Int_key)
 module ST = Chm.Striped.Make (Ct_util.Hashing.Int_key)
 module SL = Skiplist.Make (Ct_util.Hashing.Int_key)
-module CW = Hamts.Cow_map.Make (Ct_util.Hashing.Int_key)
+module CW = Variants.Cow_clone (Ct_util.Hashing.Int_key)
 module CSN = Ctrie_snap.Make (Ct_util.Hashing.Int_key)
 module FK = Oa.Folklore.Make (Ct_util.Hashing.Int_key)
 

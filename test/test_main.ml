@@ -8,7 +8,7 @@ let () =
       ("cachetrie-concurrent", Test_cachetrie_concurrent.suite);
       ("cachetrie-props", Test_cachetrie_props.suite);
       ("battery-cachetrie", Test_battery.Cachetrie_battery.suite);
-      ("battery-cachetrie-boxed", Test_battery.Cachetrie_boxed_battery.suite);
+      ("battery-cachetrie-boxed", Test_battery.Boxed_cachetrie_battery.suite);
       ("battery-ctrie", Test_battery.Ctrie_battery.suite);
       ("battery-ctrie-snap", Test_battery.Ctrie_snap_battery.suite);
       ("battery-chm", Test_battery.Chm_battery.suite);
@@ -16,11 +16,11 @@ let () =
       ("battery-skiplist", Test_battery.Skiplist_battery.suite);
       ("battery-cow-hamt", Test_battery.Cow_battery.suite);
       ("battery-oa-folklore", Test_battery.Folklore_battery.suite);
-      ("ctrie", Test_ctrie.suite);
+      ("ctrie", Test_ctrie_snap.ctrie_suite);
       ("ctrie-snap", Test_ctrie_snap.suite);
+      ("hamt", Test_ctrie_snap.hamt_suite);
       ("skiplist", Test_skiplist.suite);
       ("chm", Test_chm.suite);
-      ("hamt", Test_hamt.suite);
       ("analysis", Test_analysis.suite);
       ("lincheck", Test_lincheck.suite);
       ("chaos", Test_chaos.suite);

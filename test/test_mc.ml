@@ -224,7 +224,7 @@ struct
 end
 
 module HE_CT = Hostile_equality (Cachetrie.Make (Nonce_key))
-module HE_CTR = Hostile_equality (Ctrie.Make (Nonce_key))
+module HE_CTR = Hostile_equality (Variants.Deep_ctrie (Nonce_key))
 module HE_CSN = Hostile_equality (Ctrie_snap.Make (Nonce_key))
 module HE_SO = Hostile_equality (Chm.Split_ordered.Make (Nonce_key))
 module HE_SL = Hostile_equality (Skiplist.Make (Nonce_key))
@@ -269,7 +269,7 @@ struct
 end
 
 module EX_CT = Extreme_battery (Cachetrie.Make (Mc.Scenarios.Extreme_hash_key))
-module EX_CTR = Extreme_battery (Ctrie.Make (Mc.Scenarios.Extreme_hash_key))
+module EX_CTR = Extreme_battery (Variants.Deep_ctrie (Mc.Scenarios.Extreme_hash_key))
 module EX_CSN = Extreme_battery (Ctrie_snap.Make (Mc.Scenarios.Extreme_hash_key))
 module EX_SO =
   Extreme_battery (Chm.Split_ordered.Make (Mc.Scenarios.Extreme_hash_key))

@@ -366,7 +366,7 @@ let test_watchdog_monitor_thread () =
 let storm_case name (module M : MAP) prefix =
   (Printf.sprintf "storm_%s" name, `Slow, storm (module M : MAP) name prefix)
 
-module CTR = Ctrie.Make (Hashing.Int_key)
+module CTR = Variants.Deep_ctrie (Hashing.Int_key)
 module CSN = Ctrie_snap.Make (Hashing.Int_key)
 module CHM = Chm.Split_ordered.Make (Hashing.Int_key)
 module SKL = Skiplist.Make (Hashing.Int_key)
@@ -377,7 +377,7 @@ let suite =
     ("watchdog_monitor_thread", `Quick, test_watchdog_monitor_thread);
     ("scrub_live_traffic", `Slow, test_scrub_live_traffic);
     storm_case "cachetrie" (module CT) "cachetrie.";
-    storm_case "ctrie" (module CTR) "ctrie.";
+    storm_case "ctrie" (module CTR) "ctrie_snap.";
     storm_case "ctrie_snap" (module CSN) "ctrie_snap.";
     storm_case "chm" (module CHM) "chm.";
     storm_case "skiplist" (module SKL) "skiplist.";

@@ -146,6 +146,20 @@ let test_key_modules () =
     (Hashing.Constant_hash_int.hash 999);
   check_int "bad hash is identity" 12345 (Hashing.Bad_hash_int.hash 12345)
 
+let test_deep_hash () =
+  let module D = Hashing.Deep (Hashing.Int_key) in
+  check_bool "equality is H's" true (D.equal 7 7 && not (D.equal 7 8));
+  check_int "hash shifted by 20" (Hashing.Int_key.hash 99 lsl 20) (D.hash 99);
+  check_int "low 20 bits clear" 0 (D.hash 12345 land ((1 lsl 20) - 1));
+  (* Not truncated: a raw hash with its top bit set stays negative. *)
+  let module N = Hashing.Deep (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash _ = -1
+  end) in
+  check_bool "sign kept for the map to mask" true (N.hash 0 < 0)
+
 (* ------------------------------ Stats ----------------------------- *)
 
 let feq msg a b = Alcotest.(check (float 1e-9)) msg a b
@@ -303,147 +317,210 @@ let test_progress_observer_install () =
   check_bool "main hook still runs" true !hook_saw;
   check_int "observer ran too" 2 (Progress.beats p 0)
 
-(* -------------------------- Atomic_slots --------------------------- *)
+(* ------------------------------ Slots ------------------------------ *)
 
-(* The same battery runs against both slot representations: whatever
-   [Ct_util.Slots] resolves to at build time, the other layout must
-   behave identically. *)
-module Slots_battery (S : Atomic_slots.S) = struct
-  let label name = Printf.sprintf "slots[%s].%s" S.repr name
+let slots_label name = "slots[flat]." ^ name
 
-  let test_basic () =
-    let a = S.make 8 0 in
-    check_int "length" 8 (S.length a);
-    for i = 0 to 7 do
-      check_int "init" 0 (S.get a i)
-    done;
-    S.set a 3 42;
-    check_int "set/get" 42 (S.get a 3);
-    check_int "neighbours untouched" 0 (S.get a 2);
-    check_int "fold" 42 (S.fold ( + ) 0 a);
-    let seen = ref 0 in
-    S.iter (fun v -> seen := !seen + v) a;
-    check_int "iter" 42 !seen
+let test_slots_basic () =
+  let a = Slots.make 8 0 in
+  check_int "length" 8 (Slots.length a);
+  for i = 0 to 7 do
+    check_int "init" 0 (Slots.get a i)
+  done;
+  Slots.set a 3 42;
+  check_int "set/get" 42 (Slots.get a 3);
+  check_int "neighbours untouched" 0 (Slots.get a 2);
+  check_int "fold" 42 (Slots.fold ( + ) 0 a);
+  let seen = ref 0 in
+  Slots.iter (fun v -> seen := !seen + v) a;
+  check_int "iter" 42 !seen
 
-  let test_cas () =
-    let a = S.make 4 "init" in
-    check_bool "cas hits on phys-eq" true (S.cas a 1 "init" "next");
-    check_bool "cas updated" true (S.get a 1 == "next");
-    check_bool "cas misses on stale" false (S.cas a 1 "init" "other");
-    check_bool "still next" true (S.get a 1 == "next");
-    (* Physical, not structural, comparison: a fresh equal string is
-       a different block and must not match. *)
-    let twin = String.init 4 (String.get "next") in
-    check_bool "cas is physical" false (S.cas a 1 twin "other")
+let test_slots_cas () =
+  let a = Slots.make 4 "init" in
+  check_bool "cas hits on phys-eq" true (Slots.cas a 1 "init" "next");
+  check_bool "cas updated" true (Slots.get a 1 == "next");
+  check_bool "cas misses on stale" false (Slots.cas a 1 "init" "other");
+  check_bool "still next" true (Slots.get a 1 == "next");
+  (* Physical, not structural, comparison: a fresh equal string is
+     a different block and must not match. *)
+  let twin = String.init 4 (String.get "next") in
+  check_bool "cas is physical" false (Slots.cas a 1 twin "other")
 
-  let test_boxed_values () =
-    (* Pointers (variant blocks) survive a set/cas round-trip — the
-       GC write barrier path. *)
-    let a = S.make 4 None in
-    S.set a 0 (Some 7);
-    check_bool "boxed set" true (S.get a 0 = Some 7);
-    let cur = S.get a 0 in
-    check_bool "boxed cas" true (S.cas a 0 cur (Some 8));
-    check_bool "boxed cas value" true (S.get a 0 = Some 8)
+let test_slots_boxed_values () =
+  (* Pointers (variant blocks) survive a set/cas round-trip — the
+     GC write barrier path. *)
+  let a = Slots.make 4 None in
+  Slots.set a 0 (Some 7);
+  check_bool "boxed set" true (Slots.get a 0 = Some 7);
+  let cur = Slots.get a 0 in
+  check_bool "boxed cas" true (Slots.cas a 0 cur (Some 8));
+  check_bool "boxed cas value" true (Slots.get a 0 = Some 8)
 
-  let test_float_guard () =
-    if S.repr = "flat" then
-      Alcotest.check_raises "flat rejects float slots"
-        (Invalid_argument "Atomic_slots.Flat.make: float slots are unsupported")
-        (fun () -> ignore (S.make 4 1.0))
+let test_slots_float_guard () =
+  Alcotest.check_raises "flat rejects float slots"
+    (Invalid_argument "Slots.make: float slots are unsupported")
+    (fun () -> ignore (Slots.make 4 1.0))
 
-  let test_concurrent_cas () =
-    (* [domains] workers CAS-push onto every slot of a shared array;
-       every push must land exactly once. *)
-    let slots = 8 and domains = 4 and per = 500 in
-    let a = S.make slots ([] : int list) in
-    let workers =
-      List.init domains (fun d ->
-          Domain.spawn (fun () ->
-              for i = 0 to per - 1 do
-                let idx = i land (slots - 1) in
-                let rec push () =
-                  let cur = S.get a idx in
-                  if not (S.cas a idx cur ((d * per) + i :: cur)) then push ()
-                in
-                push ()
-              done))
-    in
-    List.iter Domain.join workers;
-    let total = S.fold (fun acc l -> acc + List.length l) 0 a in
-    check_int "no lost pushes" (domains * per) total;
-    let all = S.fold (fun acc l -> List.rev_append l acc) [] a in
-    check_int "all values distinct" (domains * per)
-      (List.length (List.sort_uniq compare all))
+let test_slots_concurrent_cas () =
+  (* [domains] workers CAS-push onto every slot of a shared array;
+     every push must land exactly once. *)
+  let slots = 8 and domains = 4 and per = 500 in
+  let a = Slots.make slots ([] : int list) in
+  let workers =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            for i = 0 to per - 1 do
+              let idx = i land (slots - 1) in
+              let rec push () =
+                let cur = Slots.get a idx in
+                if not (Slots.cas a idx cur ((d * per) + i :: cur)) then push ()
+              in
+              push ()
+            done))
+  in
+  List.iter Domain.join workers;
+  let total = Slots.fold (fun acc l -> acc + List.length l) 0 a in
+  check_int "no lost pushes" (domains * per) total;
+  let all = Slots.fold (fun acc l -> List.rev_append l acc) [] a in
+  check_int "all values distinct" (domains * per)
+    (List.length (List.sort_uniq compare all))
 
-  (* Prefetching is semantically a no-op: it must neither fault nor
-     disturb slot contents, on every index of both layouts (the flat
-     layout hints the cell line, the boxed layout warms the box). *)
-  let test_prefetch_noop () =
-    let a = S.make 8 0 in
-    S.set a 5 55;
-    for i = 0 to 7 do
-      S.prefetch a i
-    done;
-    check_int "contents survive prefetch" 55 (S.get a 5);
-    check_int "fold after prefetch" 55 (S.fold ( + ) 0 a)
-
-  (* [assert false] survives [-noassert], so probe with a computed
-     condition to learn whether this build compiled assertions in. *)
-  let asserts_enabled =
-    try
-      assert (1 = 2);
-      false
-    with Assert_failure _ -> true
-
-  (* Debug builds must catch a probe index that escaped the length
-     mask: the boxed layout asserts bounds before its unsafe access
-     (the folklore table's circular probing is the risky caller; an
-     unchecked [Array.unsafe_get] would silently read a neighbouring
-     heap object instead of failing). *)
-  let test_boxed_bounds_guard () =
-    if S.repr = "boxed" && asserts_enabled then begin
-      let a = S.make 8 0 in
-      (match S.get a 8 with
-      | _ -> Alcotest.fail "out-of-bounds get not caught"
-      | exception Assert_failure _ -> ());
-      (match S.get a (-1) with
-      | _ -> Alcotest.fail "negative get not caught"
-      | exception Assert_failure _ -> ());
-      (match S.set a 9 1 with
-      | () -> Alcotest.fail "out-of-bounds set not caught"
-      | exception Assert_failure _ -> ());
-      (match S.cas a 8 0 1 with
-      | _ -> Alcotest.fail "out-of-bounds cas not caught"
-      | exception Assert_failure _ -> ());
-      match S.prefetch a (-3) with
-      | () -> Alcotest.fail "out-of-bounds prefetch not caught"
-      | exception Assert_failure _ -> ()
-    end
-
-  let tests =
-    [
-      (label "basic", `Quick, test_basic);
-      (label "cas", `Quick, test_cas);
-      (label "boxed_values", `Quick, test_boxed_values);
-      (label "float_guard", `Quick, test_float_guard);
-      (label "prefetch_noop", `Quick, test_prefetch_noop);
-      (label "bounds_guard", `Quick, test_boxed_bounds_guard);
-      (label "concurrent_cas", `Slow, test_concurrent_cas);
-    ]
-end
-
-module Slots_flat_tests = Slots_battery (Atomic_slots.Flat)
-module Slots_boxed_tests = Slots_battery (Atomic_slots.Boxed)
+(* Prefetching is semantically a no-op: it must neither fault nor
+   disturb slot contents, on every index. *)
+let test_slots_prefetch_noop () =
+  let a = Slots.make 8 0 in
+  Slots.set a 5 55;
+  for i = 0 to 7 do
+    Slots.prefetch a i
+  done;
+  check_int "contents survive prefetch" 55 (Slots.get a 5);
+  check_int "fold after prefetch" 55 (Slots.fold ( + ) 0 a)
 
 let test_slots_metadata () =
-  check_int "flat overhead" 0 Atomic_slots.Flat.overhead_words_per_slot;
-  check_int "boxed overhead" 2 Atomic_slots.Boxed.overhead_words_per_slot;
-  check_bool "reprs differ" true
-    (Atomic_slots.Flat.repr <> Atomic_slots.Boxed.repr);
-  (* The build-selected alias is one of the two. *)
-  check_bool "Slots is flat or boxed" true
-    (Slots.repr = "flat" || Slots.repr = "boxed")
+  check_int "no per-slot overhead" 0 Slots.overhead_words_per_slot
+
+(* Slots holding boxed values across collections.  The array is
+   promoted to the major heap first, so every young value a [set] or
+   [cas] stores creates an old-to-young pointer: unless the store goes
+   through the runtime's write barrier, the next minor collection
+   frees or moves the value under the slot. *)
+
+let boxed_label name = "slots[boxed]." ^ name
+
+let old_slots n v =
+  let a = Slots.make n v in
+  Gc.full_major ();
+  a
+
+let fresh i = String.make 4 (Char.chr (Char.code 'a' + (i mod 26)))
+
+let test_boxed_basic () =
+  let a = old_slots 8 (fresh 0) in
+  for i = 0 to 7 do
+    Slots.set a i (fresh i)
+  done;
+  Gc.minor ();
+  for i = 0 to 7 do
+    Alcotest.(check string) "survives minor GC" (fresh i) (Slots.get a i)
+  done;
+  Gc.compact ();
+  check_int "fold after compaction" 32 (Slots.fold (fun n s -> n + String.length s) 0 a);
+  let seen = ref 0 in
+  Slots.iter (fun s -> if s = fresh !seen then incr seen) a;
+  check_int "iter after compaction" 8 !seen
+
+let test_boxed_cas () =
+  let a = old_slots 4 (fresh 0) in
+  let cur = Slots.get a 1 in
+  let next = fresh 1 in
+  check_bool "cas a young value in" true (Slots.cas a 1 cur next);
+  Gc.minor ();
+  check_bool "cas hits the moved value" true (Slots.cas a 1 (Slots.get a 1) (fresh 2));
+  check_bool "cas misses an equal twin" false (Slots.cas a 1 (fresh 2) (fresh 3));
+  Gc.full_major ();
+  Alcotest.(check string) "value after collections" (fresh 2) (Slots.get a 1)
+
+let test_boxed_values_churn () =
+  let n = 64 in
+  let a = old_slots n None in
+  for round = 1 to 50 do
+    for i = 0 to n - 1 do
+      let cur = Slots.get a i in
+      if not (Slots.cas a i cur (Some (ref ((round * n) + i)))) then
+        Alcotest.failf "uncontended cas failed at round %d slot %d" round i
+    done;
+    if round mod 10 = 0 then Gc.compact () else Gc.minor ()
+  done;
+  for i = 0 to n - 1 do
+    match Slots.get a i with
+    | Some r -> check_int "last round's value" ((50 * n) + i) !r
+    | None -> Alcotest.failf "slot %d lost its value" i
+  done
+
+(* Floats are rejected only when bare: a boxed float is an ordinary
+   pointer. *)
+let test_boxed_float_guard () =
+  let a = old_slots 4 (ref 0.5) in
+  Slots.set a 2 (ref 2.5);
+  Gc.minor ();
+  Alcotest.(check (float 0.)) "boxed float" 2.5 !(Slots.get a 2);
+  Alcotest.check_raises "bare floats still rejected"
+    (Invalid_argument "Slots.make: float slots are unsupported")
+    (fun () -> ignore (Slots.make 4 0.5))
+
+let test_boxed_prefetch_noop () =
+  let a = old_slots 8 [] in
+  for i = 0 to 7 do
+    Slots.set a i [ i; i ]
+  done;
+  for i = 0 to 7 do
+    Slots.prefetch a i
+  done;
+  Gc.minor ();
+  check_int "contents survive prefetch" 56 (Slots.fold (fun n l -> n + List.fold_left ( + ) 0 l) 0 a)
+
+(* Four domains CAS young values into the old array while their own
+   allocation keeps triggering minor collections, which in OCaml 5
+   stop and scan every domain. *)
+let test_boxed_concurrent_cas () =
+  let slots = 8 and domains = 4 and per = 2_000 in
+  let a = old_slots slots ([] : string list) in
+  let workers =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            for i = 0 to per - 1 do
+              let idx = i land (slots - 1) in
+              let v = string_of_int ((d * per) + i) in
+              let rec push () =
+                let cur = Slots.get a idx in
+                if not (Slots.cas a idx cur (v :: cur)) then push ()
+              in
+              push ();
+              if i mod 256 = 0 then Gc.minor ()
+            done))
+  in
+  List.iter Domain.join workers;
+  Gc.full_major ();
+  let all = Slots.fold (fun acc l -> List.rev_append l acc) [] a in
+  check_int "no lost pushes" (domains * per) (List.length all);
+  check_int "every value intact" (domains * per)
+    (List.length (List.sort_uniq compare (List.map int_of_string all)))
+
+let slots_tests =
+  [
+    (slots_label "basic", `Quick, test_slots_basic);
+    (slots_label "cas", `Quick, test_slots_cas);
+    (slots_label "boxed_values", `Quick, test_slots_boxed_values);
+    (slots_label "float_guard", `Quick, test_slots_float_guard);
+    (slots_label "prefetch_noop", `Quick, test_slots_prefetch_noop);
+    (slots_label "concurrent_cas", `Slow, test_slots_concurrent_cas);
+    (boxed_label "basic", `Quick, test_boxed_basic);
+    (boxed_label "cas", `Quick, test_boxed_cas);
+    (boxed_label "boxed_values", `Quick, test_boxed_values_churn);
+    (boxed_label "float_guard", `Quick, test_boxed_float_guard);
+    (boxed_label "prefetch_noop", `Quick, test_boxed_prefetch_noop);
+    (boxed_label "concurrent_cas", `Slow, test_boxed_concurrent_cas);
+  ]
 
 (* ----------------------------- Stripe ------------------------------ *)
 
@@ -494,7 +571,6 @@ let test_yieldpoint_registry () =
   (* The instrumented structures register their sites at start-up. *)
   check_bool "cachetrie sites present" true
     (Yieldpoint.with_prefix "cachetrie." <> []);
-  check_bool "ctrie sites present" true (Yieldpoint.with_prefix "ctrie." <> []);
   check_bool "ctrie_snap sites present" true
     (Yieldpoint.with_prefix "ctrie_snap." <> [])
 
@@ -536,6 +612,7 @@ let suite =
     ("hashing.mix_avalanche", `Quick, test_mix_avalanche);
     ("hashing.fnv1a", `Quick, test_fnv1a);
     ("hashing.key_modules", `Quick, test_key_modules);
+    ("hashing.deep", `Quick, test_deep_hash);
     ("stats.mean_stddev", `Quick, test_mean_stddev);
     ("stats.summary", `Quick, test_summary);
     ("stats.percentile", `Quick, test_percentile);
@@ -554,4 +631,4 @@ let suite =
     ("stripe.ops", `Quick, test_stripe_ops);
     ("stripe.padding", `Quick, test_stripe_padding);
   ]
-  @ Slots_flat_tests.tests @ Slots_boxed_tests.tests
+  @ slots_tests
