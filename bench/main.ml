@@ -387,7 +387,9 @@ let run_sweeps scale =
           ("domains", Json.Int p);
           ("size", Json.Int n);
           ("elapsed_s", Json.Float elapsed);
-          ("ops_per_sec", Json.Float (float_of_int ops /. elapsed));
+          ( "ops_per_sec",
+            Json.Float
+              (Harness.Report.checked_rate ~what:"sweeps" ~elapsed ~ops) );
         ]
       :: !sweep_rows
   in

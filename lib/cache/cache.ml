@@ -136,9 +136,8 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
       | None -> fun k v -> word_cost k + word_cost v
     in
     let stripes =
-      Ct_util.Bits.next_power_of_two
-        (if cfg.stripes > 0 then cfg.stripes
-         else Domain.recommended_domain_count ())
+      if cfg.stripes > 0 then Ct_util.Bits.next_power_of_two cfg.stripes
+      else Ct_util.Domain_slot.capacity
     in
     (* Ring capacity: ~2x the largest possible resident population
        (budget / minimum entry cost), split across stripes, so CLOCK
@@ -175,7 +174,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
   let used_words t = Atomic.get t.used
   let resident t = M.size t.map
 
-  let[@inline] stripe_of_domain t = (Domain.self () :> int) land t.smask
+  let[@inline] stripe_of_domain t = Ct_util.Domain_slot.get () land t.smask
 
   (* ---------------------------- accounting --------------------------- *)
 

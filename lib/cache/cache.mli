@@ -26,7 +26,7 @@ type config = {
   budget_words : int;  (** resident-cost ceiling, machine words *)
   policy : policy;
   stripes : int;
-      (** ring stripes; [<= 0] = one per recommended domain slot *)
+      (** ring stripes; [<= 0] = one per {!Ct_util.Domain_slot} *)
   default_ttl_ns : int;  (** TTL applied by {!Make.put} when none is
       given; [0] = entries never expire *)
   negative_ttl_ns : int;  (** TTL for {!Make.put_absent} entries *)

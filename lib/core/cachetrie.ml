@@ -29,6 +29,7 @@ module Hashing = Ct_util.Hashing
 module Bits = Ct_util.Bits
 module Rng = Ct_util.Rng
 module Stripe = Ct_util.Stripe
+module Domain_slot = Ct_util.Domain_slot
 module Yp = Ct_util.Yieldpoint
 module Metrics = Ct_util.Metrics
 module Prefetch = Ct_util.Prefetch
@@ -88,10 +89,6 @@ type config = {
   min_cache_level : int;  (** first cache level installed (paper: 8) *)
   cache_trigger_level : int;  (** trie level whose nodes trigger cache creation (paper: 12) *)
   max_cache_level : int;  (** cap on the cache level, bounding cache memory *)
-  miss_stripes : int;
-      (** upper bound on the number of miss-counter stripes; the actual
-          count is [min (Domain.recommended_domain_count ()) miss_stripes]
-          rounded up to a power of two, fixed at cache creation *)
   narrow_nodes : bool;  (** if false, always allocate wide ANodes (ablation) *)
   dual_level_cache : bool;
       (** keep the fallback cache level fresh too (paper Section 7's
@@ -107,7 +104,6 @@ let default_config =
     min_cache_level = 8;
     cache_trigger_level = 12;
     max_cache_level = 20;
-    miss_stripes = 64;
     narrow_nodes = true;
     dual_level_cache = true;
   }
@@ -171,13 +167,13 @@ module Make (H : Hashing.HASHABLE) = struct
 
   (* Cache (paper Figure 5): a list of levels, deepest first.  Entry
      arrays are plain: see the header comment.  Miss counters are a
-     padded [Stripe.t] (one counter per cache line) sized from the
-     domain count — with a bare [int array] eight domains' counters
-     share one line and every miss ping-pongs it. *)
+     padded [Stripe.t], one row per domain slot — with a bare
+     [int array] eight domains' counters share one line and every miss
+     ping-pongs it. *)
   type 'v cache_level = {
     c_level : int;  (** trie level covered, multiple of 4 *)
     c_entries : 'v node array;  (** length [2^c_level] *)
-    c_misses : Stripe.t;  (** striped per-domain miss counters *)
+    c_misses : Stripe.t;  (** per-domain miss counters *)
     c_parent : 'v cache_level option;
   }
 
@@ -204,8 +200,8 @@ module Make (H : Hashing.HASHABLE) = struct
            [cache_stats] record is a view over it *)
     seed : int Atomic.t;
     scratch_pool : 'v scratch Atomic.t array;
-        (* one slot per domain (power-of-two, indexed by domain id);
-           holds [scratch_dummy] while the domain's scratch is in use *)
+        (* one entry per [Domain_slot] plus the overflow slot; holds
+           [scratch_dummy] while the domain's scratch is in use *)
     scratch_dummy : 'v scratch;
   }
 
@@ -215,11 +211,6 @@ module Make (H : Hashing.HASHABLE) = struct
   (* Keys per staged chunk: enough lookups in flight to overlap their
      cache misses, small enough that the per-level state stays in L1. *)
   let chunk_cap = 64
-
-  let pool_slots =
-    let n = Domain.recommended_domain_count () in
-    let rec p2 x = if x >= n then x else p2 (x * 2) in
-    p2 1
 
   let new_anode n : 'v anode = Slots.make n Null
 
@@ -241,7 +232,8 @@ module Make (H : Hashing.HASHABLE) = struct
       config;
       metrics = Metrics.create ~family:name;
       seed = Atomic.make 0x9E3779B9;
-      scratch_pool = Array.init pool_slots (fun _ -> Atomic.make scratch_dummy);
+      scratch_pool =
+        Array.init (Domain_slot.capacity + 1) (fun _ -> Atomic.make scratch_dummy);
       scratch_dummy;
     }
 
@@ -476,12 +468,11 @@ module Make (H : Hashing.HASHABLE) = struct
   (* Cache maintenance (paper Figures 5-8).                             *)
   (* ---------------------------------------------------------------- *)
 
-  let make_cache_level t level parent =
-    let stripes = min (Domain.recommended_domain_count ()) t.config.miss_stripes in
+  let make_cache_level level parent =
     {
       c_level = level;
       c_entries = Array.make (1 lsl level) Null;
-      c_misses = Stripe.create ~stripes ();
+      c_misses = Stripe.create ();
       c_parent = parent;
     }
 
@@ -502,7 +493,7 @@ module Make (H : Hashing.HASHABLE) = struct
       match Atomic.get t.cache_head with
       | None ->
           if lev >= t.config.cache_trigger_level then begin
-            let fresh = make_cache_level t t.config.min_cache_level None in
+            let fresh = make_cache_level t.config.min_cache_level None in
             if yp_cas t.metrics yp_cache_install t.cache_head None (Some fresh)
             then Metrics.incr t.metrics Metrics.Cache_installs
           end
@@ -620,25 +611,26 @@ module Make (H : Hashing.HASHABLE) = struct
             | Some cl when cl.c_level < target -> Some { cl with c_parent = None }
             | Some cl -> fallback cl.c_parent
           in
-          let fresh = make_cache_level t target (fallback (Some head)) in
+          let fresh = make_cache_level target (fallback (Some head)) in
           if yp_cas t.metrics yp_cache_adjust t.cache_head old (Some fresh) then
             Metrics.incr t.metrics Metrics.Cache_adjustments
         end
 
-  (* Count a miss against the striped counters (paper Figure 8).  The
-     stripe index comes from the domain id; [Stripe] masks it and pads
-     each counter to its own cache line. *)
+  (* Count a miss against the calling domain's counter (paper Figure 8),
+     its own padded [Stripe] row.  The reset subtracts what was read
+     rather than storing 0, so on the shared overflow row it drops no
+     other domain's misses. *)
   let record_miss t =
     match Atomic.get t.cache_head with
     | None -> ()
     | Some cl ->
-        let stripe = Rng.mix64 (Domain.self () :> int) in
-        let count = Stripe.get cl.c_misses stripe in
+        let h = Stripe.cursor cl.c_misses in
+        let count = Stripe.get_at cl.c_misses h 0 in
         if count >= t.config.max_misses then begin
-          Stripe.set cl.c_misses stripe 0;
+          Stripe.add_at cl.c_misses h 0 (-count);
           sample_and_adjust t
         end
-        else Stripe.set cl.c_misses stripe (count + 1)
+        else Stripe.add_at cl.c_misses h 0 1
 
   let cache_level_of t =
     match Atomic.get t.cache_head with None -> -1 | Some cl -> cl.c_level
@@ -693,9 +685,9 @@ module Make (H : Hashing.HASHABLE) = struct
      independent of [record_miss], whose striped counters are the
      sampling {e trigger} of paper Figure 8, reset on every pass. *)
   (* [mcur] is a {!Metrics.cursor} captured once in [find]: the bump
-     itself must stay a pure array add, because a [Domain.self] C call
-     here clobbers the probe's live registers and shows up directly in
-     the find-overhead budget. *)
+     itself must stay a pure array add, because the [Domain_slot.get]
+     call behind a fresh cursor clobbers the probe's live registers and
+     shows up directly in the find-overhead budget. *)
   let rec probe_find t k h mcur = function
     | None ->
         Metrics.incr_at t.metrics mcur Metrics.Cache_misses;
@@ -1156,16 +1148,14 @@ module Make (H : Hashing.HASHABLE) = struct
     }
 
   (* Take/release through [Atomic.exchange]: if two sys-threads on one
-     domain ever race for the slot, the loser just allocates a fresh
-     scratch — correctness never depends on the pool. *)
+     domain, or two domains on the overflow slot, race for an entry,
+     the loser just allocates a fresh scratch — correctness never
+     depends on the pool. *)
   let scratch_take t =
-    let slot = (Domain.self () :> int) land (Array.length t.scratch_pool - 1) in
-    let s = Atomic.exchange t.scratch_pool.(slot) t.scratch_dummy in
+    let s = Atomic.exchange t.scratch_pool.(Domain_slot.get ()) t.scratch_dummy in
     if Array.length s.s_h = chunk_cap then s else scratch_make t
 
-  let scratch_release t s =
-    let slot = (Domain.self () :> int) land (Array.length t.scratch_pool - 1) in
-    Atomic.set t.scratch_pool.(slot) s
+  let scratch_release t s = Atomic.set t.scratch_pool.(Domain_slot.get ()) s
 
   (* Out-of-line helpers for the lockstep loops (module-level so the
      loops allocate no closures). *)

@@ -21,17 +21,13 @@
     the paper (Sections 3.5-3.6). *)
 type config = {
   enable_cache : bool;  (** [false] gives the paper's "w/o cache" ablation variant *)
-  max_misses : int;  (** cache misses per counter stripe before a sampling pass (paper: 2048) *)
+  max_misses : int;
+      (** cache misses per domain before a sampling pass (paper: 2048);
+          each domain counts in its own padded {!Ct_util.Stripe} row *)
   sample_paths : int;  (** random root-to-leaf paths walked per sampling pass *)
   min_cache_level : int;  (** level of the first cache installed (paper: 8) *)
   cache_trigger_level : int;  (** trie level whose nodes trigger cache creation (paper: 12) *)
   max_cache_level : int;  (** upper bound on the cache level (bounds cache memory) *)
-  miss_stripes : int;
-      (** upper bound on the number of miss-counter stripes; the actual
-          count is [min (Domain.recommended_domain_count ()) miss_stripes]
-          rounded up to a power of two, fixed when the cache is created.
-          Each stripe is padded to its own cache line
-          ([Ct_util.Stripe]). *)
   narrow_nodes : bool;  (** [false] always allocates 16-slot nodes (ablation) *)
   dual_level_cache : bool;
       (** keep the chain's fallback level inhabited too — the paper's

@@ -110,11 +110,6 @@ module Make (H : Hashing.HASHABLE) = struct
   let empty_main () = boxed (CNode { bmp = 0; arr = [||] })
   let chunk_cap = 64
 
-  let pool_slots =
-    let n = Domain.recommended_domain_count () in
-    let rec p2 x = if x >= n then x else p2 (x * 2) in
-    p2 1
-
   let with_pools root metrics =
     let scratch_dummy =
       {
@@ -131,7 +126,9 @@ module Make (H : Hashing.HASHABLE) = struct
     {
       root;
       metrics;
-      scratch_pool = Array.init pool_slots (fun _ -> Atomic.make scratch_dummy);
+      scratch_pool =
+        Array.init (Ct_util.Domain_slot.capacity + 1) (fun _ ->
+            Atomic.make scratch_dummy);
       scratch_dummy;
     }
 
@@ -607,16 +604,17 @@ module Make (H : Hashing.HASHABLE) = struct
       s_hits = 0;
     }
 
-  (* Per-domain scratch pool: [exchange] with the shared dummy instead
-     of an option so take/release allocate nothing. *)
+  (* Per-domain scratch pool, one entry per [Domain_slot]: [exchange]
+     with the shared dummy instead of an option so take/release
+     allocate nothing; a domain finding its entry taken (the shared
+     overflow slot) allocates a fresh scratch. *)
   let scratch_take t =
-    let slot = (Domain.self () :> int) land (Array.length t.scratch_pool - 1) in
+    let slot = Ct_util.Domain_slot.get () in
     let s = Atomic.exchange t.scratch_pool.(slot) t.scratch_dummy in
     if Array.length s.s_h = chunk_cap then s else scratch_make t
 
   let scratch_release t s =
-    let slot = (Domain.self () :> int) land (Array.length t.scratch_pool - 1) in
-    Atomic.set t.scratch_pool.(slot) s
+    Atomic.set t.scratch_pool.(Ct_util.Domain_slot.get ()) s
 
   let find_chunk t scr keys ~miss (out : 'v array) base n =
     let r = rdcss_read_root t ~abort:false in

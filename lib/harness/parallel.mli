@@ -1,14 +1,15 @@
 (** Multi-domain benchmark execution.
 
     Spawns worker domains, synchronizes them on a {!Barrier.t} and
-    times the window from release to the last completion — the
-    methodology behind the paper's Figures 11-13. *)
+    times the window from the first worker's start to the last
+    worker's end, each worker stamping its own — the methodology
+    behind the paper's Figures 11-13. *)
 
 val run_timed : domains:int -> (int -> unit) -> float
 (** [run_timed ~domains body] runs [body d] on [domains] domains
     (domain index [d] in [0, domains)) starting simultaneously and
-    returns the elapsed wall-clock seconds until every domain
-    finished. *)
+    returns the seconds from the earliest worker start to the latest
+    worker end. *)
 
 val run_counted :
   domains:int -> (int -> Ct_util.Stripe.t -> unit) -> float * int

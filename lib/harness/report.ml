@@ -26,6 +26,13 @@ let checked_elapsed ~what s =
       (Printf.sprintf "%s: elapsed %f is not a non-negative duration" what s);
   s
 
+let checked_rate ~what ~elapsed ~ops =
+  let elapsed = checked_elapsed ~what elapsed in
+  if ops <= 0 || elapsed *. 1e9 < float_of_int ops then
+    invalid_arg
+      (Printf.sprintf "%s: %d ops in %g s is below 1 ns/op" what ops elapsed);
+  float_of_int ops /. elapsed
+
 let section title =
   let bar = String.make (String.length title + 8) '=' in
   Printf.printf "\n%s\n==  %s  ==\n%s\n" bar title bar

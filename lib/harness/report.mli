@@ -29,6 +29,13 @@ val checked_elapsed : what:string -> float -> float
     wall-clock measurement racing an NTP step), never a valid
     measurement to propagate into throughput numbers. *)
 
+val checked_rate : what:string -> elapsed:float -> ops:int -> float
+(** [checked_rate ~what ~elapsed ~ops] is [ops /. elapsed] after
+    rejecting a row faster than 1 ns/op (or with no ops): no map
+    operation is that fast, so such a row means the timed window missed
+    the work.
+    @raise Invalid_argument naming [what]. *)
+
 (** Minimal JSON emitter for the persisted benchmark files
     ([BENCH_micro.json], [BENCH_sweeps.json]).  Output is deterministic
     for equal inputs: fields keep insertion order, floats render with

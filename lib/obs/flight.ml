@@ -3,65 +3,23 @@ module Progress = Ct_util.Progress
 
 type entry = { slot : int; stamp : int; site : Yp.site; phase : Yp.phase }
 
-(* Rings are parallel arrays rather than an entry array so a record is
-   three unboxed stores — no tuple/record allocation on the hot path.
-   A slot's cursor lives in a shared int array at a padded stride so
-   two domains' cursors never share a cache line. *)
-let cursor_stride = 8
-
-type t = {
-  size : int;
-  ring_mask : int;
-  slot_mask : int;
-  clock : int Atomic.t;
-  sites : Yp.site array array;  (* per slot; [filler] means empty *)
-  phases : int array array;  (* 0 = Before, 1 = After *)
-  stamps : int array array;  (* -1 means the ring slot was never written *)
-  cursors : int array;
-}
-
-(* Placeholder for never-written ring slots: a registered read-only
-   site, so a torn dump racing a first write still yields a valid
-   site value rather than a dangling sentinel. *)
-let filler = Yp.register_read "obs.flight.idle"
-
-let ceil_pow2 n =
-  let r = ref 1 in
-  while !r < n do
-    r := !r * 2
-  done;
-  !r
+(* One Ring entry per event: the site's id and the phase (0 = Before,
+   1 = After). *)
+type t = Ring.t
 
 let create ?(size = 256) () =
   if size < 1 then invalid_arg "Flight.create: size < 1";
-  let size = ceil_pow2 size in
-  let slots = ceil_pow2 (Domain.recommended_domain_count ()) in
-  {
-    size;
-    ring_mask = size - 1;
-    slot_mask = slots - 1;
-    clock = Atomic.make 0;
-    sites = Array.init slots (fun _ -> Array.make size filler);
-    phases = Array.init slots (fun _ -> Array.make size 0);
-    stamps = Array.init slots (fun _ -> Array.make size (-1));
-    cursors = Array.make (slots * cursor_stride) 0;
-  }
+  Ring.create ~cols:2 ~size
 
-let size t = t.size
+let size = Ring.size
 
 let record t phase site =
-  let slot = (Domain.self () :> int) land t.slot_mask in
-  let stamp = Atomic.fetch_and_add t.clock 1 in
-  let c = slot * cursor_stride in
-  let pos = t.cursors.(c) land t.ring_mask in
-  (* Stamp written last: a concurrent dump skips slots still at -1 and
-     at worst reads a fresh site with the previous stamp mid-rewrite. *)
-  t.sites.(slot).(pos) <- site;
-  t.phases.(slot).(pos) <- (match phase with Yp.Before -> 0 | Yp.After -> 1);
-  t.stamps.(slot).(pos) <- stamp;
-  t.cursors.(c) <- t.cursors.(c) + 1
+  let e = Ring.claim t in
+  Ring.put t e 0 (Yp.id site);
+  Ring.put t e 1 (match phase with Yp.Before -> 0 | Yp.After -> 1);
+  Ring.publish t e
 
-let recorded t = Atomic.get t.clock
+let recorded = Ring.recorded
 
 let install t = Yp.install_observer (fun phase site -> record t phase site)
 
@@ -73,22 +31,15 @@ let install_with_progress t progress =
 let uninstall () = Yp.clear_observer ()
 
 let dump t =
-  let acc = ref [] in
-  for slot = Array.length t.sites - 1 downto 0 do
-    for i = t.size - 1 downto 0 do
-      let stamp = t.stamps.(slot).(i) in
-      if stamp >= 0 then
-        acc :=
-          {
-            slot;
-            stamp;
-            site = t.sites.(slot).(i);
-            phase = (if t.phases.(slot).(i) = 0 then Yp.Before else Yp.After);
-          }
-          :: !acc
-    done
-  done;
-  List.sort (fun a b -> compare a.stamp b.stamp) !acc
+  List.map
+    (fun (slot, stamp, p) ->
+      {
+        slot;
+        stamp;
+        site = Yp.of_id p.(0);
+        phase = (if p.(1) = 0 then Yp.Before else Yp.After);
+      })
+    (Ring.entries t)
 
 let entry_to_string e =
   Printf.sprintf "[%8d] d%-2d %s/%s" e.stamp e.slot (Yp.name e.site)
@@ -107,8 +58,4 @@ let dump_to_string ?limit t =
   | [] -> "<flight recorder: no events recorded>"
   | es -> String.concat "\n" (List.map entry_to_string es)
 
-let reset t =
-  Array.iter (fun a -> Array.fill a 0 (Array.length a) (-1)) t.stamps;
-  Array.iter (fun a -> Array.fill a 0 (Array.length a) filler) t.sites;
-  Array.fill t.cursors 0 (Array.length t.cursors) 0;
-  Atomic.set t.clock 0
+let reset = Ring.reset

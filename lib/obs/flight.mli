@@ -1,12 +1,12 @@
 (** Lock-free flight recorder: the last N yield-point events per
     domain, for post-mortem dumps (DESIGN.md §11).
 
-    Each domain slot owns a private ring buffer of (site, phase,
-    stamp) triples, written from the yield-point {e observer} slot —
-    the slot that fires before the chaos hook and the domain-local
-    hook, so the recorder captures the site even when an injector
-    parks or kills the domain right there.  Recording allocates
-    nothing: three array stores plus one [Atomic.fetch_and_add] on the
+    Each domain slot owns a private {!Ring} of (site, phase, stamp)
+    entries, written from the yield-point {e observer} slot — the slot
+    that fires before the chaos hook and the domain-local hook, so the
+    recorder captures the site even when an injector parks or kills
+    the domain right there.  Recording allocates nothing: two payload
+    stores and the stamp, taken by one [Atomic.fetch_and_add] on the
     global logical clock that gives every event a unique stamp and the
     merged dump a strict total order.
 
@@ -20,7 +20,9 @@
 type t
 
 type entry = {
-  slot : int;  (** domain slot (domain id masked by the slot count) *)
+  slot : int;
+      (** the recording domain's {!Ct_util.Domain_slot};
+          [Domain_slot.capacity] for the shared overflow ring *)
   stamp : int;  (** global logical time; unique, totally ordered *)
   site : Ct_util.Yieldpoint.site;
   phase : Ct_util.Yieldpoint.phase;
@@ -28,7 +30,7 @@ type entry = {
 
 val create : ?size:int -> unit -> t
 (** [create ()] — rings of [size] entries (default 256, rounded up to
-    a power of two) for every domain slot. *)
+    a power of two) for every domain slot and the overflow ring. *)
 
 val size : t -> int
 (** Ring capacity per domain slot. *)

@@ -1,36 +1,25 @@
 module Clock = Ct_util.Clock
+module Stripe = Ct_util.Stripe
 module Histogram = Analysis.Histogram
 
 let n_buckets = 64
 
-(* Striping mirrors Ct_util.Metrics: one block per domain slot, with a
-   leading pad and a block tail pad so two domains' hot words never
-   share a cache line.  The raw-ns sum lives at [n_buckets] inside the
-   block. *)
-let lead = 16
-let block = n_buckets + 16
+(* One Ct_util.Stripe row per domain slot, as in Ct_util.Metrics: the
+   buckets are columns [0, n_buckets) and the raw-ns sum is column
+   [n_buckets]. *)
 let sum_off = n_buckets
-
-let ceil_pow2 n =
-  let r = ref 1 in
-  while !r < n do
-    r := !r * 2
-  done;
-  !r
 
 (* [exem] holds one trace id per bucket — the tail exemplar: the most
    recent sampled request that landed there (0 = none yet).  Unstriped
    and racy by design: last-writer-wins across domains is exactly the
    "most recent occupant" the post-mortem wants, and a torn overwrite
    costs one exemplar, not correctness. *)
-type t = { label : string; mask : int; data : int array; exem : int array }
+type t = { label : string; rows : Stripe.t; exem : int array }
 
 let create ~label =
-  let stripes = ceil_pow2 (Domain.recommended_domain_count ()) in
   {
     label;
-    mask = stripes - 1;
-    data = Array.make (lead + (stripes * block)) 0;
+    rows = Stripe.create ~width:(n_buckets + 1) ();
     exem = Array.make n_buckets 0;
   }
 
@@ -52,26 +41,19 @@ let[@inline] bucket_of_ns ns =
 let bucket_lower_ns b = if b = 0 then 0.0 else ldexp 1.0 b
 let bucket_upper_ns b = ldexp 1.0 (b + 1)
 
-let record_ns t ns =
-  let ns = if ns < 0 then 0 else ns in
-  let base = lead + (((Domain.self () :> int) land t.mask) * block) in
-  let i = base + bucket_of_ns ns in
-  t.data.(i) <- t.data.(i) + 1;
-  t.data.(base + sum_off) <- t.data.(base + sum_off) + ns
-
-let record_span t ~start = record_ns t (Clock.monotonic_ns () - start)
-
-(* Traced variant: same histogram update, plus — when the request was
-   sampled — stamp its trace id as the bucket's exemplar.  The extra
+(* Traced variant: the histogram update, plus — when the request was
+   sampled — its trace id stamped as the bucket's exemplar.  The extra
    cost on the untraced path is one branch. *)
 let record_ns_traced t ns ~trace_id =
   let ns = if ns < 0 then 0 else ns in
-  let base = lead + (((Domain.self () :> int) land t.mask) * block) in
   let b = bucket_of_ns ns in
-  let i = base + b in
-  t.data.(i) <- t.data.(i) + 1;
-  t.data.(base + sum_off) <- t.data.(base + sum_off) + ns;
+  let h = Stripe.cursor t.rows in
+  Stripe.add_at t.rows h b 1;
+  Stripe.add_at t.rows h sum_off ns;
   if trace_id <> 0 then t.exem.(b) <- trace_id
+
+let record_ns t ns = record_ns_traced t ns ~trace_id:0
+let record_span t ~start = record_ns t (Clock.monotonic_ns () - start)
 
 let record_span_traced t ~start ~trace_id =
   record_ns_traced t (Clock.monotonic_ns () - start) ~trace_id
@@ -106,18 +88,10 @@ let top_exemplar t cnts =
   in
   down !top
 
-let counts t =
-  let out = Array.make n_buckets 0 in
-  for s = 0 to t.mask do
-    let base = lead + (s * block) in
-    for b = 0 to n_buckets - 1 do
-      out.(b) <- out.(b) + t.data.(base + b)
-    done
-  done;
-  out
+let counts t = Array.init n_buckets (Stripe.sum_col t.rows)
 
 (* Window diff for duty-cycle control loops (the server ticker).  Each
-   cell of [counts] is a sum of racy per-stripe reads; a concurrent
+   cell of [counts] is a sum of racy per-row reads; a concurrent
    [reset] (or a torn read mixing ticks) can make [now.(b) < prev.(b)],
    and a control decision made on a negative bucket count is garbage.
    Clamping per bucket keeps the window a valid histogram: at worst a
@@ -135,12 +109,7 @@ let merged_counts ts =
 
 let total t = Array.fold_left ( + ) 0 (counts t)
 
-let sum_ns t =
-  let s = ref 0 in
-  for stripe = 0 to t.mask do
-    s := !s + t.data.(lead + (stripe * block) + sum_off)
-  done;
-  !s
+let sum_ns t = Stripe.sum_col t.rows sum_off
 
 let percentile_of_counts counts p =
   if p < 0.0 || p > 100.0 then
@@ -174,5 +143,5 @@ let percentile_of_counts counts p =
 let percentile t p = percentile_of_counts (counts t) p
 
 let reset t =
-  Array.fill t.data 0 (Array.length t.data) 0;
+  Stripe.fill t.rows 0;
   Array.fill t.exem 0 n_buckets 0

@@ -2,9 +2,10 @@
 
     A [Latency.t] holds 64 power-of-two nanosecond buckets — bucket
     [b] counts samples in [[2^b, 2^(b+1))], bucket 0 absorbs 0 and
-    1 ns — striped per domain like {!Ct_util.Metrics}, so recording is
-    a plain read-add-write of two ints in the calling domain's block:
-    no CAS, no allocation.  Each stripe also accumulates the raw
+    1 ns — in one {!Ct_util.Stripe} row per domain slot, like
+    {!Ct_util.Metrics}, so recording is a plain read-add-write of two
+    ints in the calling domain's row: no CAS, no allocation, and no
+    sample lost to another domain.  Each row also accumulates the raw
     nanosecond sum, so the Prometheus exporter can emit an exact
     [_sum] alongside the bucketed counts.
 
@@ -67,13 +68,13 @@ val top_exemplar : t -> int array -> (int * int) option
     window. *)
 
 val counts : t -> int array
-(** Per-bucket totals summed across domain stripes (racy reads). *)
+(** Per-bucket totals summed across rows (racy reads). *)
 
 val diff_counts : prev:int array -> now:int array -> int array
 (** [diff_counts ~prev ~now] — per-bucket [now - prev], clamped at 0.
     The window histogram a duty-cycle controller (the server ticker)
     diffs between two {!counts} snapshots: clamping keeps a concurrent
-    {!reset} or a torn cross-stripe read from injecting negative
+    {!reset} or a torn cross-row read from injecting negative
     bucket counts into the control decision.
     @raise Invalid_argument if the arrays differ in length. *)
 
@@ -96,7 +97,7 @@ val percentile_of_counts : int array -> float -> float
     [[0,100]]. *)
 
 val percentile : t -> float -> float
-(** [percentile t p] over this histogram's merged stripes. *)
+(** [percentile t p] over this histogram's merged rows. *)
 
 val reset : t -> unit
 (** Zero every bucket and sum (racy against concurrent records). *)

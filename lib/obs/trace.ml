@@ -7,14 +7,13 @@
    domain-local — allocation-free, and makes the hot-path guard a
    single register test ([ctx land 1]).
 
-   Spans land in per-domain lock-free rings with the same parallel-
-   array layout as {!Flight}: recording a span is a handful of unboxed
-   int stores plus one fetch-and-add on the global stamp clock, and a
-   concurrent dump at worst sees a slot mid-rewrite (stamp written
-   last, exactly Flight's torn-read discipline).  The rings are a
-   window, not a log: sampling keeps the recording rate low enough
-   that a request's spans are still resident when a tail exemplar
-   points at them. *)
+   Spans land in the per-domain lock-free {!Ring} that {!Flight} also
+   records into: recording a span is a handful of unboxed int stores
+   plus one fetch-and-add on the global stamp clock, and a concurrent
+   dump at worst sees an entry mid-rewrite (stamp written last).  The
+   rings are a window, not a log: sampling keeps the recording rate
+   low enough that a request's spans are still resident when a tail
+   exemplar points at them. *)
 
 module Clock = Ct_util.Clock
 
@@ -115,91 +114,41 @@ type span = {
   stamp : int;  (* global recording order *)
 }
 
-let cursor_stride = 8
-
-type t = {
-  size : int;
-  ring_mask : int;
-  slot_mask : int;
-  clock : int Atomic.t;
-  ids : int array array;
-  stages : int array array;
-  starts : int array array;
-  durs : int array array;
-  ann_a : int array array;
-  ann_b : int array array;
-  stamps : int array array;  (* -1 = never written *)
-  cursors : int array;
-}
-
-let ceil_pow2 n =
-  let r = ref 1 in
-  while !r < n do
-    r := !r * 2
-  done;
-  !r
+(* One Ring entry per span: id, stage, start, duration, a, b. *)
+type t = Ring.t
 
 let create ?(size = 512) () =
   if size < 1 then invalid_arg "Trace.create: size < 1";
-  let size = ceil_pow2 size in
-  let slots = ceil_pow2 (Domain.recommended_domain_count ()) in
-  let mk () = Array.init slots (fun _ -> Array.make size 0) in
-  {
-    size;
-    ring_mask = size - 1;
-    slot_mask = slots - 1;
-    clock = Atomic.make 0;
-    ids = mk ();
-    stages = mk ();
-    starts = mk ();
-    durs = mk ();
-    ann_a = mk ();
-    ann_b = mk ();
-    stamps = Array.init slots (fun _ -> Array.make size (-1));
-    cursors = Array.make (slots * cursor_stride) 0;
-  }
+  Ring.create ~cols:6 ~size
 
-let size t = t.size
+let size = Ring.size
 
 let record t ctx stage ~start_ns ~dur_ns ~a ~b =
-  let slot = (Domain.self () :> int) land t.slot_mask in
-  let stamp = Atomic.fetch_and_add t.clock 1 in
-  let c = slot * cursor_stride in
-  let pos = t.cursors.(c) land t.ring_mask in
-  t.ids.(slot).(pos) <- id ctx;
-  t.stages.(slot).(pos) <- stage_index stage;
-  t.starts.(slot).(pos) <- start_ns;
-  t.durs.(slot).(pos) <- (if dur_ns < 0 then 0 else dur_ns);
-  t.ann_a.(slot).(pos) <- a;
-  t.ann_b.(slot).(pos) <- b;
-  (* Stamp last, mirroring Flight: a dump racing a first write skips
-     the -1 slot, and a rewrite is at worst one torn span. *)
-  t.stamps.(slot).(pos) <- stamp;
-  t.cursors.(c) <- t.cursors.(c) + 1
+  let e = Ring.claim t in
+  Ring.put t e 0 (id ctx);
+  Ring.put t e 1 (stage_index stage);
+  Ring.put t e 2 start_ns;
+  Ring.put t e 3 (if dur_ns < 0 then 0 else dur_ns);
+  Ring.put t e 4 a;
+  Ring.put t e 5 b;
+  Ring.publish t e
 
-let recorded t = Atomic.get t.clock
+let recorded = Ring.recorded
 
 let spans t =
-  let acc = ref [] in
-  for slot = Array.length t.ids - 1 downto 0 do
-    for i = t.size - 1 downto 0 do
-      let stamp = t.stamps.(slot).(i) in
-      if stamp >= 0 then
-        acc :=
-          {
-            trace_id = t.ids.(slot).(i);
-            stage = stage_of_index t.stages.(slot).(i);
-            start_ns = t.starts.(slot).(i);
-            dur_ns = t.durs.(slot).(i);
-            a = t.ann_a.(slot).(i);
-            b = t.ann_b.(slot).(i);
-            slot;
-            stamp;
-          }
-          :: !acc
-    done
-  done;
-  List.sort (fun x y -> compare x.stamp y.stamp) !acc
+  List.map
+    (fun (slot, stamp, p) ->
+      {
+        trace_id = p.(0);
+        stage = stage_of_index p.(1);
+        start_ns = p.(2);
+        dur_ns = p.(3);
+        a = p.(4);
+        b = p.(5);
+        slot;
+        stamp;
+      })
+    (Ring.entries t)
 
 let spans_of t ~id:want = List.filter (fun s -> s.trace_id = want) (spans t)
 
@@ -224,10 +173,7 @@ let span_to_string s =
   Printf.sprintf "[%8d] d%-2d trace=%016x %-12s start=%d dur=%dns a=%d b=%d"
     s.stamp s.slot s.trace_id (stage_name s.stage) s.start_ns s.dur_ns s.a s.b
 
-let reset t =
-  Array.iter (fun a -> Array.fill a 0 (Array.length a) (-1)) t.stamps;
-  Array.fill t.cursors 0 (Array.length t.cursors) 0;
-  Atomic.set t.clock 0
+let reset = Ring.reset
 
 (* ------------------------------- sink ------------------------------- *)
 

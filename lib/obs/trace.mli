@@ -5,9 +5,9 @@
     sampled flag; it is minted at the load generator or client, rides a
     trace extension of the protocol frame, and crosses the server's
     dispatch queue inside the request.  Sampled requests record
-    {!stage} spans into per-domain lock-free rings (the {!Flight}
-    layout: parallel int arrays, stamp written last, torn rewrites
-    tolerated by the dump).  Head-based sampling bounds the recording
+    {!stage} spans into per-domain lock-free rings (the {!Ring} that
+    {!Flight} also uses: stamp written last, torn rewrites tolerated by
+    the dump).  Head-based sampling bounds the recording
     rate; {!Latency} tail exemplars keep the trace id of each bucket's
     most recent occupant so the span tree of a p99+ request is
     retrievable after the fact.
@@ -77,7 +77,9 @@ type span = {
   dur_ns : int;
   a : int;  (** stage-specific annotation — [Map_op]: CAS retries *)
   b : int;  (** stage-specific annotation — [Map_op]: cache misses *)
-  slot : int;  (** ring slot (domain) that recorded the span *)
+  slot : int;
+      (** the recording domain's {!Ct_util.Domain_slot};
+          [Domain_slot.capacity] for the shared overflow ring *)
   stamp : int;  (** global recording order *)
 }
 

@@ -1,15 +1,14 @@
 (* Per-structure telemetry counters (DESIGN.md §11).
 
    One [Metrics.t] per map instance, holding every counter of the
-   fixed [counter] vocabulary in a single flat int array laid out as
-   per-domain blocks: domain [d] bumps word
-   [lead + (d land mask) * block + index c].  A block is one 128-byte
-   stride (same geometry as [Stripe]), so two domains bumping their own
-   counters never share a cache line, and a bump is a plain
-   read-add-write of one int — no CAS, no allocation.  Increments lost
-   to racy read-modify-write from a domain migrating between blocks are
-   tolerated, exactly like [Stripe]: these are statistics, not
-   synchronization.
+   fixed [counter] vocabulary in one [Stripe.t] row per domain slot:
+   the calling domain bumps column [index c] of the row its
+   [Domain_slot] lease names.  A row is padded to the stripe's 128-byte
+   stride, so two domains bumping their own counters never share a
+   cache line, and a bump is a plain read-add-write of one int — no
+   CAS, no allocation.  Leased slots are dense and exclusive, so no
+   increment is lost; a domain beyond [Domain_slot.capacity] bumps the
+   shared overflow row through a CAS instead.
 
    Counters are always compiled in; [set_enabled false] turns every
    bump into a single load-and-branch, which is what the obs-off side
@@ -123,21 +122,11 @@ let label = function
   | Tier_expirations -> "tier_expirations"
   | Tier_rejections -> "tier_rejections"
 
-(* 32 words = 256 bytes: two 128-byte strides, still a multiple of the
-   line-pair a counter block must own so adjacent domains never share
-   (see Stripe).  The vocabulary outgrew one stride when the
-   persistence counters landed; all 27 counters of one domain share the
-   block — they are bumped by that domain only, so intra-block sharing
-   is the point, not a hazard. *)
-let block = 32
-let lead = block
-
-let () = assert (n_counters <= block)
-
+(* [words] is [Stripe.words rows], kept at hand for the bump below. *)
 type t = {
   family : string;
-  data : int array;
-  mask : int;
+  rows : Stripe.t;
+  words : int array;
 }
 
 (* Global on/off gate for every bump in the program.  A plain bool ref:
@@ -170,69 +159,50 @@ let live () =
   List.filter_map (fun w -> Weak.get w 0) cur
 
 let create ~family =
-  let stripes = Bits.next_power_of_two (Domain.recommended_domain_count ()) in
-  let t =
-    { family; data = Array.make (lead + (stripes * block)) 0; mask = stripes - 1 }
-  in
+  let rows = Stripe.create ~width:n_counters () in
+  let t = { family; rows; words = Stripe.words rows } in
   let cell = Weak.create 1 in
   Weak.set cell 0 (Some t);
   push cell;
   t
 
 let family t = t.family
-let stripes t = t.mask + 1
 
 (* ------------------------------- bumps ----------------------------- *)
 
-let[@inline] slot t c =
-  lead + (((Domain.self () :> int) land t.mask) * block) + index c
-
-let[@inline] add t c n =
-  if !enabled then begin
-    let i = slot t c in
-    Array.unsafe_set t.data i (Array.unsafe_get t.data i + n)
-  end
-
-let[@inline] incr t c = add t c 1
-
-(* Hot-path variant: capture the domain's block base once per
-   operation (where the [Domain.self] C call clobbers nothing of
+(* Hot-path variant: capture the domain's row handle once per
+   operation (where the [Domain_slot.get] call clobbers nothing of
    value), then bump through it with pure array arithmetic.  -1 while
-   disabled, so the per-bump gate is a register test, not a load. *)
-let[@inline] cursor t =
-  if !enabled then lead + (((Domain.self () :> int) land t.mask) * block)
-  else -1
+   disabled, so the per-bump gate is the handle's own sign test; the
+   shared overflow row (and -1) take the call into [Stripe]. *)
+let[@inline] cursor t = if !enabled then Stripe.cursor t.rows else -1
 
 let[@inline] add_at t cur c n =
   if cur >= 0 then begin
     let i = cur + index c in
-    Array.unsafe_set t.data i (Array.unsafe_get t.data i + n)
+    Array.unsafe_set t.words i (Array.unsafe_get t.words i + n)
   end
+  else Stripe.add_at t.rows cur (index c) n
 
 let[@inline] incr_at t cur c = add_at t cur c 1
+let[@inline] add t c n = if !enabled then add_at t (Stripe.cursor t.rows) c n
+let[@inline] incr t c = add t c 1
 
 (* ------------------------------- reads ----------------------------- *)
 
 (* Single-cell read through a cursor: the calling domain's own count of
-   [c], not the cross-stripe sum.  Cheap enough to bracket one
-   operation with (two array loads), which is what the tracer uses to
-   annotate a span with the CAS retries or cache misses that operation
-   alone performed — [get] would pay a full stripe sweep and mix in
-   every other domain's traffic. *)
-let[@inline] get_at t cur c =
-  if cur >= 0 then Array.unsafe_get t.data (cur + index c) else 0
+   [c], not the cross-row sum.  Cheap enough to bracket one operation
+   with (two array loads), which is what the tracer uses to annotate a
+   span with the CAS retries or cache misses that operation alone
+   performed — [get] would pay a full row sweep and mix in every other
+   domain's traffic. *)
+let[@inline] get_at t cur c = Stripe.get_at t.rows cur (index c)
 
-let get t c =
-  let i = index c in
-  let acc = ref 0 in
-  for s = 0 to t.mask do
-    acc := !acc + t.data.(lead + (s * block) + i)
-  done;
-  !acc
+let get t c = Stripe.sum_col t.rows (index c)
 
 let snapshot t = List.map (fun c -> (label c, get t c)) all
 
-let reset t = Array.fill t.data 0 (Array.length t.data) 0
+let reset t = Stripe.fill t.rows 0
 
 (* ---------------------------- aggregation -------------------------- *)
 

@@ -3,11 +3,12 @@
 
     Every concurrent map owns a [Metrics.t] and bumps a fixed
     vocabulary of counters from its hot paths.  A bump is a plain
-    read-add-write of one int in a per-domain 128-byte block — no CAS,
-    no allocation, no fence — so the counters are cheap enough to leave
-    always-on (the budget enforced by [BENCH_obs.json]: ≤5% on [find],
-    0 minor words/op).  Like {!Stripe}, lost updates from domains
-    racing on one block are tolerated: these are statistics.
+    read-add-write of one int in the calling domain's {!Stripe} row —
+    no CAS, no allocation, no fence — so the counters are cheap enough
+    to leave always-on (the budget enforced by [BENCH_obs.json]: ≤5% on
+    [find], 0 minor words/op).  Rows are leased per {!Domain_slot}, so
+    no two live domains share one and counts are exact; domains beyond
+    [Domain_slot.capacity] share the overflow row, bumped by CAS.
 
     Instances register themselves in a process-global weak registry, so
     {!aggregate} can sum per structure family for the exporters without
@@ -69,14 +70,11 @@ val index : counter -> int
 type t
 
 val create : family:string -> t
-(** [create ~family] makes a zeroed counter block sized from
-    [Domain.recommended_domain_count] and registers it (weakly) under
+(** [create ~family] makes a zeroed counter block, one row per
+    {!Domain_slot} plus the overflow row, and registers it (weakly) under
     [family] — the structure name ("cachetrie", "ctrie-snap", ...). *)
 
 val family : t -> string
-
-val stripes : t -> int
-(** Number of per-domain blocks (a power of two). *)
 
 val incr : t -> counter -> unit
 (** Bump by one on the calling domain's block.  Allocation-free; a
@@ -86,33 +84,32 @@ val add : t -> counter -> int -> unit
 
 val cursor : t -> int
 (** Precomputed bump target for a run of increments from one domain:
-    the calling domain's block base, or [-1] while disabled.  [incr]
-    pays a C call ([Domain.self]) on every bump, which clobbers
-    caller-saved registers — measurable inside a register-heavy read
-    loop.  Hot paths instead take a cursor once at operation entry,
-    where little is live, and bump through it with pure array
-    arithmetic.  A cursor is only as fresh as its capture: bumps after
-    a domain migration land in the old block (tolerated, as with any
-    stripe race), and an enable/disable flip is seen at the next
-    capture. *)
+    the calling domain's {!Stripe} row handle, or [-1] while disabled.
+    [incr] looks up the domain's slot on every bump, a call that
+    clobbers caller-saved registers — measurable inside a
+    register-heavy read loop.  Hot paths instead take a cursor once at
+    operation entry, where little is live, and bump through it with
+    pure array arithmetic.  A cursor stays valid for the domain's
+    lifetime; an enable/disable flip is seen at the next capture. *)
 
 val incr_at : t -> int -> counter -> unit
-(** [incr_at t cursor c]: bump by one through a {!cursor}.  No load,
-    no C call, no branch beyond the [cursor >= 0] disabled check. *)
+(** [incr_at t cursor c]: bump by one through a {!cursor}.  No call,
+    and for a leased row no branch beyond the [cursor >= 0] test. *)
 
 val add_at : t -> int -> counter -> int -> unit
 
 val get_at : t -> int -> counter -> int
 (** [get_at t cursor c]: the calling domain's own cell of [c], read
-    through a {!cursor} (0 while disabled).  Unlike {!get}, no stripe
+    through a {!cursor} (0 while disabled).  Unlike {!get}, no row
     sweep and no cross-domain noise — bracketing one operation with two
     [get_at]s yields the delta that operation alone produced on this
     domain, which is how traced requests annotate their map-op spans
-    with per-request CAS-retry counts.  Same freshness caveats as any
-    cursor use. *)
+    with per-request CAS-retry counts.  On the shared overflow row the
+    delta also counts the other overflow domains' bumps. *)
 
 val get : t -> counter -> int
-(** Sum of one counter across all domain blocks (racy reads). *)
+(** Sum of one counter across all rows (racy reads; exact once the
+    writers are quiescent). *)
 
 val snapshot : t -> (string * int) list
 (** All counters as [(label, total)] pairs in {!all} order — the

@@ -1,6 +1,8 @@
 type phase = Before | After
 
-type site = { name : string; read_only : bool }
+(* [id] is the registry's length at registration: dense and unique,
+   since every successful CAS extends the list by one. *)
+type site = { name : string; read_only : bool; id : int }
 
 let registry : site list Atomic.t = Atomic.make []
 
@@ -10,7 +12,7 @@ let register_with ~read_only name =
     match List.find_opt (fun s -> s.name = name) cur with
     | Some s -> s
     | None ->
-        let s = { name; read_only } in
+        let s = { name; read_only; id = List.length cur } in
         if Atomic.compare_and_set registry cur (s :: cur) then s else go ()
   in
   go ()
@@ -19,6 +21,8 @@ let register name = register_with ~read_only:false name
 let register_read name = register_with ~read_only:true name
 let name s = s.name
 let is_read s = s.read_only
+let id s = s.id
+let of_id i = List.find (fun s -> s.id = i) (Atomic.get registry)
 
 let all () =
   List.sort (fun a b -> compare a.name b.name) (Atomic.get registry)

@@ -50,6 +50,14 @@ val name : site -> string
 val is_read : site -> bool
 (** Whether the site was registered with {!register_read}. *)
 
+val id : site -> int
+(** A dense, unique integer for the site, so recorders can store sites
+    in int arrays. *)
+
+val of_id : int -> site
+(** Inverse of {!id}.
+    @raise Not_found for an id no site has. *)
+
 val all : unit -> site list
 (** Every registered site, sorted by name.  Only sites of libraries
     linked into the current program appear. *)

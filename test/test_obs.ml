@@ -595,6 +595,86 @@ let test_post_mortem_tail_exemplar () =
   check_bool "evicted tree is reported as overwritten" true
     (contains (Harness.Watchdog.post_mortem wd) "already overwritten")
 
+(* ----------------------- exact per-domain rows ---------------------- *)
+
+(* Run [body d] on [n] domains that are all live before any starts. *)
+let run_live n body =
+  let ready = Atomic.make 0 in
+  List.init n (fun d ->
+      Domain.spawn (fun () ->
+          Atomic.incr ready;
+          while Atomic.get ready < n do
+            Domain.cpu_relax ()
+          done;
+          body d))
+  |> List.iter Domain.join
+
+let bump_both m h n =
+  for _ = 1 to n do
+    Metrics.incr m Metrics.Helps;
+    Obs.Latency.record_ns h 100
+  done
+
+(* Domain ids are minted per spawn.  With [capacity - 1] joined domains
+   spawned between them, A's and B's ids are congruent modulo the row
+   count, so masking the id would put both on one row. *)
+let test_exact_aliasing_ids () =
+  let n = 1_000_000 in
+  let m = Metrics.create ~family:"test-aliasing" in
+  let h = Obs.Latency.create ~label:"aliasing" in
+  let go = Atomic.make 0 in
+  let worker () =
+    Atomic.incr go;
+    while Atomic.get go < 2 do
+      Domain.cpu_relax ()
+    done;
+    bump_both m h n
+  in
+  let a = Domain.spawn worker in
+  for _ = 2 to Ct_util.Domain_slot.capacity do
+    Domain.join (Domain.spawn ignore)
+  done;
+  let b = Domain.spawn worker in
+  Domain.join a;
+  Domain.join b;
+  check_int "metrics counter exact" (2 * n) (Metrics.get m Metrics.Helps);
+  check_int "latency total exact" (2 * n) (Obs.Latency.total h);
+  check_int "latency sum exact" (2 * n * 100) (Obs.Latency.sum_ns h)
+
+(* Three times as many live domains as rows: the surplus shares the
+   overflow row, which must lose no bump and no span. *)
+let test_exact_overflow () =
+  let domains = 3 * Ct_util.Domain_slot.capacity in
+  let m = Metrics.create ~family:"test-overflow" in
+  let h = Obs.Latency.create ~label:"overflow" in
+  let tr = Obs.Trace.create ~size:16384 () in
+  (* Even one row could hold every domain's spans: nothing wraps. *)
+  let per = Obs.Trace.size tr / domains and gap = 64 in
+  let key d s = (1 lsl 40) lor (d lsl 20) lor s in
+  run_live domains (fun d ->
+      for s = 0 to per - 1 do
+        bump_both m h gap;
+        Obs.Trace.record tr
+          (Obs.Trace.make ~sampled:true (key d s))
+          Obs.Trace.Exec ~start_ns:(key d s) ~dur_ns:d ~a:s ~b:(-d)
+      done);
+  let total = domains * per in
+  check_int "metrics counter exact" (total * gap) (Metrics.get m Metrics.Helps);
+  check_int "latency total exact" (total * gap) (Obs.Latency.total h);
+  check_int "trace recorded exact" total (Obs.Trace.recorded tr);
+  let spans = Obs.Trace.spans tr in
+  check_int "every span resident" total (List.length spans);
+  let intact (sp : Obs.Trace.span) =
+    let k = key sp.dur_ns sp.a in
+    sp.trace_id = k && sp.start_ns = k && sp.b = - sp.dur_ns
+    && sp.stage = Obs.Trace.Exec
+    && sp.slot >= 0
+    && sp.slot <= Ct_util.Domain_slot.capacity
+  in
+  check_bool "every span intact" true (List.for_all intact spans);
+  let keys = List.sort_uniq compare (List.map (fun sp -> sp.Obs.Trace.trace_id) spans) in
+  check_int "no span recorded twice or lost" total (List.length keys)
+
 let suite =
   [
     ("percentile_edges", `Quick, test_percentile_edges);
@@ -617,4 +697,6 @@ let suite =
     ("timed_batch", `Quick, test_timed_batch);
     ("post_mortem_embeds_flight", `Quick, test_post_mortem_embeds_flight);
     ("post_mortem_tail_exemplar", `Quick, test_post_mortem_tail_exemplar);
+    ("exact_aliasing_ids", `Quick, test_exact_aliasing_ids);
+    ("exact_overflow", `Quick, test_exact_overflow);
   ]

@@ -558,6 +558,62 @@ let test_stripe_padding () =
   let s = Stripe.create ~stripes:8 () in
   check_bool "padded footprint" true (Stripe.footprint_words s >= 8 * 16)
 
+let test_stripe_rows () =
+  let s = Stripe.create ~stripes:2 ~width:3 () in
+  let h0 = Stripe.row s 0 and ovf = Stripe.row s 2 in
+  check_bool "leased rows have plain handles" true (h0 >= 0);
+  check_bool "overflow handle is below -1" true (ovf < -1);
+  Stripe.add_at s h0 2 5;
+  check_int "fetch_add_at returns the previous value" 5
+    (Stripe.fetch_add_at s h0 2 1);
+  Stripe.add_at s ovf 2 10;
+  Stripe.add_at s (-1) 2 100;
+  check_int "null handle reads 0" 0 (Stripe.get_at s (-1) 2);
+  check_int "column sum covers the overflow row" 16 (Stripe.sum_col s 2);
+  check_int "other columns untouched" 0 (Stripe.sum_col s 0);
+  check_bool "rows are padded apart" true
+    (Stripe.footprint_words s >= 3 * 16);
+  Stripe.fill s 0;
+  check_int "fill clears the overflow row" 0 (Stripe.sum_col s 2);
+  Alcotest.check_raises "row beyond the overflow row"
+    (Invalid_argument "Stripe.row") (fun () -> ignore (Stripe.row s 3))
+
+(* ---------------------------- Domain_slot --------------------------- *)
+
+(* No domain exits before every one has read its slot, so all of them
+   hold their leases at once. *)
+let live_slots n =
+  let leased = Atomic.make 0 in
+  List.init n (fun _ ->
+      Domain.spawn (fun () ->
+          let s = Domain_slot.get () in
+          Atomic.incr leased;
+          while Atomic.get leased < n do
+            Domain.cpu_relax ()
+          done;
+          (s, s = Domain_slot.get ())))
+  |> List.map Domain.join
+
+let test_domain_slot_distinct () =
+  let cap = Domain_slot.capacity in
+  check_bool "capacity is a power of two" true (Bits.is_power_of_two cap);
+  let mine = Domain_slot.get () in
+  let got = live_slots (3 * cap) in
+  check_bool "a domain keeps its slot" true (List.for_all snd got);
+  let slots = List.map fst got in
+  check_bool "slots within [0, capacity]" true
+    (List.for_all (fun s -> s >= 0 && s <= cap) slots);
+  let leased = List.filter (fun s -> s < cap) (mine :: slots) in
+  check_int "live domains hold distinct slots"
+    (List.length leased)
+    (List.length (List.sort_uniq compare leased));
+  check_bool "the surplus shares the overflow slot" true (List.mem cap slots)
+
+let test_domain_slot_reuse () =
+  let lease () = Domain.join (Domain.spawn Domain_slot.get) in
+  let first = lease () in
+  check_int "slot leased again after its domain is joined" first (lease ())
+
 (* --------------------------- Yieldpoint ---------------------------- *)
 
 let test_yieldpoint_registry () =
@@ -565,6 +621,7 @@ let test_yieldpoint_registry () =
   let s2 = Yieldpoint.register "test_util.yp.alpha" in
   check_bool "interned by name" true (s1 == s2);
   check_bool "name round-trips" true (Yieldpoint.name s1 = "test_util.yp.alpha");
+  check_bool "id round-trips" true (Yieldpoint.of_id (Yieldpoint.id s1) == s1);
   let _ = Yieldpoint.register "test_util.yp.beta" in
   let mine = Yieldpoint.with_prefix "test_util.yp." in
   check_bool "with_prefix finds both" true (List.length mine = 2);
@@ -630,5 +687,8 @@ let suite =
     ("stripe.shape", `Quick, test_stripe_shape);
     ("stripe.ops", `Quick, test_stripe_ops);
     ("stripe.padding", `Quick, test_stripe_padding);
+    ("stripe.rows", `Quick, test_stripe_rows);
+    ("domain_slot.distinct", `Quick, test_domain_slot_distinct);
+    ("domain_slot.reuse", `Quick, test_domain_slot_reuse);
   ]
   @ slots_tests
