@@ -11,7 +11,10 @@ module Slots = Ct_util.Slots
      [caml_atomic_cas_field].  A slot is a stable location for the
      lifetime of its ANode, so CAS identities work exactly as in the
      paper (DESIGN.md "Slot layout").
-   - The SNode [txn] field is a closed variant instead of [Any].
+   - An SNode is one 5-word block, an inline record whose mutable
+     [txn] field is CASed in place through the same primitive
+     (Ct_util.Field), so a leaf is named by its [node] value.  [txn]
+     is a closed variant instead of [Any].
    - Full 32-bit hash collisions are resolved with immutable LNodes
      (association lists), updated by direct slot CAS and frozen by
      wrapping in FNode.
@@ -36,9 +39,10 @@ module Prefetch = Ct_util.Prefetch
 
 (* Yield points (DESIGN.md "Fault injection & robustness"): one site
    per distinct CAS/write, registered once per program.  [yp_cas]
-   brackets a CAS on an [Atomic.t] (txn fields, descriptor cells, the
-   cache head) and [yp_cas_slot] a CAS on an ANode slot, so that After
-   fires only when the value was actually published. *)
+   brackets a CAS on an [Atomic.t] (descriptor cells, the cache head),
+   [yp_cas_slot] a CAS on an ANode slot and [yp_cas_txn] a CAS on an
+   SNode's [txn] field, so that After fires only when the value was
+   actually published. *)
 let yp_freeze_null = Yp.register "cachetrie.freeze.null"
 let yp_freeze_txn = Yp.register "cachetrie.freeze.txn"
 let yp_freeze_wrap = Yp.register "cachetrie.freeze.wrap"
@@ -79,6 +83,16 @@ let yp_cas_slot m site an pos expected repl =
   Metrics.incr m Metrics.Cas_attempts;
   Yp.here Yp.Before site;
   let ok = Slots.cas an pos expected repl in
+  if ok then Yp.here Yp.After site else Metrics.incr m Metrics.Cas_retries;
+  ok
+
+(* [txn] is field 3 of an SNode block ({hash; key; value; txn}). *)
+let txn_field = 3
+
+let yp_cas_txn m site leaf expected repl =
+  Metrics.incr m Metrics.Cas_attempts;
+  Yp.here Yp.Before site;
+  let ok = Ct_util.Field.cas leaf txn_field expected repl in
   if ok then Yp.here Yp.After site else Metrics.incr m Metrics.Cas_retries;
   ok
 
@@ -130,14 +144,13 @@ module Make (H : Hashing.HASHABLE) = struct
   type 'v node =
     | Null  (** empty ANode slot *)
     | FVNode  (** frozen empty slot *)
-    | SNode of 'v snode  (** leaf holding one binding *)
+    | SNode of { hash : int; key : key; value : 'v; mutable txn : 'v txn }
+        (** leaf holding one binding; [txn] is CASed in place *)
     | ANode of 'v anode  (** inner node: 4 (narrow) or 16 (wide) slots *)
     | LNode of 'v lnode  (** list of bindings whose 32-bit hashes collide *)
     | FNode of 'v node  (** freeze wrapper for an ANode or LNode *)
     | ENode of 'v enode  (** expansion descriptor *)
     | XNode of 'v xnode  (** compression descriptor *)
-
-  and 'v snode = { hash : int; key : key; value : 'v; txn : 'v txn Atomic.t }
 
   and 'v txn =
     | No_txn
@@ -242,7 +255,7 @@ module Make (H : Hashing.HASHABLE) = struct
   let apos (an : 'v anode) h lev = (h lsr lev) land (Slots.length an - 1)
   let is_narrow (an : 'v anode) = Slots.length an = narrow_width
 
-  let fresh_snode h k v = SNode { hash = h; key = k; value = v; txn = Atomic.make No_txn }
+  let fresh_snode h k v = SNode { hash = h; key = k; value = v; txn = No_txn }
 
   (* Association-list operations with the structure's own key equality
      (the [List.assoc_opt]/[List.remove_assoc] they replace used
@@ -392,9 +405,9 @@ module Make (H : Hashing.HASHABLE) = struct
           end
       | FVNode -> incr i
       | SNode sn as old -> begin
-          match Atomic.get sn.txn with
+          match sn.txn with
           | No_txn ->
-              if yp_cas m yp_freeze_txn sn.txn No_txn Frozen_snode then begin
+              if yp_cas_txn m yp_freeze_txn old No_txn Frozen_snode then begin
                 Metrics.incr m Metrics.Freezes;
                 incr i
               end
@@ -696,7 +709,7 @@ module Make (H : Hashing.HASHABLE) = struct
         let pos = h land (Array.length cl.c_entries - 1) in
         match cl.c_entries.(pos) with
         | SNode sn -> (
-            match Atomic.get sn.txn with
+            match sn.txn with
             | No_txn ->
                 Metrics.incr_at t.metrics mcur Metrics.Cache_hits;
                 if H.equal sn.key k then sn.value else raise_notrace Not_found
@@ -707,7 +720,7 @@ module Make (H : Hashing.HASHABLE) = struct
             match Slots.get an cpos with
             | FVNode | FNode _ -> probe_find t k h mcur cl.c_parent
             | SNode s2
-              when (match Atomic.get s2.txn with
+              when (match s2.txn with
                    | Frozen_snode -> true
                    | No_txn | Replace _ | Removed -> false) ->
                 probe_find t k h mcur cl.c_parent
@@ -745,15 +758,14 @@ module Make (H : Hashing.HASHABLE) = struct
     | If_present  (** JDK replace(k,v) *)
     | If_value of 'v  (** JDK replace(k,old,new): physical equality on the old value *)
 
-  (* Announce a transaction on [old] and commit it into slot [pos] of
-     [cur].  [old_node] must be the value physically read from the slot
-     (CAS compares identities).  The first CAS invalidates cache
-     entries pointing at [old]; the second publishes the change in the
-     trie. *)
-  let announce_and_commit m (cur : 'v anode) pos (old : 'v snode)
-      (old_node : 'v node) txn_value repl =
-    if yp_cas m yp_txn_announce old.txn No_txn txn_value then begin
-      ignore (yp_cas_slot m yp_txn_commit cur pos old_node repl);
+  (* Announce a transaction on the SNode [leaf] and commit it into slot
+     [pos] of [cur].  [leaf] must be the value physically read from the
+     slot (CAS compares identities).  The first CAS, on [leaf]'s own
+     [txn] field, invalidates cache entries pointing at it; the second
+     publishes the change in the trie. *)
+  let announce_and_commit m (cur : 'v anode) pos (leaf : 'v node) txn_value repl =
+    if yp_cas_txn m yp_txn_announce leaf No_txn txn_value then begin
+      ignore (yp_cas_slot m yp_txn_commit cur pos leaf repl);
       true
     end
     else false
@@ -774,10 +786,10 @@ module Make (H : Hashing.HASHABLE) = struct
             then Done_none
             else insert_at t k v h lev cur prev mode)
     | ANode an -> insert_at t k v h (lev + 4) an (Some cur) mode
-    | SNode old as old_node -> begin
-        match Atomic.get old.txn with
+    | SNode old as leaf -> begin
+        match old.txn with
         | No_txn ->
-            leaf_housekeeping t old_node h (lev + 4);
+            leaf_housekeeping t leaf h (lev + 4);
             if H.equal old.key k then begin
               match mode with
               | If_absent -> Done_some old.value
@@ -785,7 +797,7 @@ module Make (H : Hashing.HASHABLE) = struct
               | Always | If_present | If_value _ ->
                   let repl = fresh_snode h k v in
                   if
-                    announce_and_commit t.metrics cur pos old old_node
+                    announce_and_commit t.metrics cur pos leaf
                       (Replace repl) repl
                   then Done_some old.value
                   else insert_at t k v h lev cur prev mode
@@ -797,7 +809,7 @@ module Make (H : Hashing.HASHABLE) = struct
                  Narrow nodes expand first, so LNodes (and ANode
                  children) only ever live inside wide nodes. *)
               let ln = LNode { lhash = h; entries = [ (k, v); (old.key, old.value) ] } in
-              if announce_and_commit t.metrics cur pos old old_node (Replace ln) ln
+              if announce_and_commit t.metrics cur pos leaf (Replace ln) ln
               then Done_none
               else insert_at t k v h lev cur prev mode
             end
@@ -846,18 +858,18 @@ module Make (H : Hashing.HASHABLE) = struct
               (* Wide node: push both bindings one level down. *)
               let child = join_disjoint t.config old.hash old.key old.value h k v (lev + 4) in
               if
-                announce_and_commit t.metrics cur pos old old_node
+                announce_and_commit t.metrics cur pos leaf
                   (Replace child) child
               then Done_none
               else insert_at t k v h lev cur prev mode
             end
         | Frozen_snode -> Restart
         | Replace repl ->
-            if yp_cas_slot t.metrics yp_txn_help cur pos old_node repl then
+            if yp_cas_slot t.metrics yp_txn_help cur pos leaf repl then
               Metrics.incr t.metrics Metrics.Helps;
             insert_at t k v h lev cur prev mode
         | Removed ->
-            if yp_cas_slot t.metrics yp_txn_help cur pos old_node Null then
+            if yp_cas_slot t.metrics yp_txn_help cur pos leaf Null then
               Metrics.incr t.metrics Metrics.Helps;
             insert_at t k v h lev cur prev mode
       end
@@ -964,13 +976,13 @@ module Make (H : Hashing.HASHABLE) = struct
         | Done_some _ -> try_compress t cur lev h prev
         | Done_none | Restart -> ());
         res
-    | SNode old as old_node -> begin
-        match Atomic.get old.txn with
+    | SNode old as leaf -> begin
+        match old.txn with
         | No_txn ->
             if not (H.equal old.key k) then Done_none
             else if not (rmode_allows rmode old.value) then Done_some old.value
             else if
-              announce_and_commit t.metrics cur pos old old_node Removed Null
+              announce_and_commit t.metrics cur pos leaf Removed Null
             then begin
               try_compress t cur lev h prev;
               Done_some old.value
@@ -978,11 +990,11 @@ module Make (H : Hashing.HASHABLE) = struct
             else remove_at t k h lev cur prev rmode
         | Frozen_snode -> Restart
         | Replace repl ->
-            if yp_cas_slot t.metrics yp_txn_help cur pos old_node repl then
+            if yp_cas_slot t.metrics yp_txn_help cur pos leaf repl then
               Metrics.incr t.metrics Metrics.Helps;
             remove_at t k h lev cur prev rmode
         | Removed ->
-            if yp_cas_slot t.metrics yp_txn_help cur pos old_node Null then
+            if yp_cas_slot t.metrics yp_txn_help cur pos leaf Null then
               Metrics.incr t.metrics Metrics.Helps;
             remove_at t k h lev cur prev rmode
       end
@@ -1040,7 +1052,7 @@ module Make (H : Hashing.HASHABLE) = struct
             match Slots.get an cpos with
             | FVNode | FNode _ -> probe_insert t k v h mode cl.c_parent
             | SNode s2
-              when (match Atomic.get s2.txn with
+              when (match s2.txn with
                    | Frozen_snode -> true
                    | No_txn | Replace _ | Removed -> false) ->
                 probe_insert t k v h mode cl.c_parent
@@ -1090,7 +1102,7 @@ module Make (H : Hashing.HASHABLE) = struct
             match Slots.get an cpos with
             | FVNode | FNode _ -> probe_remove t k h rmode cl.c_parent
             | SNode s2
-              when (match Atomic.get s2.txn with
+              when (match s2.txn with
                    | Frozen_snode -> true
                    | No_txn | Replace _ | Removed -> false) ->
                 probe_remove t k h rmode cl.c_parent
@@ -1185,7 +1197,7 @@ module Make (H : Hashing.HASHABLE) = struct
         let pos = h land (Array.length cl.c_entries - 1) in
         match cl.c_entries.(pos) with
         | SNode sn -> (
-            match Atomic.get sn.txn with
+            match sn.txn with
             | No_txn ->
                 Metrics.incr_at t.metrics mcur Metrics.Cache_hits;
                 if H.equal sn.key keys.(base + p) then
@@ -1199,7 +1211,7 @@ module Make (H : Hashing.HASHABLE) = struct
             | FVNode | FNode _ ->
                 probe_start t scr keys base out miss mcur p cl.c_parent
             | SNode s2
-              when (match Atomic.get s2.txn with
+              when (match s2.txn with
                    | Frozen_snode -> true
                    | No_txn | Replace _ | Removed -> false) ->
                 probe_start t scr keys base out miss mcur p cl.c_parent
@@ -1424,7 +1436,7 @@ module Make (H : Hashing.HASHABLE) = struct
       match node with
       | Null | FVNode -> acc
       | SNode sn -> (
-          match Atomic.get sn.txn with
+          match sn.txn with
           | Removed -> acc
           | Replace repl -> go_node acc repl
           | No_txn | Frozen_snode -> f acc sn.key sn.value)
@@ -1448,7 +1460,7 @@ module Make (H : Hashing.HASHABLE) = struct
       match node with
       | Null | FVNode -> rest ()
       | SNode sn -> (
-          match Atomic.get sn.txn with
+          match sn.txn with
           | Removed -> rest ()
           | Replace repl -> seq_node repl rest ()
           | No_txn | Frozen_snode -> Seq.Cons ((sn.key, sn.value), rest))
@@ -1506,36 +1518,43 @@ module Make (H : Hashing.HASHABLE) = struct
     Slots.iter (fun child -> go child 1) t.root;
     hist
 
-  (* Word-cost model (see DESIGN.md): array = 1 + length; per-slot
-     overhead = Slots.overhead_words_per_slot (0: the slot is the
-     cell); SNode block = 5 (+ its txn box); list cell = 3; LNode = 3. *)
+  (* Word-cost model, exact for the trie: every block counts its
+     header plus its fields, so with the cache off the model moves
+     word for word with [Obj.reachable_words] (keys and values are not
+     counted).  An SNode is one 5-word block.  A child ANode is its
+     2-word constructor box plus the slot array (1 + width; the root
+     array is held unboxed).  An LNode is its box, its 3-word record
+     and, per binding, a 3-word cons cell and a 3-word pair.  FNode is
+     a 2-word box; a descriptor adds its record and result cell.  The
+     cache adds each level's option box, record, entry array and miss
+     stripe. *)
   let footprint_words t =
-    let rec node_words (node : 'v node) =
+    let rec anode_words (an : 'v anode) =
+      Slots.fold
+        (fun acc child -> acc + Slots.overhead_words_per_slot + node_words child)
+        (1 + Slots.length an)
+        an
+    and node_words (node : 'v node) =
       match node with
       | Null | FVNode -> 0
-      | SNode _ -> 5 + 2
-      | LNode ln -> 3 + (3 * List.length ln.entries)
+      | SNode _ -> 5
+      | LNode ln -> 2 + 3 + (6 * List.length ln.entries)
       | FNode inner -> 2 + node_words inner
-      | ANode an ->
-          Slots.fold
-            (fun acc child -> acc + Slots.overhead_words_per_slot + node_words child)
-            (1 + Slots.length an)
-            an
-      | ENode en -> 6 + node_words (ANode en.e_narrow)
-      | XNode xn -> 6 + node_words (ANode xn.x_stale)
+      | ANode an -> 2 + anode_words an
+      | ENode en -> 2 + 6 + 2 + anode_words en.e_narrow
+      | XNode xn -> 2 + 6 + 2 + anode_words xn.x_stale
     in
     let cache_words =
       let rec go = function
         | None -> 0
         | Some cl ->
-            1 + Array.length cl.c_entries
+            2 + 5 + 1 + Array.length cl.c_entries
             + Stripe.footprint_words cl.c_misses
-            + 4
             + go cl.c_parent
       in
       go (Atomic.get t.cache_head)
     in
-    node_words (ANode t.root) + cache_words + 8
+    anode_words t.root + cache_words + 8
 
   (* ---------------------------------------------------------------- *)
   (* Cache coherence helpers, shared by [validate] and [scrub].        *)
@@ -1569,7 +1588,7 @@ module Make (H : Hashing.HASHABLE) = struct
         match child with
         | FVNode | FNode _ -> ()
         | SNode sn -> (
-            match Atomic.get sn.txn with
+            match sn.txn with
             | Frozen_snode -> ()
             | No_txn | Replace _ | Removed -> ok := false)
         | Null | ANode _ | LNode _ | ENode _ | XNode _ -> ok := false)
@@ -1587,9 +1606,9 @@ module Make (H : Hashing.HASHABLE) = struct
     | Null -> Co_ok
     | SNode sn -> (
         match node_at t pos level with
-        | Some (SNode s) when s == sn -> Co_ok
+        | Some n when n == entry -> Co_ok
         | _ -> (
-            match Atomic.get sn.txn with
+            match sn.txn with
             | No_txn -> Co_broken "live SNode detached from the trie"
             | Frozen_snode | Replace _ | Removed -> Co_stale))
     | ANode an -> (
@@ -1623,7 +1642,7 @@ module Make (H : Hashing.HASHABLE) = struct
           if sn.hash <> hash_of sn.key then
             err "SNode hash %#x does not match key hash %#x" sn.hash (hash_of sn.key);
           check_hash "SNode" sn.hash lev prefix pmask;
-          match Atomic.get sn.txn with
+          match sn.txn with
           | No_txn -> ()
           | Frozen_snode -> err "frozen SNode reachable during quiescence"
           | Replace _ -> err "SNode with pending Replace during quiescence"
@@ -1698,7 +1717,7 @@ module Make (H : Hashing.HASHABLE) = struct
         match Slots.get an i with
         | Null | FVNode | FNode _ | LNode _ -> ()
         | SNode sn as old -> (
-            match Atomic.get sn.txn with
+            match sn.txn with
             | No_txn | Frozen_snode -> ()
             | Replace repl ->
                 if yp_cas_slot t.metrics yp_txn_help an i old repl then

@@ -4,11 +4,15 @@
    - Every I-node carries a [gen] token (a unique [unit ref]).
    - GCAS replaces an I-node's main node only if the trie's root
      generation still equals the I-node's generation at commit time:
-     the new main box is linked to the old one through its [prev]
+     the new main node is linked to the old one through its own [prev]
      field, published with CAS, and then committed (prev := No_prev)
      or rolled back (prev := Failed, main restored) depending on the
      root generation.  This makes every update invisible to
      generations it does not belong to.
+   - As in Scala's [TrieMap], [prev] lives in the main node itself, at
+     field 0 of every kind, and the I-node's [main] is a mutable field:
+     both are CASed in place (Ct_util.Field), so a read walks one block
+     per level for the I-node and one for its main node.
    - [snapshot] swaps the root I-node for a copy with a fresh
      generation using an RDCSS descriptor (double-compare on root and
      root's main, single-swap of root).  Both tries then lazily copy
@@ -49,6 +53,15 @@ let yp_cas m site slot expected repl =
   if ok then Yp.here Yp.After site else Metrics.incr m Metrics.Cas_retries;
   ok
 
+(* The same, on field [idx] of an ordinary block (an I-node's [main],
+   a main node's [prev]). *)
+let yp_cas_field m site blk idx expected repl =
+  Metrics.incr m Metrics.Cas_attempts;
+  Yp.here Yp.Before site;
+  let ok = Ct_util.Field.cas blk idx expected repl in
+  if ok then Yp.here Yp.After site else Metrics.incr m Metrics.Cas_retries;
+  ok
+
 let w = 5
 let branching = 1 lsl w
 
@@ -61,30 +74,42 @@ module Make (H : Hashing.HASHABLE) = struct
 
   type 'v leaf = { hash : int; key : key; value : 'v }
 
+  (* [prev] is field 0 of every main node, so one field CAS
+     ([prev_field]) serves GCAS commit and abort on every kind.  [gcas]
+     sets a new node's [prev] while the node is still private; a node
+     published without GCAS (the empty root, [dual]'s inner levels) is
+     built with [No_prev].  A committed node's [prev] stays [No_prev],
+     so I-nodes of different generations may share it (snapshot and
+     renewal copies do exactly that). *)
   type 'v main =
-    | CNode of { bmp : int; arr : 'v branch array }
-    | TNode of 'v leaf
-    | LNode of { lhash : int; entries : (key * 'v) list }
+    | CNode of { mutable prev : 'v prev; bmp : int; arr : 'v branch array }
+    | TNode of { mutable prev : 'v prev; leaf : 'v leaf }
+    | LNode of { mutable prev : 'v prev; lhash : int; entries : (key * 'v) list }
 
   and 'v branch = IN of 'v inode | SN of 'v leaf
 
-  and 'v inode = { gen : gen; main : 'v main_box Atomic.t }
-
-  and 'v main_box = { node : 'v main; prev : 'v prev Atomic.t }
+  and 'v inode = { gen : gen; mutable main : 'v main }
 
   and 'v prev =
     | No_prev  (** committed *)
-    | Prev of 'v main_box  (** pending: roll back to this on failure *)
-    | Failed of 'v main_box  (** decided: must roll back *)
+    | Prev of 'v main  (** pending: roll back to this on failure *)
+    | Failed of 'v main  (** decided: must roll back *)
 
   type 'v root_state = Root of 'v inode | Desc of 'v rdcss_desc
 
   and 'v rdcss_desc = {
     ov : 'v inode;
-    exp : 'v main_box;
+    exp : 'v main;
     nv : 'v inode;
     committed : bool Atomic.t;
   }
+
+  let prev_field = 0
+  let main_field = 1
+
+  (* A plain load, like a slot read (DESIGN.md §8.1): [prev] is only
+     ever changed by the SC field CAS. *)
+  let[@inline] prev_of (m : 'v main) : 'v prev = Ct_util.Field.get m prev_field
 
   (* Staged-batch traversal state (DESIGN.md §13), pooled per domain so
      steady-state [find_batch] allocates nothing. *)
@@ -93,7 +118,7 @@ module Make (H : Hashing.HASHABLE) = struct
     s_lev : int array;
     s_cur : 'v inode array;
     s_par : 'v inode array;  (** parent inode of [s_cur] (root: itself) *)
-    s_box : 'v main_box array;  (** main box read in pass A *)
+    s_main : 'v main array;  (** main node read in pass A *)
     s_act : int array;  (** active chunk positions, compacted in place *)
     mutable s_nact : int;
     mutable s_hits : int;
@@ -106,8 +131,8 @@ module Make (H : Hashing.HASHABLE) = struct
     scratch_dummy : 'v scratch;
   }
 
-  let boxed node = { node; prev = Atomic.make No_prev }
-  let empty_main () = boxed (CNode { bmp = 0; arr = [||] })
+  let cnode bmp arr = CNode { prev = No_prev; bmp; arr }
+  let empty_main () = cnode 0 [||]
   let chunk_cap = 64
 
   let with_pools root metrics =
@@ -117,7 +142,7 @@ module Make (H : Hashing.HASHABLE) = struct
         s_lev = [||];
         s_cur = [||];
         s_par = [||];
-        s_box = [||];
+        s_main = [||];
         s_act = [||];
         s_nact = 0;
         s_hits = 0;
@@ -134,42 +159,42 @@ module Make (H : Hashing.HASHABLE) = struct
 
   let create () =
     with_pools
-      (Atomic.make (Root { gen = ref (); main = Atomic.make (empty_main ()) }))
+      (Atomic.make (Root { gen = ref (); main = empty_main () }))
       (Metrics.create ~family:name)
 
   let hash_of k = H.hash k land Hashing.mask
 
   (* ------------------------- GCAS and RDCSS -------------------------- *)
 
-  (* A reader tripping over another operation's pending GCAS box or
+  (* A reader tripping over another operation's pending GCAS node or
      RDCSS descriptor completes it on its behalf — those entry points
      count as [Helps]; the owner's own commit does not. *)
-  let rec gcas_read_box t (i : 'v inode) : 'v main_box =
-    let m = Atomic.get i.main in
-    match Atomic.get m.prev with
+  let rec gcas_read t (i : 'v inode) : 'v main =
+    let m = i.main in
+    match prev_of m with
     | No_prev -> m
-    | _ ->
+    | Prev _ | Failed _ ->
         Metrics.incr t.metrics Metrics.Helps;
         gcas_commit t i m
 
-  and gcas_commit t (i : 'v inode) (m : 'v main_box) : 'v main_box =
-    match Atomic.get m.prev with
+  and gcas_commit t (i : 'v inode) (m : 'v main) : 'v main =
+    match prev_of m with
     | No_prev -> m
-    | Failed fb ->
+    | Failed fm ->
         (* Roll the failed update back to the previous main node. *)
-        if yp_cas t.metrics yp_gcas_rollback i.main m fb then fb
-        else gcas_commit t i (Atomic.get i.main)
-    | Prev pb as p ->
+        if yp_cas_field t.metrics yp_gcas_rollback i main_field m fm then fm
+        else gcas_commit t i i.main
+    | Prev pm as p ->
         let root = rdcss_read_root t ~abort:true in
         if root.gen == i.gen then begin
           (* Still the same generation: commit. *)
-          if yp_cas t.metrics yp_gcas_commit m.prev p No_prev then m
+          if yp_cas_field t.metrics yp_gcas_commit m prev_field p No_prev then m
           else gcas_commit t i m
         end
         else begin
           (* A snapshot intervened: mark failed and retry (rolls back). *)
-          ignore (yp_cas t.metrics yp_gcas_abort m.prev p (Failed pb));
-          gcas_commit t i (Atomic.get i.main)
+          ignore (yp_cas_field t.metrics yp_gcas_abort m prev_field p (Failed pm));
+          gcas_commit t i i.main
         end
 
   and rdcss_read_root t ~abort : 'v inode =
@@ -186,7 +211,7 @@ module Make (H : Hashing.HASHABLE) = struct
     | Desc d as cur ->
         if abort then ignore (yp_cas t.metrics yp_rdcss_abort t.root cur (Root d.ov))
         else begin
-          let oldmain = gcas_read_box t d.ov in
+          let oldmain = gcas_read t d.ov in
           if oldmain == d.exp then begin
             if yp_cas t.metrics yp_rdcss_commit t.root cur (Root d.nv) then
               Atomic.set d.committed true
@@ -194,17 +219,22 @@ module Make (H : Hashing.HASHABLE) = struct
           else ignore (yp_cas t.metrics yp_rdcss_abort t.root cur (Root d.ov))
         end
 
-  (* Publish [new_main] into [i] expecting [old_box]; true iff the
-     update committed under the current generation. *)
-  let gcas t (i : 'v inode) (old_box : 'v main_box) (new_main : 'v main) : bool =
-    let nb = { node = new_main; prev = Atomic.make (Prev old_box) } in
-    if yp_cas t.metrics yp_gcas_publish i.main old_box nb then begin
-      ignore (gcas_commit t i nb);
-      match Atomic.get nb.prev with No_prev -> true | Prev _ | Failed _ -> false
+  (* Publish the fresh main node [n] into [i] expecting [old]; true iff
+     the update committed under the current generation.  [n] is private
+     until the CAS, so its [prev] is set with a plain store, which the
+     SC publishing CAS orders before [n] becomes reachable. *)
+  let gcas t (i : 'v inode) (old : 'v main) (n : 'v main) : bool =
+    (match n with
+    | CNode c -> c.prev <- Prev old
+    | TNode c -> c.prev <- Prev old
+    | LNode c -> c.prev <- Prev old);
+    if yp_cas_field t.metrics yp_gcas_publish i main_field old n then begin
+      ignore (gcas_commit t i n);
+      match prev_of n with No_prev -> true | Prev _ | Failed _ -> false
     end
     else false
 
-  let rdcss_root t (ov : 'v inode) (exp : 'v main_box) (nv : 'v inode) : bool =
+  let rdcss_root t (ov : 'v inode) (exp : 'v main) (nv : 'v inode) : bool =
     let d = { ov; exp; nv; committed = Atomic.make false } in
     match Atomic.get t.root with
     | Root r as cur when r == ov ->
@@ -231,23 +261,31 @@ module Make (H : Hashing.HASHABLE) = struct
     let narr = Array.make (n + 1) branch in
     Array.blit arr 0 narr 0 pos;
     Array.blit arr pos narr (pos + 1) (n - pos);
-    CNode { bmp = bmp lor flag; arr = narr }
+    cnode (bmp lor flag) narr
 
   let cnode_updated bmp arr pos branch =
     let narr = Array.copy arr in
     narr.(pos) <- branch;
-    CNode { bmp; arr = narr }
+    cnode bmp narr
 
+  (* An emptied CNode shares the one [[||]] constant, as the empty
+     root does. *)
   let cnode_removed bmp arr pos flag =
     let n = Array.length arr in
-    let narr = Array.make (max 0 (n - 1)) arr.(0) in
-    Array.blit arr 0 narr 0 pos;
-    Array.blit arr (pos + 1) narr pos (n - 1 - pos);
-    CNode { bmp = bmp lxor flag; arr = narr }
+    let narr =
+      if n = 1 then [||]
+      else begin
+        let narr = Array.make (n - 1) arr.(0) in
+        Array.blit arr 0 narr 0 pos;
+        Array.blit arr (pos + 1) narr pos (n - 1 - pos);
+        narr
+      end
+    in
+    cnode (bmp lxor flag) narr
 
-  (* Copy an I-node into a new generation (lazy copy-on-write step). *)
-  let copy_inode t (i : 'v inode) (gen : gen) : 'v inode =
-    { gen; main = Atomic.make (boxed (gcas_read_box t i).node) }
+  (* Copy an I-node into a new generation (lazy copy-on-write step).
+     The copy shares the committed main node. *)
+  let copy_inode t (i : 'v inode) (gen : gen) : 'v inode = { gen; main = gcas_read t i }
 
   (* Copy a CNode, regenerating its older-generation I-node children.
      Children already in [gen] are kept, not copied: a CNode copied out
@@ -264,12 +302,13 @@ module Make (H : Hashing.HASHABLE) = struct
           | (IN _ | SN _) as b -> b)
         arr
     in
-    CNode { bmp; arr = narr }
+    cnode bmp narr
 
   let rec dual (l1 : 'v leaf) (l2 : 'v leaf) lev (gen : gen) : 'v main =
     if lev >= Hashing.hash_bits then begin
       assert (l1.hash = l2.hash);
-      LNode { lhash = l1.hash; entries = [ (l2.key, l2.value); (l1.key, l1.value) ] }
+      let entries = [ (l2.key, l2.value); (l1.key, l1.value) ] in
+      LNode { prev = No_prev; lhash = l1.hash; entries }
     end
     else begin
       let i1 = (l1.hash lsr lev) land (branching - 1)
@@ -277,14 +316,9 @@ module Make (H : Hashing.HASHABLE) = struct
       if i1 <> i2 then begin
         let bmp = (1 lsl i1) lor (1 lsl i2) in
         let arr = if i1 < i2 then [| SN l1; SN l2 |] else [| SN l2; SN l1 |] in
-        CNode { bmp; arr }
+        cnode bmp arr
       end
-      else
-        CNode
-          {
-            bmp = 1 lsl i1;
-            arr = [| IN { gen; main = Atomic.make (boxed (dual l1 l2 (lev + w) gen)) } |];
-          }
+      else cnode (1 lsl i1) [| IN { gen; main = dual l1 l2 (lev + w) gen } |]
     end
 
   (* Compaction. *)
@@ -292,51 +326,21 @@ module Make (H : Hashing.HASHABLE) = struct
   let resurrect t (branch : 'v branch) : 'v branch =
     match branch with
     | IN i -> (
-        match (gcas_read_box t i).node with TNode leaf -> SN leaf | _ -> branch)
+        match gcas_read t i with TNode { leaf; _ } -> SN leaf | CNode _ | LNode _ -> branch)
     | SN _ -> branch
 
   let to_contracted (main : 'v main) lev : 'v main =
     match main with
-    | CNode { arr = [| SN leaf |]; _ } when lev > 0 -> TNode leaf
+    | CNode { arr = [| SN leaf |]; _ } when lev > 0 -> TNode { prev = No_prev; leaf }
     | CNode _ | TNode _ | LNode _ -> main
 
   let clean t (i : 'v inode) lev =
-    let mb = gcas_read_box t i in
-    match mb.node with
-    | CNode { bmp; arr } ->
+    let m = gcas_read t i in
+    match m with
+    | CNode { bmp; arr; _ } ->
         let narr = Array.map (resurrect t) arr in
-        if gcas t i mb (to_contracted (CNode { bmp; arr = narr }) lev) then
+        if gcas t i m (to_contracted (cnode bmp narr) lev) then
           Metrics.incr t.metrics Metrics.Helps
-    | TNode _ | LNode _ -> ()
-
-  let rec clean_parent t (p : 'v inode) (i : 'v inode) h plev (startgen : gen) =
-    let mb = gcas_read_box t p in
-    match mb.node with
-    | CNode { bmp; arr } -> (
-        let flag, pos = flagpos h plev bmp in
-        if bmp land flag <> 0 then
-          match arr.(pos) with
-          | IN child when child == i -> (
-              match (gcas_read_box t i).node with
-              | TNode leaf ->
-                  if p.gen == startgen then begin
-                    let ncn = cnode_updated bmp arr pos (SN leaf) in
-                    if gcas t p mb (to_contracted ncn plev) then
-                      Metrics.incr t.metrics Metrics.Compressions
-                    else
-                      (* Retry only while the root generation still
-                         matches [startgen].  Once a snapshot commits,
-                         this GCAS can never succeed — [gcas_commit]
-                         fails any update whose I-node generation
-                         differs from the root's — so an unconditional
-                         retry livelocks.  The entombed node is
-                         collapsed anyway by whichever operation next
-                         renews this path. *)
-                      if (rdcss_read_root t ~abort:false).gen == startgen
-                      then clean_parent t p i h plev startgen
-                  end
-              | CNode _ | LNode _ -> ())
-          | IN _ | SN _ -> ())
     | TNode _ | LNode _ -> ()
 
   (* ------------------------------ lookup ----------------------------- *)
@@ -368,9 +372,9 @@ module Make (H : Hashing.HASHABLE) = struct
      TNode branch implies [lev > 0]. *)
   let rec ifind t (i : 'v inode) k h lev (parent : 'v inode) (startgen : gen) : 'v =
     Yp.here Yp.Before yp_read_walk;
-    let mb = gcas_read_box t i in
-    match mb.node with
-    | CNode { bmp; arr } -> (
+    let m = gcas_read t i in
+    match m with
+    | CNode { bmp; arr; _ } -> (
         let idx = (h lsr lev) land (branching - 1) in
         let flag = 1 lsl idx in
         if bmp land flag = 0 then raise_notrace Not_found
@@ -378,7 +382,7 @@ module Make (H : Hashing.HASHABLE) = struct
           match arr.(Bits.popcount (bmp land (flag - 1))) with
           | IN child ->
               if child.gen == startgen then ifind t child k h (lev + w) i startgen
-              else if gcas t i mb (renewed t bmp arr startgen) then
+              else if gcas t i m (renewed t bmp arr startgen) then
                 ifind t i k h lev parent startgen
               else raise_notrace Restart_find
           | SN leaf ->
@@ -395,9 +399,46 @@ module Make (H : Hashing.HASHABLE) = struct
     | v -> v
     | exception Restart_find -> find_loop t k h
 
+  (* Compact every TNode on [k]'s path: [ifind] cleans each one it
+     meets and restarts from the root, so the walk returns only once
+     the path holds none.  For a remover whose own frames cannot reach
+     the tomb's parent. *)
+  let clean_path t k h = match find_loop t k h with _ -> () | exception Not_found -> ()
+
   let find t k = find_loop t k (hash_of k)
   let lookup t k = match find t k with v -> Some v | exception Not_found -> None
   let mem t k = match find t k with _ -> true | exception Not_found -> false
+
+  (* Compact the entombed I-node [i] into its parent [p].  Retry only
+     while the root generation still matches [startgen]: once a
+     snapshot commits, this GCAS can never succeed — [gcas_commit]
+     fails any update whose I-node generation differs from the root's
+     — so an unconditional retry livelocks (DESIGN.md §7).  The tomb is
+     still reachable from the new root, which shares this path, so the
+     cleanup finishes there instead: a lookup of the tomb's own key
+     renews the path into the new generation and compacts every TNode
+     on it ([clean_path]), and its GCASes can commit. *)
+  let rec clean_parent t (p : 'v inode) (i : 'v inode) h plev (startgen : gen) =
+    let m = gcas_read t p in
+    match m with
+    | CNode { bmp; arr; _ } -> (
+        let flag, pos = flagpos h plev bmp in
+        if bmp land flag <> 0 then
+          match arr.(pos) with
+          | IN child when child == i -> (
+              match gcas_read t i with
+              | TNode { leaf; _ } ->
+                  if p.gen == startgen then begin
+                    let ncn = cnode_updated bmp arr pos (SN leaf) in
+                    if gcas t p m (to_contracted ncn plev) then
+                      Metrics.incr t.metrics Metrics.Compressions
+                    else if (rdcss_read_root t ~abort:false).gen == startgen then
+                      clean_parent t p i h plev startgen
+                    else clean_path t leaf.key leaf.hash
+                  end
+              | CNode _ | LNode _ -> ())
+          | IN _ | SN _ -> ())
+    | TNode _ | LNode _ -> ()
 
   (* ------------------------------ updates ---------------------------- *)
 
@@ -405,9 +446,9 @@ module Make (H : Hashing.HASHABLE) = struct
 
   let rec iinsert t (i : 'v inode) k v h lev (parent : 'v inode option) mode
       (startgen : gen) : 'v outcome =
-    let mb = gcas_read_box t i in
-    match mb.node with
-    | CNode { bmp; arr } -> (
+    let m = gcas_read t i in
+    match m with
+    | CNode { bmp; arr; _ } -> (
         let flag, pos = flagpos h lev bmp in
         if bmp land flag = 0 then begin
           match mode with
@@ -416,14 +457,14 @@ module Make (H : Hashing.HASHABLE) = struct
               let ncn =
                 cnode_inserted bmp arr pos flag (SN { hash = h; key = k; value = v })
               in
-              if gcas t i mb ncn then Done None else Restart
+              if gcas t i m ncn then Done None else Restart
         end
         else
           match arr.(pos) with
           | IN child ->
               if child.gen == startgen then
                 iinsert t child k v h (lev + w) (Some i) mode startgen
-              else if gcas t i mb (renewed t bmp arr startgen) then
+              else if gcas t i m (renewed t bmp arr startgen) then
                 iinsert t i k v h lev parent mode startgen
               else Restart
           | SN leaf ->
@@ -436,7 +477,7 @@ module Make (H : Hashing.HASHABLE) = struct
                     let ncn =
                       cnode_updated bmp arr pos (SN { hash = h; key = k; value = v })
                     in
-                    if gcas t i mb ncn then Done (Some leaf.value) else Restart
+                    if gcas t i m ncn then Done (Some leaf.value) else Restart
               end
               else if
                 match mode with
@@ -448,16 +489,11 @@ module Make (H : Hashing.HASHABLE) = struct
                   IN
                     {
                       gen = startgen;
-                      main =
-                        Atomic.make
-                          (boxed
-                             (dual leaf
-                                { hash = h; key = k; value = v }
-                                (lev + w) startgen));
+                      main = dual leaf { hash = h; key = k; value = v } (lev + w) startgen;
                     }
                 in
                 let ncn = cnode_updated bmp arr pos child in
-                if gcas t i mb ncn then Done None else Restart
+                if gcas t i m ncn then Done None else Restart
               end)
     | TNode _ ->
         (match parent with Some p -> clean t p (lev - w) | None -> ());
@@ -477,7 +513,7 @@ module Make (H : Hashing.HASHABLE) = struct
           let nln =
             LNode { ln with entries = (k, v) :: lremove_assoc k ln.entries }
           in
-          if gcas t i mb nln then Done previous else Restart
+          if gcas t i m nln then Done previous else Restart
         end
 
   let rec update t k v mode =
@@ -504,9 +540,9 @@ module Make (H : Hashing.HASHABLE) = struct
 
   let rec iremove t (i : 'v inode) k h lev (parent : 'v inode option) rmode
       (startgen : gen) : 'v outcome =
-    let mb = gcas_read_box t i in
-    match mb.node with
-    | CNode { bmp; arr } -> (
+    let m = gcas_read t i in
+    match m with
+    | CNode { bmp; arr; _ } -> (
         let flag, pos = flagpos h lev bmp in
         if bmp land flag = 0 then Done None
         else
@@ -516,13 +552,13 @@ module Make (H : Hashing.HASHABLE) = struct
                 if child.gen == startgen then begin
                   match iremove t child k h (lev + w) (Some i) rmode startgen with
                   | Done (Some _) as r ->
-                      (match (gcas_read_box t child).node with
+                      (match gcas_read t child with
                       | TNode _ -> clean_parent t i child h lev startgen
                       | CNode _ | LNode _ -> ());
                       r
                   | r -> r
                 end
-                else if gcas t i mb (renewed t bmp arr startgen) then
+                else if gcas t i m (renewed t bmp arr startgen) then
                   iremove t i k h lev parent rmode startgen
                 else Restart)
             | SN leaf ->
@@ -532,7 +568,7 @@ module Make (H : Hashing.HASHABLE) = struct
                 else begin
                   let ncn = cnode_removed bmp arr pos flag in
                   let nmain = to_contracted ncn lev in
-                  if gcas t i mb nmain then begin
+                  if gcas t i m nmain then begin
                     (match nmain with
                     | TNode _ -> Metrics.incr t.metrics Metrics.Entombments
                     | CNode _ | LNode _ -> ());
@@ -555,10 +591,11 @@ module Make (H : Hashing.HASHABLE) = struct
               let entries = lremove_assoc k ln.entries in
               let nmain =
                 match entries with
-                | [ (k1, v1) ] -> TNode { hash = h; key = k1; value = v1 }
+                | [ (k1, v1) ] ->
+                    TNode { prev = No_prev; leaf = { hash = h; key = k1; value = v1 } }
                 | _ -> LNode { ln with entries }
               in
-              if gcas t i mb nmain then begin
+              if gcas t i m nmain then begin
                 (match nmain with
                 | TNode _ -> Metrics.incr t.metrics Metrics.Entombments
                 | CNode _ | LNode _ -> ());
@@ -584,9 +621,9 @@ module Make (H : Hashing.HASHABLE) = struct
   (* --------------------------- batch operations ---------------------- *)
 
   (* Staged traversal (DESIGN.md §13).  The lockstep walk stages only
-     the fast path — committed main boxes, same-generation children,
+     the fast path — committed main nodes, same-generation children,
      live CNodes/LNodes — and defers anything complicated (a pending
-     GCAS box, a stale-generation child needing renewal, an entombed
+     GCAS node, a stale-generation child needing renewal, an entombed
      branch) to the scalar [find_loop], which already carries the full
      helping machinery.  Under quiescent or read-mostly traffic every
      key stays on the staged path. *)
@@ -598,7 +635,7 @@ module Make (H : Hashing.HASHABLE) = struct
       s_lev = Array.make chunk_cap 0;
       s_cur = Array.make chunk_cap r;
       s_par = Array.make chunk_cap r;
-      s_box = Array.make chunk_cap (Atomic.get r.main);
+      s_main = Array.make chunk_cap r.main;
       s_act = Array.make chunk_cap 0;
       s_nact = 0;
       s_hits = 0;
@@ -627,13 +664,13 @@ module Make (H : Hashing.HASHABLE) = struct
     done;
     scr.s_nact <- n;
     while scr.s_nact > 0 do
-      (* Pass A: pull in every active key's main box. *)
+      (* Pass A: pull in every active key's main node. *)
       for a = 0 to scr.s_nact - 1 do
         let p = Array.unsafe_get scr.s_act a in
         Yp.here Yp.Before yp_read_walk;
-        let mb = Atomic.get scr.s_cur.(p).main in
-        scr.s_box.(p) <- mb;
-        Prefetch.read mb
+        let m = scr.s_cur.(p).main in
+        scr.s_main.(p) <- m;
+        Prefetch.read m
       done;
       (* Pass B: dispatch; fast-path survivors re-enqueue, everything
          else resolves here or drops to the scalar walk. *)
@@ -643,12 +680,12 @@ module Make (H : Hashing.HASHABLE) = struct
         let p = Array.unsafe_get scr.s_act a in
         let h = scr.s_h.(p) in
         let k = Array.unsafe_get keys (base + p) in
-        let mb = scr.s_box.(p) in
+        let m = scr.s_main.(p) in
         let deferred =
-          match Atomic.get mb.prev with
+          match prev_of m with
           | No_prev -> (
-              match mb.node with
-              | CNode { bmp; arr } -> (
+              match m with
+              | CNode { bmp; arr; _ } -> (
                   let lev = scr.s_lev.(p) in
                   let idx = (h lsr lev) land (branching - 1) in
                   let flag = 1 lsl idx in
@@ -737,19 +774,19 @@ module Make (H : Hashing.HASHABLE) = struct
     while scr.s_nact > 0 do
       for a = 0 to scr.s_nact - 1 do
         let p = Array.unsafe_get scr.s_act a in
-        let mb = Atomic.get scr.s_cur.(p).main in
-        scr.s_box.(p) <- mb;
-        Prefetch.read mb
+        let m = scr.s_cur.(p).main in
+        scr.s_main.(p) <- m;
+        Prefetch.read m
       done;
       let nact = scr.s_nact in
       scr.s_nact <- 0;
       for a = 0 to nact - 1 do
         let p = Array.unsafe_get scr.s_act a in
-        let mb = scr.s_box.(p) in
-        match Atomic.get mb.prev with
+        let m = scr.s_main.(p) in
+        match prev_of m with
         | No_prev -> (
-            match mb.node with
-            | CNode { bmp; arr } -> (
+            match m with
+            | CNode { bmp; arr; _ } -> (
                 let lev = scr.s_lev.(p) in
                 let h = scr.s_h.(p) in
                 let idx = (h lsr lev) land (branching - 1) in
@@ -802,13 +839,21 @@ module Make (H : Hashing.HASHABLE) = struct
         let k = Array.unsafe_get keys (base + p) in
         let h = scr.s_h.(p) in
         let lev = scr.s_lev.(p) in
+        let cur = scr.s_cur.(p) in
         let parent = if lev = 0 then None else Some scr.s_par.(p) in
         match
-          match iremove t scr.s_cur.(p) k h lev parent `Always r.gen with
+          match iremove t cur k h lev parent `Always r.gen with
           | Done prev -> prev
           | Restart -> remove_with t k `Always
         with
-        | Some _ -> scr.s_hits <- scr.s_hits + 1
+        | Some _ ->
+            scr.s_hits <- scr.s_hits + 1;
+            (* The walk started at [cur], so no frame of ours holds its
+               parent: if the remove entombed [cur], compact from the
+               root as the scalar remove's frames would. *)
+            (match cur.main with
+            | TNode _ -> clean_path t k h
+            | CNode _ | LNode _ -> ())
         | None -> ()
       done;
       remove_chunks t scr keys (base + n) total
@@ -826,12 +871,13 @@ module Make (H : Hashing.HASHABLE) = struct
 
   let rec snapshot t =
     let r = rdcss_read_root t ~abort:false in
-    let mb = gcas_read_box t r in
+    let m = gcas_read t r in
     (* Swap our root to a fresh generation; hand the old structure to
-       the snapshot under another fresh generation. *)
-    if rdcss_root t r mb { gen = ref (); main = Atomic.make (boxed mb.node) } then
+       the snapshot under another fresh generation.  Both new roots
+       share the committed main node. *)
+    if rdcss_root t r m { gen = ref (); main = m } then
       with_pools
-        (Atomic.make (Root { gen = ref (); main = Atomic.make (boxed mb.node) }))
+        (Atomic.make (Root { gen = ref (); main = m }))
         (Metrics.create ~family:name)
     else snapshot t
 
@@ -841,14 +887,14 @@ module Make (H : Hashing.HASHABLE) = struct
     let rec go_main acc (main : 'v main) =
       match main with
       | CNode { arr; _ } -> Array.fold_left go_branch acc arr
-      | TNode leaf -> f acc leaf.key leaf.value
+      | TNode { leaf; _ } -> f acc leaf.key leaf.value
       | LNode ln -> List.fold_left (fun acc (k, v) -> f acc k v) acc ln.entries
     and go_branch acc = function
-      | IN i -> go_main acc (gcas_read_box t i).node
+      | IN i -> go_main acc (gcas_read t i)
       | SN leaf -> f acc leaf.key leaf.value
     in
     let r = rdcss_read_root t ~abort:false in
-    go_main acc (gcas_read_box t r).node
+    go_main acc (gcas_read t r)
 
   let fold_snapshot f acc t = fold f acc (snapshot t)
   let iter f t = fold (fun () k v -> f k v) () t
@@ -856,30 +902,40 @@ module Make (H : Hashing.HASHABLE) = struct
   let is_empty t = size t = 0
   let to_list t = fold (fun acc k v -> (k, v) :: acc) [] t
 
-  (* Word-cost model: as the plain Ctrie plus one gen word per I-node
-     and a 2-word prev box per main node. *)
+  (* Word-cost model, exact without snapshots: every block counts its
+     header plus its fields, so it moves word for word with
+     [Obj.reachable_words] (keys and values are not counted).  A branch
+     is its 2-word [IN]/[SN] box plus the 3-word I-node or the 4-word
+     leaf.  A CNode is 4 words plus its branch array (1 + length; an
+     empty CNode holds the shared [[||]], already in the empty map), a
+     TNode 3 plus its leaf, an LNode 4 plus a 3-word cons cell and a
+     3-word pair per binding; a pending [prev] adds its 2-word box.  A
+     generation token (a 2-word [unit ref]) is shared by the I-nodes of
+     its generation, so it is counted where it changes along a path.
+     Reads [main] without helping: the model never writes. *)
   let footprint_words t =
-    let rec go_main (main : 'v main) =
-      match main with
+    let rec inode_words (i : 'v inode) (gen : gen) =
+      3 + (if i.gen == gen then 0 else 2) + main_words i.gen i.main
+    and main_words gen (m : 'v main) =
+      (match prev_of m with No_prev -> 0 | Prev _ | Failed _ -> 2)
+      +
+      match m with
       | CNode { arr; _ } ->
           Array.fold_left
-            (fun acc b -> acc + 2 + go_branch b)
-            (3 + 1 + Array.length arr)
+            (fun acc b -> acc + 2 + branch_words gen b)
+            (4 + match Array.length arr with 0 -> 0 | n -> 1 + n)
             arr
-      | TNode _ -> 2 + 4
-      | LNode ln -> 3 + (3 * List.length ln.entries)
-    and go_branch = function
-      | IN i -> 3 + 4 + go_main (gcas_read_box t i).node
-      | SN _ -> 4
-    in
+      | TNode _ -> 3 + 4
+      | LNode ln -> 4 + (6 * List.length ln.entries)
+    and branch_words gen = function IN i -> inode_words i gen | SN _ -> 4 in
     let r = rdcss_read_root t ~abort:false in
-    2 + 3 + 4 + go_main (gcas_read_box t r).node
+    2 + 2 + inode_words r (ref ())
 
   (* Scrub: active residue sweep (DESIGN.md §9).  Completes a pending
-     RDCSS root swap, commits or rolls back every reachable GCAS box,
-     and compacts entombed branches — the exact helping steps the read
-     and update paths perform on encounter, so scrubbing is safe under
-     live traffic.  Returns the number of repairs: 0 means the trie
+     RDCSS root swap, commits or rolls back every reachable pending
+     GCAS node, and compacts entombed branches — the exact helping
+     steps the read and update paths perform on encounter, so
+     scrubbing is safe under live traffic.  Returns the number of repairs: 0 means the trie
      was already residue-free. *)
   let scrub t =
     let repairs = ref 0 in
@@ -893,16 +949,16 @@ module Make (H : Hashing.HASHABLE) = struct
       let r = rdcss_read_root t ~abort:false in
       let startgen = r.gen in
       let rec go (i : 'v inode) lev prefix (parent : 'v inode option) =
-        let m = Atomic.get i.main in
-        let mb =
-          match Atomic.get m.prev with
+        let m =
+          let m = i.main in
+          match prev_of m with
           | No_prev -> m
           | Prev _ | Failed _ ->
               (* Pending or failed update abandoned mid-GCAS: decide it. *)
               incr fixed;
               gcas_commit t i m
         in
-        match mb.node with
+        match m with
         | TNode _ -> (
             match parent with
             | Some p ->
@@ -912,7 +968,7 @@ module Make (H : Hashing.HASHABLE) = struct
                 incr fixed
             | None -> ())
         | LNode _ -> ()
-        | CNode { bmp; arr } ->
+        | CNode { bmp; arr; _ } ->
             let pos = ref 0 in
             for idx = 0 to branching - 1 do
               if bmp land (1 lsl idx) <> 0 then begin
@@ -948,7 +1004,7 @@ module Make (H : Hashing.HASHABLE) = struct
   let reset_stats t = Metrics.reset t.metrics
 
   (* Structural invariants, checked during quiescence.  Read-only: a
-     pending GCAS box or RDCSS descriptor is reported as an error, not
+     pending GCAS node or RDCSS descriptor is reported as an error, not
      helped to completion, so the chaos tests can observe the residue a
      crashed domain leaves behind and then show that any ordinary
      operation clears it. *)
@@ -963,12 +1019,12 @@ module Make (H : Hashing.HASHABLE) = struct
         err "%s at level %d violates the prefix invariant" what lev
     in
     let rec go_inode (i : 'v inode) lev prefix pmask =
-      let mb = Atomic.get i.main in
-      (match Atomic.get mb.prev with
+      let m = i.main in
+      (match prev_of m with
       | No_prev -> ()
-      | Prev _ -> err "uncommitted GCAS box at level %d during quiescence" lev
-      | Failed _ -> err "failed GCAS box not rolled back at level %d" lev);
-      go_main mb.node lev prefix pmask
+      | Prev _ -> err "uncommitted GCAS node at level %d during quiescence" lev
+      | Failed _ -> err "failed GCAS node not rolled back at level %d" lev);
+      go_main m lev prefix pmask
     and go_main (main : 'v main) lev prefix pmask =
       match main with
       | TNode _ -> err "reachable TNode at level %d during quiescence" lev
@@ -980,7 +1036,7 @@ module Make (H : Hashing.HASHABLE) = struct
             ln.entries;
           if ln.lhash land pmask <> prefix then
             err "LNode at level %d violates the prefix invariant" lev
-      | CNode { bmp; arr } ->
+      | CNode { bmp; arr; _ } ->
           if bmp < 0 || bmp >= 1 lsl branching then err "bitmap out of range";
           if Bits.popcount bmp <> Array.length arr then
             err "bitmap cardinality %d does not match array length %d"

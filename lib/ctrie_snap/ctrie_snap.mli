@@ -33,11 +33,11 @@ module Make (H : Ct_util.Hashing.HASHABLE) : sig
 
   (** [validate] (from {!Ct_util.Map_intf.CONCURRENT_MAP}) checks, for
       a quiescent trie: bitmap/array agreement, hash-prefix
-      consistency, LNode sanity, no reachable TNode, every GCAS box
+      consistency, LNode sanity, no reachable TNode, every GCAS update
       committed and no pending RDCSS root descriptor.  Read-only —
       residue left by a crashed domain is reported, not repaired —
       which is what the chaos/crash-recovery tests rely on.  [scrub]
       performs the repairs: it completes any pending RDCSS root
-      descriptor, commits every reachable GCAS box, and compacts
+      descriptor, decides every pending GCAS update, and compacts
       entombed branches. *)
 end

@@ -1,4 +1,4 @@
-/* CAS on an arbitrary field of a heap block, for Ct_util.Slots.
+/* CAS on an arbitrary field of a heap block, for Ct_util.Field.
  *
  * caml_atomic_cas_field is the runtime primitive behind
  * Atomic.compare_and_set (an Atomic.t is a 1-field block CASed at

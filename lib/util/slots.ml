@@ -6,13 +6,6 @@ type 'a t = Obj.t array
 
 let overhead_words_per_slot = 0
 
-(* The runtime's field CAS: SC success ordering, GC write barrier
-   included (same primitive [Atomic.compare_and_set] compiles to,
-   with an explicit field index). *)
-external unsafe_cas : Obj.t array -> int -> Obj.t -> Obj.t -> bool
-  = "ct_slots_cas_stub"
-[@@noalloc]
-
 let make n v =
   let a = Array.make n (Obj.repr v) in
   if Obj.tag (Obj.repr a) = Obj.double_array_tag then
@@ -31,7 +24,7 @@ let[@inline] get a i : 'a = Obj.obj (Obj.field (Obj.repr a) i)
 let[@inline] set a i (v : 'a) = Obj.set_field (Obj.repr a) i (Obj.repr v)
 
 let[@inline] cas a i (expected : 'a) (repl : 'a) =
-  unsafe_cas a i (Obj.repr expected) (Obj.repr repl)
+  Field.cas a i (Obj.repr expected) (Obj.repr repl)
 
 (* The slot array IS the node, so the cell address is the miss:
    hint the line without reading the field. *)

@@ -8,11 +8,6 @@ let pad = 16
 
 type t = { data : int array; mask : int; width : int; stride : int }
 
-(* The runtime's field CAS (ct_slots_stubs.c); on an int array it
-   compares immediates, i.e. by value. *)
-external cas : int array -> int -> int -> int -> bool = "ct_slots_cas_stub"
-[@@noalloc]
-
 let create ?stripes ?(width = 1) () =
   let n = match stripes with Some n -> n | None -> Domain_slot.capacity in
   if n < 1 || width < 1 then invalid_arg "Stripe.create";
@@ -34,7 +29,7 @@ let[@inline] cursor t =
 
 let rec cas_add data i d =
   let v = Array.unsafe_get data i in
-  if cas data i v (v + d) then v else cas_add data i d
+  if Field.cas data i v (v + d) then v else cas_add data i d
 
 let[@inline] fetch_add_at t h col d =
   if h >= 0 then begin

@@ -319,6 +319,36 @@ let test_stall_renewal_keeps_live_child () =
   check_valid "clone after renewal" (CB.validate t);
   check_bool "source untouched" true (CB.lookup src b = None && CB.lookup src c = None)
 
+(* Ctrie_snap: a remove must not leave a TNode reachable when a
+   snapshot lands between its entombing GCAS and the compaction of the
+   tomb's parent.  The victim parks right after committing the tomb;
+   the snapshot then moves the root generation, so compacting the
+   parent in the old generation can never commit.  The remove has to
+   finish the cleanup from the new root. *)
+let test_stall_snapshot_after_entomb () =
+  Fun.protect ~finally:Chaos.clear @@ fun () ->
+  let module CB = Ctrie_snap.Make (Hashing.Bad_hash_int) in
+  (* Identity hashes, 5 bits a level: [a] and [b] share root slot 1 and
+     split at level 1, so removing [b] entombs their I-node. *)
+  let a = 1 and b = 1 + (1 lsl 5) in
+  let t = CB.create () in
+  CB.insert t a a;
+  CB.insert t b b;
+  let inj = Chaos.stall ~phase:Yp.After (site "ctrie_snap.gcas.commit") in
+  let victim = Domain.spawn (fun () -> Chaos.as_victim inj (fun () -> CB.remove t b)) in
+  await ~what:"victim parked after committing the tomb" (fun () -> Chaos.stalled inj);
+  let snap = CB.snapshot t in
+  Chaos.release inj;
+  let removed = Domain.join victim in
+  Chaos.clear ();
+  check_bool "remove reported the binding" true (removed = Some b);
+  check_valid "no TNode left behind" (CB.validate t);
+  check_bool "live trie" true (CB.lookup t a = Some a && CB.lookup t b = None);
+  (* The remove linearized before the snapshot, so the snapshot holds
+     the tomb too; its own first read compacts it. *)
+  check_bool "snapshot" true (CB.lookup snap a = Some a && CB.lookup snap b = None);
+  check_valid "snapshot after a read" (CB.validate snap)
+
 (* ----------------------- lock-freedom battery ---------------------- *)
 
 (* A chaos subject: one shared instance of a structure plus a mixed
@@ -576,6 +606,7 @@ let suite =
     ("crash_rdcss_publish", `Quick, test_crash_rdcss_publish);
     ("stall_helping_expansion", `Quick, test_stall_helping_expansion);
     ("stall_renewal_keeps_live_child", `Quick, test_stall_renewal_keeps_live_child);
+    ("stall_snapshot_after_entomb", `Quick, test_stall_snapshot_after_entomb);
     ( "lock_freedom_cachetrie",
       `Slow,
       lock_freedom_battery "cachetrie" "cachetrie."

@@ -597,6 +597,27 @@ let prop_versions ops =
       List.sort compare (CS.to_list version) = IM.bindings model)
     ((t, !m) :: !versions)
 
+(* A staged remove finishes with the scalar walk from the node its
+   lockstep descent stopped at, below the parent of the I-node it may
+   entomb, so no frame of its own can compact the tomb.  [a] and [b]
+   split two levels down: removing [b] entombs two I-nodes in a
+   cascade. *)
+let test_batch_remove_compacts () =
+  let t = CS_bad.create () in
+  let a = 1 and b = 1 + (1 lsl 10) in
+  CS_bad.insert t a a;
+  CS_bad.insert t b b;
+  check_int "removed" 1 (CS_bad.remove_batch t [| b |]);
+  assert_valid "after the cascade" CS_bad.validate t;
+  check_opt "survivor" (Some a) (CS_bad.lookup t a);
+  let t = CS.create () in
+  for i = 0 to 4_999 do
+    CS.insert t i i
+  done;
+  check_int "bulk removed" 4_900 (CS.remove_batch t (Array.init 4_900 (fun i -> i + 100)));
+  assert_valid "after a bulk batch removal" CS.validate t;
+  check_int "survivors" 100 (CS.size t)
+
 (* A snapshot of a copy-on-write clone: the ballast is shared by three
    versions and the clone's own paths are half renewed. *)
 module CW = Variants.Cow_clone (Hashing.Int_key)
@@ -645,6 +666,7 @@ let ctrie_suite =
       ("tomb_then_lookup", `Quick, test_tomb_then_lookup);
       ("deep_chains", `Quick, test_deep_chains);
       ("lnode_entomb", `Quick, test_lnode_entomb);
+      ("batch_remove_compacts", `Quick, test_batch_remove_compacts);
     ]
 
 let suite =

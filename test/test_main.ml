@@ -31,4 +31,5 @@ let () =
       ("cache", Test_cache.suite);
       ("server", Test_server.suite);
       ("persist", Test_persist.suite);
+      ("footprint", Test_footprint.suite);
     ]
