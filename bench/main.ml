@@ -878,7 +878,6 @@ let run_serve scale =
       (Kv.Server.default_config ()) with
       Kv.Server.workers;
       queue_capacity = 64;
-      enqueue_budget = 4;
       p99_bound_ns = 150_000_000;
       p99_window = 32;
       tick_interval = 0.01;
@@ -1025,7 +1024,6 @@ let run_persist scale =
       (Kv.Server.default_config ()) with
       Kv.Server.workers;
       queue_capacity = 64;
-      enqueue_budget = 4;
       p99_bound_ns = 150_000_000;
       p99_window = 32;
       tick_interval = 0.01;

@@ -422,10 +422,8 @@ module Loadgen = Kv.Loadgen
 
 let serve_config ~workers =
   {
-    (Kv.Server.default_config ()) with
     Kv.Server.workers;
     queue_capacity = 64;
-    enqueue_budget = 4;
     p99_bound_ns = 150_000_000;
     p99_window = 32;
     tick_interval = 0.01;
@@ -581,11 +579,6 @@ module Serve (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
       && (String.sub pm i nn = "flight recorder" || go (i + 1))
     in
     go 0);
-  if Srv.stat srv "shed_queue_full" > 0 then
-    check "retry-budget exhaustion surfaced on the map's stats"
-      (match List.assoc_opt "retry_exhausted" (M.stats map) with
-      | Some v -> v >= 1
-      | None -> false);
   (* Phase 3 — graceful drain under live traffic. *)
   let drain_plan =
     {

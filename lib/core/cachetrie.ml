@@ -198,6 +198,10 @@ module Make (H : Hashing.HASHABLE) = struct
     s_h : int array;  (** mixed hash per chunk position *)
     s_lev : int array;  (** current trie level; -1 = already resolved *)
     s_cur : 'v anode array;  (** node the next step reads *)
+    s_box : 'v node array;
+        (** the parent slot's [ANode] wrapping [s_cur]; [Null] when no
+            slot holds it as an [ANode] (the root, a cache entry's node,
+            an expansion's narrow node) *)
     s_prev : 'v anode array;  (** parent of [s_cur]; valid when s_lev > 0 *)
     s_act : int array;  (** active chunk positions, compacted in place *)
     mutable s_nact : int;
@@ -233,6 +237,7 @@ module Make (H : Hashing.HASHABLE) = struct
         s_h = [||];
         s_lev = [||];
         s_cur = [||];
+        s_box = [||];
         s_prev = [||];
         s_act = [||];
         s_nact = 0;
@@ -518,29 +523,32 @@ module Make (H : Hashing.HASHABLE) = struct
             | Some _ | None -> ())
     end
 
-  (* [inhabit] for the ANode the traversal is standing on.  Skips both
-     the [ANode] wrapper allocation and the entry store when the cache
-     already points at this exact node — the steady state for every
-     cache-served read, which would otherwise allocate 2 words and
-     dirty the entry's cache line on each hit. *)
-  let write_anode_entry cl (an : 'v anode) h =
+  (* [inhabit] for a wide ANode at trie level [lev], given as [box]:
+     the [ANode] value of the slot the traversal reached it through.
+     The entry shares that box rather than wrapping the node in a fresh
+     2-word one, and the store is skipped when the cache already holds
+     it — the steady state for every cache-served read, which would
+     otherwise dirty the entry's cache line on each hit. *)
+  let write_anode_entry cl (box : 'v node) h =
     let pos = h land (Array.length cl.c_entries - 1) in
-    match cl.c_entries.(pos) with
-    | ANode a when a == an -> ()
-    | _ ->
-        Yp.here Yp.Before yp_cache_install;
-        cl.c_entries.(pos) <- ANode an;
-        Yp.here Yp.After yp_cache_install
+    if cl.c_entries.(pos) != box then begin
+      Yp.here Yp.Before yp_cache_install;
+      cl.c_entries.(pos) <- box;
+      Yp.here Yp.After yp_cache_install
+    end
 
-  let inhabit_anode t (an : 'v anode) h lev =
-    match Atomic.get t.cache_head with
-    | None -> ()
-    | Some head -> (
-        if head.c_level = lev then write_anode_entry head an h
-        else if t.config.dual_level_cache then
-          match head.c_parent with
-          | Some cl when cl.c_level = lev -> write_anode_entry cl an h
-          | Some _ | None -> ())
+  let inhabit_anode t (box : 'v node) h lev =
+    match box with
+    | ANode an when t.config.enable_cache && Slots.length an = wide_width -> (
+        match Atomic.get t.cache_head with
+        | None -> ()
+        | Some head -> (
+            if head.c_level = lev then write_anode_entry head box h
+            else if t.config.dual_level_cache then
+              match head.c_parent with
+              | Some cl when cl.c_level = lev -> write_anode_entry cl box h
+              | Some _ | None -> ()))
+    | _ -> ()
 
   (* Does any cache level in the chain cover trie level [lev]? *)
   let cache_covers t lev =
@@ -671,11 +679,11 @@ module Make (H : Hashing.HASHABLE) = struct
 
   let rec find_at t k h lev (cur : 'v anode) : 'v =
     Yp.here Yp.Before yp_read_walk;
-    if t.config.enable_cache && lev > 0 && Slots.length cur = wide_width then
-      inhabit_anode t cur h lev;
     match Slots.get cur (apos cur h lev) with
     | Null | FVNode -> raise_notrace Not_found
-    | ANode an -> find_at t k h (lev + 4) an
+    | ANode an as box ->
+        inhabit_anode t box h (lev + 4);
+        find_at t k h (lev + 4) an
     | SNode sn as leaf ->
         leaf_housekeeping t leaf h (lev + 4);
         if H.equal sn.key k then sn.value else raise_notrace Not_found
@@ -772,8 +780,6 @@ module Make (H : Hashing.HASHABLE) = struct
 
   let rec insert_at t k v h lev (cur : 'v anode) (prev : 'v anode option) mode :
       'v outcome =
-    if t.config.enable_cache && lev > 0 && Slots.length cur = wide_width then
-      inhabit_anode t cur h lev;
     let pos = apos cur h lev in
     match Slots.get cur pos with
     | Null -> (
@@ -785,7 +791,9 @@ module Make (H : Hashing.HASHABLE) = struct
                 (fresh_snode h k v)
             then Done_none
             else insert_at t k v h lev cur prev mode)
-    | ANode an -> insert_at t k v h (lev + 4) an (Some cur) mode
+    | ANode an as box ->
+        inhabit_anode t box h (lev + 4);
+        insert_at t k v h (lev + 4) an (Some cur) mode
     | SNode old as leaf -> begin
         match old.txn with
         | No_txn ->
@@ -840,7 +848,9 @@ module Make (H : Hashing.HASHABLE) = struct
                       then begin
                         complete_expansion t self en;
                         match Slots.get parent ppos with
-                        | ANode wide -> insert_at t k v h lev wide (Some parent) mode
+                        | ANode wide as box ->
+                            inhabit_anode t box h lev;
+                            insert_at t k v h lev wide (Some parent) mode
                         | _ -> Restart
                       end
                       else Restart
@@ -1153,6 +1163,7 @@ module Make (H : Hashing.HASHABLE) = struct
       s_h = Array.make chunk_cap 0;
       s_lev = Array.make chunk_cap 0;
       s_cur = Array.make chunk_cap t.root;
+      s_box = Array.make chunk_cap Null;
       s_prev = Array.make chunk_cap t.root;
       s_act = Array.make chunk_cap 0;
       s_nact = 0;
@@ -1171,8 +1182,9 @@ module Make (H : Hashing.HASHABLE) = struct
 
   (* Out-of-line helpers for the lockstep loops (module-level so the
      loops allocate no closures). *)
-  let step_descend scr p an lev =
+  let step_descend scr p an box lev =
     scr.s_cur.(p) <- an;
+    scr.s_box.(p) <- box;
     scr.s_lev.(p) <- lev;
     scr.s_act.(scr.s_nact) <- p;
     scr.s_nact <- scr.s_nact + 1
@@ -1218,6 +1230,7 @@ module Make (H : Hashing.HASHABLE) = struct
             | Null | SNode _ | ANode _ | LNode _ | ENode _ | XNode _ ->
                 Metrics.incr_at t.metrics mcur Metrics.Cache_hits;
                 scr.s_cur.(p) <- an;
+                scr.s_box.(p) <- Null;
                 scr.s_lev.(p) <- cl.c_level)
         | Null | FVNode | LNode _ | FNode _ | ENode _ | XNode _ ->
             probe_start t scr keys base out miss mcur p cl.c_parent)
@@ -1273,13 +1286,14 @@ module Make (H : Hashing.HASHABLE) = struct
         let lev = scr.s_lev.(p) in
         let k = keys.(base + p) in
         Yp.here Yp.Before yp_read_walk;
-        if t.config.enable_cache && lev > 0 && Slots.length cur = wide_width
-        then inhabit_anode t cur h lev;
+        (* Inhabit here, not at the descent: after the prefetch the
+           node's header is resident. *)
+        if lev > 0 then inhabit_anode t scr.s_box.(p) h lev;
         match Slots.get cur (apos cur h lev) with
         | Null | FVNode -> out.(base + p) <- miss
-        | ANode an ->
+        | ANode an as box ->
             Prefetch.read an;
-            step_descend scr p an (lev + 4)
+            step_descend scr p an box (lev + 4)
         | SNode sn as leaf ->
             leaf_housekeeping t leaf h (lev + 4);
             if H.equal sn.key k then step_hit scr out base p sn.value
@@ -1293,13 +1307,13 @@ module Make (H : Hashing.HASHABLE) = struct
             else out.(base + p) <- miss
         | ENode en ->
             Prefetch.read en.e_narrow;
-            step_descend scr p en.e_narrow (lev + 4)
+            step_descend scr p en.e_narrow Null (lev + 4)
         | XNode xn ->
             Prefetch.read xn.x_stale;
-            step_descend scr p xn.x_stale (lev + 4)
+            step_descend scr p xn.x_stale Null (lev + 4)
         | FNode (ANode an) ->
             Prefetch.read an;
-            step_descend scr p an (lev + 4)
+            step_descend scr p an Null (lev + 4)
         | FNode (LNode ln) ->
             if ln.lhash = h then (
               match lassoc k ln.entries with
@@ -1362,10 +1376,10 @@ module Make (H : Hashing.HASHABLE) = struct
         let cur = scr.s_cur.(p) in
         let h = scr.s_h.(p) in
         match Slots.get cur (apos cur h scr.s_lev.(p)) with
-        | ANode an ->
+        | ANode an as box ->
             Prefetch.read an;
             scr.s_prev.(p) <- cur;
-            step_descend scr p an (scr.s_lev.(p) + 4)
+            step_descend scr p an box (scr.s_lev.(p) + 4)
         | Null | FVNode | SNode _ | LNode _ | FNode _ | ENode _ | XNode _ ->
             ()
       done

@@ -3,7 +3,7 @@
    A trace context is one OCaml int: bit 0 is the sampled flag, bits
    1..62 the trace id, and 0 means "untraced".  Packing the whole
    context into an immediate keeps every propagation step — through
-   the protocol frame, the dispatch queue item, the ambient
+   the protocol frame, the decoded request, the ambient
    domain-local — allocation-free, and makes the hot-path guard a
    single register test ([ctx land 1]).
 
@@ -193,11 +193,11 @@ let record_sink ctx stage ~start_ns ~dur_ns ~a ~b =
 
 (* --------------------------- ambient context ------------------------ *)
 
-(* The current request's context, per domain.  The server worker sets
+(* The current request's context, per domain.  The serving loop sets
    it for the duration of one request's execution so layers it calls
    into (the cache tier's read-through, principally) can attribute
    their own spans without an API change.  Domain-local, not
-   thread-local: a worker domain runs exactly one executing request at
+   thread-local: a serving loop runs exactly one executing request at
    a time, which is the invariant that makes this sound. *)
 let current_key : ctx Domain.DLS.key = Domain.DLS.new_key (fun () -> none)
 

@@ -3,8 +3,8 @@
 
     A {!ctx} is one immediate int carrying a 62-bit trace id and a
     sampled flag; it is minted at the load generator or client, rides a
-    trace extension of the protocol frame, and crosses the server's
-    dispatch queue inside the request.  Sampled requests record
+    trace extension of the protocol frame, and stays with the decoded
+    request until the server executes it.  Sampled requests record
     {!stage} spans into per-domain lock-free rings (the {!Ring} that
     {!Flight} also uses: stamp written last, torn rewrites tolerated by
     the dump).  Head-based sampling bounds the recording
@@ -137,9 +137,9 @@ val record_sink :
 (** {1 Ambient context}
 
     The executing request's context, stored domain-locally by the
-    server worker for the duration of one request so nested layers
+    serving loop for the duration of one request so nested layers
     (cache tier, WAL append) can attribute their spans without API
-    plumbing.  Sound because a worker domain executes one request at a
+    plumbing.  Sound because a serving loop executes one request at a
     time. *)
 
 val current : unit -> ctx

@@ -2,11 +2,12 @@
    group-commit WAL, and a background checkpointer, glued into the
    {!Server.durable} hook record.
 
-   The division of labour: the {e server worker} applies an operation
-   to the map and appends it to the WAL (apply-before-append, per key,
-   because one key always lands on one worker).  This module owns
-   everything else — recovery at open, the WAL's lifecycle, and the
-   checkpointer thread that periodically:
+   The division of labour: the {e serving loop} applies an operation
+   to the map and appends it to the WAL (apply-before-append), both
+   under the key's stripe lock, so that two loops writing one key for
+   two connections log its writes in the order the map applied them.
+   This module owns everything else — recovery at open, the WAL's
+   lifecycle, and the checkpointer thread that periodically:
 
      1. {!Wal.rotate}s — sealing the current segment at a boundary LSN
         every record of which is both durable and applied;

@@ -220,9 +220,9 @@ let value_for bytes v =
 
 (* [partition] remaps request [i]'s key so each final key is only ever
    touched by one connection ([k * conns + i mod conns]).  Replies on
-   one connection preserve per-key send order (one conn → one reader →
-   one worker queue), which gives every key a total operation order —
-   the precondition for {!verify_recovered}'s windowed check. *)
+   one connection preserve per-key send order (one conn → one serving
+   loop, frames run in order), which gives every key a total operation
+   order — the precondition for {!verify_recovered}'s windowed check. *)
 let key_for p i k = if p.partition then (k * p.conns) + (i mod p.conns) else k
 
 let op_for p (trace : Trace.op array) i =

@@ -230,22 +230,20 @@ module Reader = struct
       end
     end
 
-  (* Pull more bytes; true on progress, false on EOF. *)
-  let refill t fd =
+  let fill t fd =
     ensure_room t 4096;
     let n = Unix.read fd t.buf t.fill (Bytes.length t.buf - t.fill) in
-    if n = 0 then false
-    else begin
-      t.fill <- t.fill + n;
-      true
-    end
+    t.fill <- t.fill + n;
+    n
 
-  let rec read_frame t fd =
-    if available t >= 4 then begin
+  let next_frame t =
+    if available t < 4 then None
+    else begin
       let len = Int32.to_int (Bytes.get_int32_be t.buf t.start) in
       if len < 0 || len > max_frame then
         raise (Protocol_error (Printf.sprintf "frame length %d" len));
-      if available t >= 4 + len then begin
+      if available t < 4 + len then None
+      else begin
         let payload = Bytes.sub t.buf (t.start + 4) len in
         t.start <- t.start + 4 + len;
         if t.start = t.fill then begin
@@ -254,10 +252,13 @@ module Reader = struct
         end;
         Some payload
       end
-      else if refill t fd then read_frame t fd
-      else raise (Protocol_error "eof inside frame body")
     end
-    else if refill t fd then read_frame t fd
-    else if available t = 0 then None
-    else raise (Protocol_error "eof inside frame header")
+
+  let rec read_frame t fd =
+    match next_frame t with
+    | Some _ as frame -> frame
+    | None ->
+        if fill t fd > 0 then read_frame t fd
+        else if available t = 0 then None
+        else raise (Protocol_error "eof inside frame")
 end

@@ -32,8 +32,9 @@
 
     The protocol is strictly request/reply but {e pipelined}: a client
     may have any number of requests in flight on one connection, and
-    replies carry the request id precisely because overload shedding,
-    deadline expiry and per-key worker sharding all reorder them.
+    replies carry the request id because durable acks reorder them: a
+    write's reply waits for its fsync while later reads answer at
+    once.
     Every accepted frame gets exactly one reply — load shedding is a
     typed {!reply} ([Overloaded], [Deadline_exceeded],
     [Shutting_down]), never a silent drop. *)
@@ -59,8 +60,9 @@ type request = {
 
 (** Why an [Overloaded] reply was shed (the [detail] byte). *)
 type shed_reason =
-  | Queue_full  (** the target worker queue stayed full past the
-                    budgeted enqueue retries *)
+  | Queue_full  (** one read of the connection carried more frames
+                    than the server's [queue_capacity]; this one was
+                    past the bound *)
   | Latency_breach  (** admission control: served p99 over the bound *)
 
 type reply =
@@ -103,22 +105,31 @@ val reply_label : reply -> string
     "overloaded_queue_full", ...). *)
 
 (** Buffered frame extraction from a file descriptor.  One [Reader.t]
-    per connection; not thread-safe (each connection has exactly one
-    reading thread). *)
+    per connection, used only by the connection's one reader (the
+    server's owning loop, or a client). *)
 module Reader : sig
   type t
 
   val create : unit -> t
 
+  val fill : t -> Unix.file_descr -> int
+  (** One [read] into the buffer: the number of bytes read, 0 at EOF.
+      Blocks only as [Unix.read] does; lets [Unix.Unix_error] escape. *)
+
+  val next_frame : t -> Bytes.t option
+  (** Next complete payload already in the buffer, or [None] until
+      more bytes arrive.  Never reads.  Raises {!Protocol_error} on an
+      oversized announced length. *)
+
   val read_frame : t -> Unix.file_descr -> Bytes.t option
   (** Next payload, blocking on the fd as needed.  [None] on orderly
-      EOF at a frame boundary.  Raises {!Protocol_error} on a
-      truncated stream, an oversized frame, or EOF mid-frame, and
-      lets [Unix.Unix_error] (including [EAGAIN] from a receive
-      timeout) escape to the caller. *)
+      EOF at a frame boundary.  Raises {!Protocol_error} on an
+      oversized frame or EOF mid-frame, and lets [Unix.Unix_error]
+      (including [EAGAIN] from a receive timeout) escape to the
+      caller. *)
 
   val pending : t -> bool
   (** A partially received frame is buffered — used by the server's
-      slow-loris defence: a receive timeout with [pending] true means
-      the peer is trickling a frame, not idling between frames. *)
+      slow-loris defence: a frame left partial for longer than the
+      idle timeout means the peer is trickling it. *)
 end

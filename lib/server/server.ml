@@ -1,28 +1,32 @@
-(* KV server: accept thread + reader thread per connection (cheap,
-   I/O-bound, on the spawning domain) + worker domains each owning a
-   bounded queue (the CPU side).  Requests shard to workers by key, so
-   one key's operations stay FIFO and workers share nothing on the
-   dispatch path.
+(* KV server: [workers] domains, each running one run-to-completion
+   loop over the connections it owns (DESIGN.md §12.1).  One pass of a
+   loop: [Unix.select] over its connections and the shared listener,
+   with timeout [tick_interval]; a non-blocking [accept], whose winner
+   owns the new connection; one [read] per readable connection,
+   stamped once; every frame that read completed, decoded and executed
+   inline in order; then one write of the pass's replies per
+   connection.  A request never crosses a thread.  The only other
+   writer is the WAL pump delivering durable acks.
 
-   File-descriptor ownership protocol: ONLY a connection's reader
-   thread ever [Unix.close]s its fd (right before exiting); every
-   other party — a worker hitting a write error, the drain path — may
-   only [Unix.shutdown] it under the connection's write mutex while
-   [alive] still holds, which wakes the blocked reader with EOF.  This
-   keeps a closed fd number from being reused by an unrelated socket
-   while someone still pokes at it. *)
+   [Unix.select] only takes descriptors below FD_SETSIZE (1024), so a
+   connection accepted on a higher descriptor is closed at once.
+
+   File-descriptor ownership protocol: ONLY a connection's owning loop
+   ever [Unix.close]s its fd, under the connection's write mutex.
+   Every other party (the WAL pump writing a durable ack, [kill])
+   writes or [Unix.shutdown]s it under that mutex while [alive] still
+   holds, so a closed fd number is never reused by an unrelated socket
+   while someone still pokes at it.  The listener is closed by the
+   last loop to stop polling it. *)
 
 module Yp = Ct_util.Yieldpoint
 module Clock = Ct_util.Clock
-module Backoff = Ct_util.Backoff
 module Metrics = Ct_util.Metrics
 module Progress = Ct_util.Progress
 
 type config = {
   workers : int;
   queue_capacity : int;
-  batch : int;
-  enqueue_budget : int;
   p99_bound_ns : int;
   p99_window : int;
   tick_interval : float;
@@ -34,8 +38,6 @@ let default_config () =
   {
     workers = max 1 (Domain.recommended_domain_count () - 1);
     queue_capacity = 256;
-    batch = 32;
-    enqueue_budget = 4;
     p99_bound_ns = 100_000_000;
     p99_window = 64;
     tick_interval = 0.02;
@@ -67,7 +69,6 @@ let stat_labels =
     "shed_latency_breach";
     "shed_shutdown";
     "deadline_expired";
-    "retry_exhausted";
     "server_errors";
     "write_failures";
     "durable_acks";
@@ -86,20 +87,27 @@ let c_shed_queue_full = 7
 let c_shed_latency_breach = 8
 let c_shed_shutdown = 9
 let c_deadline_expired = 10
-let c_retry_exhausted = 11
-let c_server_errors = 12
-let c_write_failures = 13
-let c_durable_acks = 14
-let c_durable_timeouts = 15
-let c_read_only = 16
+let c_server_errors = 11
+let c_write_failures = 12
+let c_durable_acks = 13
+let c_durable_timeouts = 14
+let c_read_only = 15
+
+(* [Unix.select]'s fd_set holds descriptors below this. *)
+let fd_setsize = 1024
+
+(* A [Unix.file_descr] is the descriptor number on Unix. *)
+let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
 
 (* Durable mode (DESIGN.md §14), as hooks rather than a hard
-   dependency on a concrete store: the worker applies the operation to
+   dependency on a concrete store: the loop applies the operation to
    the map, appends it to a write-ahead log, and withholds the reply
    until the covering group-commit fsync — or until the request's own
    deadline expires, whichever comes first.  The apply-before-append
    order is a checkpointing invariant: a WAL rotation boundary then
-   always covers fully-applied state. *)
+   always covers fully-applied state.  A write's apply and append run
+   under one lock per key stripe, since two loops may write one key
+   for two connections and the log must keep the map's order. *)
 type durable = {
   d_append :
     Persist.Wal.op -> (int, [ `Degraded | `Closed | `Halted ]) result;
@@ -111,7 +119,7 @@ type durable = {
 }
 
 (* Bounded-cache mode (DESIGN.md §15), as hooks like [durable]: the
-   worker routes Get/Put/Remove through the tier instead of the raw
+   loop routes Get/Put/Remove through the tier instead of the raw
    map, so entries gain TTL, eviction and admission control.  A
    memcached-shaped store: a Put the tier refuses to admit replies
    [Stored false], a Get after eviction/expiry replies [Nil]. *)
@@ -125,11 +133,14 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
   type conn = {
     fd : Unix.file_descr;
     wmutex : Mutex.t;
-    mutable alive : bool;  (* fd not yet closed by its reader *)
+    reader : Protocol.Reader.t;
+    mutable out : Bytes.t;  (* this pass's replies; owning loop only *)
+    mutable out_len : int;
+    mutable partial_since : int;
+        (* read stamp since which a partial frame has waited; 0 = none *)
+    mutable alive : bool;  (* fd not yet closed by its owning loop *)
     mutable broken : bool;  (* a write failed; stop writing replies *)
   }
-
-  type item = { iconn : conn; req : Protocol.request; arrival : int }
 
   (* 0 = running, 1 = draining, 2 = stopped *)
   type t = {
@@ -137,19 +148,20 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
     map : string M.t;
     listen_fd : Unix.file_descr;
     lport : int;
-    queues : item Bqueue.t array;
-    mutable worker_domains : unit Domain.t array;
-    mutable accept_thread : Thread.t option;
+    listening : int Atomic.t;  (* loops still polling the listener *)
+    mutable loops : unit Domain.t array;
     mutable ticker_thread : Thread.t option;
     state : int Atomic.t;
+    stop : bool Atomic.t;  (* loops and ticker exit *)
     inflight : int Atomic.t;
+        (* reads being executed plus durable writes awaiting their ack *)
     shed_p99 : bool Atomic.t;
     lat : Obs.Latency.t;
     counters : int Atomic.t array;
-    conns : conn list ref;
-    readers : Thread.t list ref;
+    conns : conn list ref;  (* every open connection, for [kill] *)
     conn_mutex : Mutex.t;
-    ticker_stop : bool Atomic.t;
+    key_locks : Mutex.t array;
+        (* durable writes: one apply-and-append at a time per stripe *)
     progress : Progress.t option;
     durable : durable option;
     cache : cache_ops option;
@@ -179,12 +191,11 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
     if conn.alive then (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with _ -> ());
     Mutex.unlock conn.wmutex
 
-  let write_reply t conn (b : Bytes.t) =
+  let write_locked t conn b len =
     Mutex.lock conn.wmutex;
     if conn.alive && not conn.broken then begin
       let ok =
         try
-          let len = Bytes.length b in
           let off = ref 0 in
           while !off < len do
             let n = Unix.write conn.fd b !off (len - !off) in
@@ -197,7 +208,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
       if not ok then begin
         (* Includes the send-timeout case: a peer that stopped reading
            long enough for SO_SNDTIMEO to fire loses its connection —
-           a worker is never parked indefinitely on one bad client. *)
+           a loop is never parked indefinitely on one bad client. *)
         conn.broken <- true;
         bump t c_write_failures;
         try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with _ -> ()
@@ -205,10 +216,33 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
     end;
     Mutex.unlock conn.wmutex
 
+  (* A reply written at once: the WAL pump's durable acks. *)
   let send_reply t conn ~id reply =
-    write_reply t conn (Protocol.encode_reply ~id reply)
+    let b = Protocol.encode_reply ~id reply in
+    write_locked t conn b (Bytes.length b)
 
-  (* ---------------------------- workers ----------------------------- *)
+  (* A reply from the owning loop: buffered, written by [flush] with
+     the rest of the pass's replies to this connection. *)
+  let reply conn ~id r =
+    let b = Protocol.encode_reply ~id r in
+    let n = Bytes.length b in
+    if conn.out_len + n > Bytes.length conn.out then begin
+      let grown =
+        Bytes.create (max (2 * Bytes.length conn.out) (conn.out_len + n))
+      in
+      Bytes.blit conn.out 0 grown 0 conn.out_len;
+      conn.out <- grown
+    end;
+    Bytes.blit b 0 conn.out conn.out_len n;
+    conn.out_len <- conn.out_len + n
+
+  let flush t conn =
+    if conn.out_len > 0 then begin
+      write_locked t conn conn.out conn.out_len;
+      conn.out_len <- 0
+    end
+
+  (* --------------------------- executing ---------------------------- *)
 
   let wal_op = function
     | Protocol.Put (k, v) -> Some (Persist.Wal.Put (k, v))
@@ -219,55 +253,113 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
      connection reply (and the inflight decrement drain waits on)
      moves to the ack callback — fired by the WAL's pump thread, which
      runs even when the disk stalls, so the deadline still binds.
-     [exec_end] is the worker's post-execution timestamp, so the
+     [exec_end] is the loop's post-execution timestamp, so the
      sampled request's fsync-wait span starts exactly where its exec
      span ended and the stage durations sum to the recorded end-to-end
      latency. *)
-  let finish_durable t it d reply lsn ~exec_end =
-    let tr = it.req.trace in
+  let finish_durable t conn ~arrival (req : Protocol.request) d reply lsn
+      ~exec_end =
+    let tr = req.trace in
     let traced = Obs.Trace.sampled tr in
     let deadline_ns =
-      if it.req.deadline_ns > 0 then it.arrival + it.req.deadline_ns
-      else max_int
+      if req.deadline_ns > 0 then arrival + req.deadline_ns else max_int
     in
+    Atomic.incr t.inflight;
     d.d_subscribe ~lsn ~deadline_ns (fun ack ->
         (match ack with
         | Persist.Wal.Durable ->
             bump t c_durable_acks;
             let fin = Clock.monotonic_ns () in
-            let e2e = fin - it.arrival in
+            let e2e = fin - arrival in
             Obs.Latency.record_ns_traced t.lat e2e
               ~trace_id:(if traced then Obs.Trace.id tr else 0);
             if traced then begin
               Obs.Trace.record_sink tr Obs.Trace.Fsync_wait ~start_ns:exec_end
                 ~dur_ns:(fin - exec_end) ~a:lsn ~b:0;
-              Obs.Trace.record_sink tr Obs.Trace.Request ~start_ns:it.arrival
+              Obs.Trace.record_sink tr Obs.Trace.Request ~start_ns:arrival
                 ~dur_ns:e2e ~a:0 ~b:0
             end;
-            send_reply t it.iconn ~id:it.req.id reply
+            send_reply t conn ~id:req.id reply
         | Persist.Wal.Timed_out ->
             bump t c_deadline_expired;
             bump t c_durable_timeouts;
-            send_reply t it.iconn ~id:it.req.id Protocol.Deadline_exceeded
+            send_reply t conn ~id:req.id Protocol.Deadline_exceeded
         | Persist.Wal.Degraded ->
             bump t c_read_only;
-            send_reply t it.iconn ~id:it.req.id Protocol.Read_only
+            send_reply t conn ~id:req.id Protocol.Read_only
         | Persist.Wal.Lost ->
             (* Simulated process death: a dead server sends nothing. *)
             ());
         Atomic.decr t.inflight)
 
-  let serve t it =
-    let tr = it.req.trace in
+  (* Run [req]'s operation on the cache tier or the map, between the
+     exec yield points.  Raises nothing: a crash inside is a typed
+     [Error]. *)
+  let apply t (req : Protocol.request) =
+    match
+      Yp.here Yp.Before exec_site;
+      let r =
+        match t.cache with
+        | Some c -> (
+            match req.op with
+            | Protocol.Get k -> (
+                match c.c_get k with
+                | Some v -> Protocol.Value v
+                | None -> Protocol.Nil)
+            | Protocol.Put (k, v) -> Protocol.Stored (c.c_put k v)
+            | Protocol.Remove k ->
+                if c.c_remove k then Protocol.Removed else Protocol.Nil
+            | Protocol.Ping -> Protocol.Pong)
+        | None -> (
+            match req.op with
+            | Protocol.Get k -> (
+                match M.lookup t.map k with
+                | Some v -> Protocol.Value v
+                | None -> Protocol.Nil)
+            | Protocol.Put (k, v) ->
+                Protocol.Stored (M.add t.map k v <> None)
+            | Protocol.Remove k -> (
+                match M.remove t.map k with
+                | Some _ -> Protocol.Removed
+                | None -> Protocol.Nil)
+            | Protocol.Ping -> Protocol.Pong)
+      in
+      Yp.here Yp.After exec_site;
+      r
+    with
+    | r ->
+        bump t c_executed;
+        Ok r
+    | exception e ->
+        (* An injected crash (or a real bug) abandoned the
+           operation mid-flight.  The residue is the scrubber's
+           problem; the client still gets a typed answer. *)
+        bump t c_server_errors;
+        Error (Protocol.Server_error (Printexc.to_string e))
+
+  (* A sampled request's map-op span, from [now] to here, annotated
+     with the CAS retries and cache misses this domain's counter cells
+     gained since [retries0] and [misses0]. *)
+  let map_op_span tr mtr mcur ~now ~retries0 ~misses0 =
+    Obs.Trace.set_current Obs.Trace.none;
+    Obs.Trace.record_sink tr Obs.Trace.Map_op ~start_ns:now
+      ~dur_ns:(Clock.monotonic_ns () - now)
+      ~a:(Metrics.get_at mtr mcur Metrics.Cas_retries - retries0)
+      ~b:(Metrics.get_at mtr mcur Metrics.Cache_misses - misses0)
+
+  (* Execute one admitted request inline.  [arrival] is the stamp of
+     the read that completed its frame: deadlines and the latency
+     histogram start there. *)
+  let serve t conn ~arrival (req : Protocol.request) =
+    let tr = req.trace in
     let traced = Obs.Trace.sampled tr in
     let now = Clock.monotonic_ns () in
     if traced then
-      Obs.Trace.record_sink tr Obs.Trace.Queue_wait ~start_ns:it.arrival
-        ~dur_ns:(now - it.arrival) ~a:0 ~b:0;
-    if it.req.deadline_ns > 0 && now - it.arrival > it.req.deadline_ns then begin
+      Obs.Trace.record_sink tr Obs.Trace.Queue_wait ~start_ns:arrival
+        ~dur_ns:(now - arrival) ~a:0 ~b:0;
+    if req.deadline_ns > 0 && now - arrival > req.deadline_ns then begin
       bump t c_deadline_expired;
-      send_reply t it.iconn ~id:it.req.id Protocol.Deadline_exceeded;
-      Atomic.decr t.inflight
+      reply conn ~id:req.id Protocol.Deadline_exceeded
     end
     else begin
       (* Sampled requests snapshot this domain's own counter cells
@@ -279,206 +371,203 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
       let retries0 = Metrics.get_at mtr mcur Metrics.Cas_retries in
       let misses0 = Metrics.get_at mtr mcur Metrics.Cache_misses in
       if traced then Obs.Trace.set_current tr;
-      let reply =
-        match
-          Yp.here Yp.Before exec_site;
-          let r =
-            match t.cache with
-            | Some c -> (
-                match it.req.op with
-                | Protocol.Get k -> (
-                    match c.c_get k with
-                    | Some v -> Protocol.Value v
-                    | None -> Protocol.Nil)
-                | Protocol.Put (k, v) -> Protocol.Stored (c.c_put k v)
-                | Protocol.Remove k ->
-                    if c.c_remove k then Protocol.Removed else Protocol.Nil
-                | Protocol.Ping -> Protocol.Pong)
-            | None -> (
-                match it.req.op with
-                | Protocol.Get k -> (
-                    match M.lookup t.map k with
-                    | Some v -> Protocol.Value v
-                    | None -> Protocol.Nil)
-                | Protocol.Put (k, v) ->
-                    Protocol.Stored (M.add t.map k v <> None)
-                | Protocol.Remove k -> (
-                    match M.remove t.map k with
-                    | Some _ -> Protocol.Removed
-                    | None -> Protocol.Nil)
-                | Protocol.Ping -> Protocol.Pong)
-          in
-          Yp.here Yp.After exec_site;
-          r
-        with
-        | r ->
-            bump t c_executed;
-            Ok r
-        | exception e ->
-            (* An injected crash (or a real bug) abandoned the
-               operation mid-flight.  The residue is the scrubber's
-               problem; the client still gets a typed answer. *)
-            bump t c_server_errors;
-            Error (Protocol.Server_error (Printexc.to_string e))
-      in
-      if traced then begin
-        Obs.Trace.set_current Obs.Trace.none;
-        Obs.Trace.record_sink tr Obs.Trace.Map_op ~start_ns:now
-          ~dur_ns:(Clock.monotonic_ns () - now)
-          ~a:(Metrics.get_at mtr mcur Metrics.Cas_retries - retries0)
-          ~b:(Metrics.get_at mtr mcur Metrics.Cache_misses - misses0)
-      end;
       (* Finish paths share one [fin] capture, so the exec span, the
          request root span and the latency histogram sample agree to
          the nanosecond — the 5% span-sum acceptance check in
          [repro trace] leans on this. *)
       let finish r =
         let fin = Clock.monotonic_ns () in
-        let e2e = fin - it.arrival in
+        let e2e = fin - arrival in
         Obs.Latency.record_ns_traced t.lat e2e
           ~trace_id:(if traced then Obs.Trace.id tr else 0);
         if traced then begin
           Obs.Trace.record_sink tr Obs.Trace.Exec ~start_ns:now
             ~dur_ns:(fin - now) ~a:0 ~b:0;
-          Obs.Trace.record_sink tr Obs.Trace.Request ~start_ns:it.arrival
+          Obs.Trace.record_sink tr Obs.Trace.Request ~start_ns:arrival
             ~dur_ns:e2e ~a:0 ~b:0
         end;
-        send_reply t it.iconn ~id:it.req.id r;
-        Atomic.decr t.inflight
+        reply conn ~id:req.id r
       in
-      match (reply, t.durable) with
-      | Ok r, Some d -> (
-          match wal_op it.req.op with
-          | Some w -> (
-              (* Applied; now log it.  Apply-before-append is what lets
-                 a rotation boundary checkpoint fully-applied state. *)
-              let a0 = if traced then Clock.monotonic_ns () else 0 in
-              match d.d_append w with
-              | Ok lsn ->
-                  let exec_end =
-                    if traced then begin
-                      let e = Clock.monotonic_ns () in
-                      Obs.Trace.record_sink tr Obs.Trace.Wal_append
-                        ~start_ns:a0 ~dur_ns:(e - a0) ~a:lsn ~b:0;
-                      Obs.Trace.record_sink tr Obs.Trace.Exec ~start_ns:now
-                        ~dur_ns:(e - now) ~a:0 ~b:0;
-                      e
-                    end
-                    else 0
-                  in
-                  finish_durable t it d r lsn ~exec_end
-              | Error `Halted ->
-                  (* Dead processes send nothing. *)
-                  Atomic.decr t.inflight
-              | Error (`Degraded | `Closed) ->
-                  bump t c_read_only;
-                  send_reply t it.iconn ~id:it.req.id Protocol.Read_only;
-                  Atomic.decr t.inflight)
-          | None -> finish r)
-      | Ok r, None -> finish r
-      | Error r, _ ->
-          send_reply t it.iconn ~id:it.req.id r;
-          Atomic.decr t.inflight
+      match (t.durable, wal_op req.op) with
+      | Some d, Some w -> (
+          (* A durable write applies and appends under its key's lock:
+             two loops may write one key at once, and the log must
+             replay that key's writes in the order the map applied
+             them.  Apply-before-append is what lets a rotation
+             boundary checkpoint fully-applied state. *)
+          let (Persist.Wal.Put (k, _) | Persist.Wal.Remove k) = w in
+          let lock = t.key_locks.(k land (Array.length t.key_locks - 1)) in
+          Mutex.lock lock;
+          let logged =
+            Fun.protect
+              ~finally:(fun () -> Mutex.unlock lock)
+              (fun () ->
+                let result = apply t req in
+                if traced then
+                  map_op_span tr mtr mcur ~now ~retries0 ~misses0;
+                match result with
+                | Error r -> Error r
+                | Ok r ->
+                    let a0 = if traced then Clock.monotonic_ns () else 0 in
+                    let appended = d.d_append w in
+                    let a1 = if traced then Clock.monotonic_ns () else 0 in
+                    Ok (r, appended, a0, a1))
+          in
+          match logged with
+          | Ok (r, Ok lsn, a0, a1) ->
+              if traced then begin
+                Obs.Trace.record_sink tr Obs.Trace.Wal_append ~start_ns:a0
+                  ~dur_ns:(a1 - a0) ~a:lsn ~b:0;
+                Obs.Trace.record_sink tr Obs.Trace.Exec ~start_ns:now
+                  ~dur_ns:(a1 - now) ~a:0 ~b:0
+              end;
+              finish_durable t conn ~arrival req d r lsn ~exec_end:a1
+          | Ok (_, Error `Halted, _, _) ->
+              (* Dead processes send nothing. *) ()
+          | Ok (_, Error (`Degraded | `Closed), _, _) ->
+              bump t c_read_only;
+              reply conn ~id:req.id Protocol.Read_only
+          | Error r -> reply conn ~id:req.id r)
+      | _ -> (
+          let result = apply t req in
+          if traced then map_op_span tr mtr mcur ~now ~retries0 ~misses0;
+          match result with
+          | Ok r -> finish r
+          | Error r -> reply conn ~id:req.id r)
     end
 
-  let worker t w_idx =
-    (match t.progress with
-    | Some p -> Progress.attach p (w_idx mod Progress.slots p)
-    | None -> ());
-    let q = t.queues.(w_idx) in
-    let batch : item option array = Array.make t.cfg.batch None in
-    let rec go () =
-      match Bqueue.pop_batch q ~max:t.cfg.batch ~into:batch with
-      | None -> ()
-      | Some 0 ->
-          (* Ticker wakeup on an empty queue: prove liveness so the
-             watchdog only ever flags genuinely stuck workers. *)
-          (match t.progress with Some p -> Progress.beat p | None -> ());
-          go ()
-      | Some n ->
-          for i = 0 to n - 1 do
-            (match batch.(i) with Some it -> serve t it | None -> ());
-            batch.(i) <- None
-          done;
-          go ()
-    in
-    go ();
-    match t.progress with Some p -> Progress.detach p | None -> ()
+  let shed t conn (req : Protocol.request) c r =
+    bump t c;
+    reply conn ~id:req.id r
 
-  (* --------------------------- dispatching -------------------------- *)
-
-  let key_of = function
-    | Protocol.Get k | Protocol.Put (k, _) | Protocol.Remove k -> k
-    | Protocol.Ping -> 0
-
-  let dispatch t conn bo req =
-    let tr = req.Protocol.trace in
+  (* Admission, outside-in: drain, degraded log, p99 breach, then the
+     per-read bound — [admitted] frames of this read already run.
+     Every refusal is a typed reply.  Returns the new [admitted]. *)
+  let admit t conn ~arrival ~admitted (req : Protocol.request) =
+    let tr = req.trace in
     let traced = Obs.Trace.sampled tr in
     let adm0 = if traced then Clock.monotonic_ns () else 0 in
-    let reply_now r = send_reply t conn ~id:req.Protocol.id r in
     if Atomic.get t.state > 0 then begin
-      bump t c_shed_shutdown;
-      reply_now Protocol.Shutting_down
+      shed t conn req c_shed_shutdown Protocol.Shutting_down;
+      admitted
     end
     else if
       (* Degraded log: refuse writes at admission rather than ack data
          that can no longer be made durable.  Reads keep flowing. *)
       match t.durable with
-      | Some d -> wal_op req.Protocol.op <> None && d.d_read_only ()
+      | Some d -> wal_op req.op <> None && d.d_read_only ()
       | None -> false
     then begin
-      bump t c_read_only;
-      reply_now Protocol.Read_only
+      shed t conn req c_read_only Protocol.Read_only;
+      admitted
     end
     else if Atomic.get t.shed_p99 then begin
-      bump t c_shed_latency_breach;
-      reply_now (Protocol.Overloaded Protocol.Latency_breach)
+      shed t conn req c_shed_latency_breach
+        (Protocol.Overloaded Protocol.Latency_breach);
+      admitted
+    end
+    else if admitted >= t.cfg.queue_capacity then begin
+      shed t conn req c_shed_queue_full (Protocol.Overloaded Protocol.Queue_full);
+      admitted
     end
     else begin
-      let arrival = Clock.monotonic_ns () in
-      (* The admission span covers the shed checks above; it ends where
-         the request's measured lifetime (arrival) begins, so it sits
-         outside the queue_wait/exec/fsync_wait partition of the root
-         request span. *)
+      (* The admission span covers the shed checks above; it nests in
+         the queue wait, which runs from the read's stamp to exec. *)
       if traced then
         Obs.Trace.record_sink tr Obs.Trace.Admission ~start_ns:adm0
-          ~dur_ns:(arrival - adm0) ~a:0 ~b:0;
-      let w = key_of req.Protocol.op land max_int mod Array.length t.queues in
-      let q = t.queues.(w) in
-      Atomic.incr t.inflight;
-      let it = { iconn = conn; req; arrival } in
-      let rec attempt () =
-        if Bqueue.try_push q it then true
-        else if Backoff.over_budget bo then false
-        else begin
-          Backoff.once bo;
-          attempt ()
-        end
-      in
-      let pushed = attempt () in
-      Backoff.reset bo;
-      if pushed then bump t c_dispatched
-      else begin
-        Atomic.decr t.inflight;
-        bump t c_shed_queue_full;
-        bump t c_retry_exhausted;
-        reply_now (Protocol.Overloaded Protocol.Queue_full)
-      end
+          ~dur_ns:(Clock.monotonic_ns () - adm0) ~a:0 ~b:0;
+      bump t c_dispatched;
+      serve t conn ~arrival req;
+      admitted + 1
     end
 
-  let handle_payload t conn bo payload =
-    match Protocol.decode_request payload with
-    | Error msg ->
-        bump t c_bad_requests;
-        send_reply t conn ~id:0 (Protocol.Bad_request msg)
-    | Ok req -> (
-        match req.Protocol.op with
-        | Protocol.Ping ->
-            bump t c_pings;
-            send_reply t conn ~id:req.Protocol.id Protocol.Pong
-        | _ -> dispatch t conn bo req)
+  (* Decode and run every complete frame in the buffer, in order.
+     Returns whether any frame completed. *)
+  let rec run_frames t conn ~arrival ~admitted completed =
+    match Protocol.Reader.next_frame conn.reader with
+    | None -> completed
+    | Some payload ->
+        let admitted =
+          match Protocol.decode_request payload with
+          | Error msg ->
+              bump t c_bad_requests;
+              reply conn ~id:0 (Protocol.Bad_request msg);
+              admitted
+          | Ok { Protocol.op = Protocol.Ping; id; _ } ->
+              bump t c_pings;
+              reply conn ~id Protocol.Pong;
+              admitted
+          | Ok req -> admit t conn ~arrival ~admitted req
+        in
+        run_frames t conn ~arrival ~admitted true
 
-  (* ----------------------------- readers ---------------------------- *)
+  (* One readable connection: one read, stamped once; the frames it
+     completed run inline; one write of their replies.  The read
+     counts as in flight until that write is done, so [drain] never
+     sees a half-answered read as flushed.  Returns false once the
+     connection is finished (EOF, read error, bad stream, failed
+     write). *)
+  let service t conn =
+    match Protocol.Reader.fill conn.reader conn.fd with
+    | 0 ->
+        (* EOF; the bytes of a frame left behind are a truncated
+           stream. *)
+        if Protocol.Reader.pending conn.reader then bump t c_bad_requests;
+        false
+    | _ ->
+        let arrival = Clock.monotonic_ns () in
+        Atomic.incr t.inflight;
+        let ok =
+          match run_frames t conn ~arrival ~admitted:0 false with
+          | completed ->
+              if not (Protocol.Reader.pending conn.reader) then
+                conn.partial_since <- 0
+              else if completed || conn.partial_since = 0 then
+                conn.partial_since <- arrival;
+              true
+          | exception Protocol.Protocol_error _ ->
+              bump t c_bad_requests;
+              false
+        in
+        flush t conn;
+        Atomic.decr t.inflight;
+        ok && not conn.broken
+    | exception Unix.Unix_error (EINTR, _, _) -> true
+    | exception Unix.Unix_error _ -> false
+
+  (* ------------------------------ loops ----------------------------- *)
+
+  let accept t =
+    match Unix.accept t.listen_fd with
+    | fd, _ when fd_number fd >= fd_setsize ->
+        (try Unix.close fd with _ -> ());
+        None
+    | fd, _ ->
+        (try
+           (* Blocking: reads follow [select]'s report, and a write
+              blocks at most SO_SNDTIMEO. *)
+           Unix.clear_nonblock fd;
+           Unix.setsockopt fd Unix.TCP_NODELAY true;
+           Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.write_timeout
+         with _ -> ());
+        let conn =
+          {
+            fd;
+            wmutex = Mutex.create ();
+            reader = Protocol.Reader.create ();
+            out = Bytes.create 4096;
+            out_len = 0;
+            partial_since = 0;
+            alive = true;
+            broken = false;
+          }
+        in
+        bump t c_conns_opened;
+        Mutex.lock t.conn_mutex;
+        t.conns := conn :: !(t.conns);
+        Mutex.unlock t.conn_mutex;
+        Some conn
+    | exception Unix.Unix_error _ -> None
 
   let retire t conn =
     Mutex.lock conn.wmutex;
@@ -490,78 +579,71 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
     t.conns := List.filter (fun c -> c != conn) !(t.conns);
     Mutex.unlock t.conn_mutex
 
-  let reader t conn =
-    let r = Protocol.Reader.create () in
-    (* One budgeted backoff per connection: its exhaustion hook charges
-       the served structure's [Retry_exhausted] counter, so queue-full
-       sheds show up in the same uniform stats surface as the maps'
-       own contention telemetry. *)
-    let bo =
-      Backoff.create ~min_wait:32 ~max_wait:2048
-        ~budget:(max 1 t.cfg.enqueue_budget)
-        ~on_exhaust:(fun () ->
-          Metrics.incr (M.metrics t.map) Metrics.Retry_exhausted)
-        ()
-    in
-    let rec loop () =
-      match Protocol.Reader.read_frame r conn.fd with
-      | None -> ()
-      | Some payload ->
-          handle_payload t conn bo payload;
-          loop ()
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | ETIMEDOUT), _, _)
-        ->
-          if Protocol.Reader.pending r then
-            (* Receive timeout in the middle of a frame: slow-loris.
-               Cut the peer loose instead of holding the thread. *)
-            bump t c_conns_dropped_slow
-          else if not conn.broken then loop ()
-      | exception Protocol.Protocol_error _ -> bump t c_bad_requests
-      | exception _ -> ()
-    in
-    loop ();
-    retire t conn
+  let leave_listener t =
+    if Atomic.fetch_and_add t.listening (-1) = 1 then
+      try Unix.close t.listen_fd with _ -> ()
 
-  let accept_loop t =
-    let rec go () =
-      if Atomic.get t.state = 0 then
-        match Unix.accept t.listen_fd with
-        | fd, _ ->
-            (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
-            (try
-               Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.idle_timeout;
-               Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.write_timeout
-             with _ -> ());
-            let conn = { fd; wmutex = Mutex.create (); alive = true; broken = false } in
-            bump t c_conns_opened;
-            Mutex.lock t.conn_mutex;
-            t.conns := conn :: !(t.conns);
-            let th = Thread.create (fun () -> reader t conn) () in
-            t.readers := th :: !(t.readers);
-            Mutex.unlock t.conn_mutex;
-            go ()
-        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | ETIMEDOUT), _, _)
-          ->
-            (* SO_RCVTIMEO on the listener: periodic wakeup to observe
-               a drain request without racing fd teardown. *)
-            go ()
-        | exception Unix.Unix_error (ECONNABORTED, _, _) -> go ()
-        | exception _ -> ()
-    in
-    go ()
+  (* A loop beats [progress] on every pass, idle or not — the select
+     timeout bounds a pass — so a watchdog over the same [progress]
+     flags only a loop stuck inside one. *)
+  let run_loop t w_idx =
+    (match t.progress with
+    | Some p -> Progress.attach p (w_idx mod Progress.slots p)
+    | None -> ());
+    let idle_ns = int_of_float (t.cfg.idle_timeout *. 1e9) in
+    let owned = ref [] and listening = ref true in
+    while not (Atomic.get t.stop) do
+      (match t.progress with Some p -> Progress.beat p | None -> ());
+      if !listening && Atomic.get t.state > 0 then begin
+        listening := false;
+        leave_listener t
+      end;
+      let fds = List.map (fun c -> c.fd) !owned in
+      let ready =
+        match
+          Unix.select
+            (if !listening then t.listen_fd :: fds else fds)
+            [] [] t.cfg.tick_interval
+        with
+        | r, _, _ -> r
+        | exception Unix.Unix_error (EINTR, _, _) -> []
+      in
+      let now = Clock.monotonic_ns () in
+      owned :=
+        List.filter
+          (fun c ->
+            if List.memq c.fd ready && not (service t c) then begin
+              retire t c;
+              false
+            end
+            else if c.partial_since > 0 && now - c.partial_since > idle_ns
+            then begin
+              (* Slow-loris: a frame left partial past the idle
+                 timeout.  Cut the peer loose. *)
+              bump t c_conns_dropped_slow;
+              retire t c;
+              false
+            end
+            else true)
+          !owned;
+      if !listening && List.memq t.listen_fd ready then
+        match accept t with Some c -> owned := c :: !owned | None -> ()
+    done;
+    if !listening then leave_listener t;
+    List.iter (retire t) !owned;
+    match t.progress with Some p -> Progress.detach p | None -> ()
 
   (* ------------------------------ ticker ---------------------------- *)
 
-  (* Control loop: wake idle workers so they heartbeat, and run the
-     p99 admission check over the latest histogram window.  When the
-     window is too thin to judge (often because admission is already
-     shedding everything), shedding turns back off — the duty-cycle
-     probe that lets the server discover the episode is over. *)
+  (* Control loop: run the p99 admission check over the latest
+     histogram window.  When the window is too thin to judge (often
+     because admission is already shedding everything), shedding turns
+     back off — the duty-cycle probe that lets the server discover the
+     episode is over. *)
   let ticker t =
     let prev = ref (Obs.Latency.counts t.lat) in
-    while not (Atomic.get t.ticker_stop) do
+    while not (Atomic.get t.stop) do
       Unix.sleepf t.cfg.tick_interval;
-      Array.iter Bqueue.tick t.queues;
       let now = Obs.Latency.counts t.lat in
       (* Clamped per-bucket diff: [counts] sums per-stripe cells with
          racy reads, so a concurrent [reset] (benches do this between
@@ -589,8 +671,8 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
   let start ?(config = default_config ()) ?progress ?durable ?cache ?(port = 0)
       map =
     if
-      config.workers < 1 || config.queue_capacity < 1 || config.batch < 1
-      || config.p99_window < 1 || config.tick_interval <= 0.0
+      config.workers < 1 || config.queue_capacity < 1 || config.p99_window < 1
+      || config.tick_interval <= 0.0
     then invalid_arg "Server.start: bad config";
     (* A tier evicts entries the WAL already acked — replaying such a
        log would resurrect them.  Bounded-cache serving is volatile by
@@ -604,7 +686,9 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
         Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
         Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
         Unix.listen listen_fd 128;
-        Unix.setsockopt_float listen_fd Unix.SO_RCVTIMEO 0.05;
+        (* Every loop polls the listener; the losers of an accept race
+           get EAGAIN instead of blocking. *)
+        Unix.set_nonblock listen_fd;
         let lport =
           match Unix.getsockname listen_fd with
           | Unix.ADDR_INET (_, p) -> p
@@ -615,22 +699,19 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
           map;
           listen_fd;
           lport;
-          queues =
-            Array.init config.workers (fun _ ->
-                Bqueue.create ~capacity:config.queue_capacity);
-          worker_domains = [||];
-          accept_thread = None;
+          listening = Atomic.make config.workers;
+          loops = [||];
           ticker_thread = None;
           state = Atomic.make 0;
+          stop = Atomic.make false;
           inflight = Atomic.make 0;
           shed_p99 = Atomic.make false;
           lat = Obs.Latency.create ~label:"server-request";
           counters =
             Array.init (Array.length stat_labels) (fun _ -> Atomic.make 0);
           conns = ref [];
-          readers = ref [];
           conn_mutex = Mutex.create ();
-          ticker_stop = Atomic.make false;
+          key_locks = Array.init 64 (fun _ -> Mutex.create ());
           progress;
           durable;
           cache;
@@ -642,11 +723,17 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
         (try Unix.close listen_fd with _ -> ());
         raise e
     in
-    t.worker_domains <-
-      Array.init config.workers (fun i -> Domain.spawn (fun () -> worker t i));
-    t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+    t.loops <-
+      Array.init config.workers (fun i -> Domain.spawn (fun () -> run_loop t i));
     t.ticker_thread <- Some (Thread.create (fun () -> ticker t) ());
     t
+
+  (* Stop the loops and the ticker.  Each loop finishes its pass, so
+     every frame it read is answered, then closes its connections. *)
+  let stop_all t =
+    Atomic.set t.stop true;
+    Array.iter Domain.join t.loops;
+    match t.ticker_thread with Some th -> Thread.join th | None -> ()
 
   let drain ?(timeout = 10.0) t =
     Mutex.lock t.drain_mutex;
@@ -656,12 +743,9 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
       r
     end
     else begin
+      (* Loops now answer every new request [Shutting_down] and stop
+         polling the listener; the last of them closes it. *)
       Atomic.set t.state 1;
-      (* Readers now answer every new request [Shutting_down]; the
-         accept loop notices on its next timeout tick and exits, after
-         which the listener can be closed without racing it. *)
-      (match t.accept_thread with Some th -> Thread.join th | None -> ());
-      (try Unix.close t.listen_fd with _ -> ());
       (* Durable mode: force a group commit so already-appended writes
          ack on the flush instead of waiting out a commit interval.
          Later appends ride the committer's normal cadence; the
@@ -671,26 +755,12 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
          wall-clock time a backwards NTP step made this loop spin past
          its timeout and a forward step truncated the flush window. *)
       let deadline = Clock.now_ns () + int_of_float (timeout *. 1e9) in
-      let flushed () =
-        Atomic.get t.inflight = 0
-        && Array.for_all (fun q -> Bqueue.length q = 0) t.queues
-      in
+      let flushed () = Atomic.get t.inflight = 0 in
       while (not (flushed ())) && Clock.now_ns () < deadline do
         Unix.sleepf 0.002
       done;
       let ok = flushed () in
-      (* Closed queues still deliver what they hold: even on a flush
-         timeout every queued request is answered before its worker
-         exits — abandonment would be a silent drop. *)
-      Array.iter Bqueue.close t.queues;
-      Array.iter Domain.join t.worker_domains;
-      Atomic.set t.ticker_stop true;
-      (match t.ticker_thread with Some th -> Thread.join th | None -> ());
-      Mutex.lock t.conn_mutex;
-      let conns = !(t.conns) and readers = !(t.readers) in
-      Mutex.unlock t.conn_mutex;
-      List.iter shutdown_conn conns;
-      List.iter Thread.join readers;
+      stop_all t;
       Atomic.set t.state 2;
       t.drain_done <- true;
       t.drain_flushed <- ok;
@@ -700,8 +770,8 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
 
   (* Crash-simulation teardown: sever every connection NOW (peers see
      EOF, so in-flight requests become visible connection drops, never
-     silent non-replies on a live socket), then reap threads.  Used by
-     the recovery harness right after [Persist.Io.halt]: queued writes
+     silent non-replies on a live socket), then reap the loops.  Used
+     by the recovery harness right after [Persist.Io.halt]: writes
      reach a halted WAL, which refuses instantly, and [Lost] acks send
      nothing — exactly a killed process, minus the fd leak. *)
   let kill t =
@@ -709,20 +779,11 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
     if t.drain_done then Mutex.unlock t.drain_mutex
     else begin
       Atomic.set t.state 1;
-      (match t.accept_thread with Some th -> Thread.join th | None -> ());
-      (try Unix.close t.listen_fd with _ -> ());
       Mutex.lock t.conn_mutex;
       let conns = !(t.conns) in
       Mutex.unlock t.conn_mutex;
       List.iter shutdown_conn conns;
-      Array.iter Bqueue.close t.queues;
-      Array.iter Domain.join t.worker_domains;
-      Atomic.set t.ticker_stop true;
-      (match t.ticker_thread with Some th -> Thread.join th | None -> ());
-      Mutex.lock t.conn_mutex;
-      let readers = !(t.readers) in
-      Mutex.unlock t.conn_mutex;
-      List.iter Thread.join readers;
+      stop_all t;
       Atomic.set t.state 2;
       t.drain_done <- true;
       t.drain_flushed <- false;

@@ -14,7 +14,6 @@ type t = {
   max_wait : int;
   mutable wait : int;
   budget : int; (* 0 = unlimited *)
-  on_exhaust : unit -> unit; (* fires once per episode, at budget+1 *)
   mutable retries : int; (* draws since last [reset] *)
   mutable total_retries : int; (* draws over the controller's lifetime *)
   rng : Rng.t;
@@ -28,8 +27,7 @@ type t = {
    while decorrelating concurrent instances. *)
 let instances = Atomic.make 0
 
-let create ?(min_wait = 16) ?(max_wait = 4096) ?(budget = 0)
-    ?(on_exhaust = fun () -> ()) ?seed () =
+let create ?(min_wait = 16) ?(max_wait = 4096) ?(budget = 0) ?seed () =
   if min_wait <= 0 || max_wait < min_wait || budget < 0 then
     invalid_arg "Backoff.create";
   let seed =
@@ -43,7 +41,6 @@ let create ?(min_wait = 16) ?(max_wait = 4096) ?(budget = 0)
     max_wait;
     wait = min_wait;
     budget;
-    on_exhaust;
     retries = 0;
     total_retries = 0;
     rng = Rng.create seed;
@@ -53,9 +50,6 @@ let create ?(min_wait = 16) ?(max_wait = 4096) ?(budget = 0)
 let next_wait t =
   t.retries <- t.retries + 1;
   t.total_retries <- t.total_retries + 1;
-  (* Exactly one firing per episode: the draw that crosses the budget.
-     [reset] starting a new episode re-arms it. *)
-  if t.budget > 0 && t.retries = t.budget + 1 then t.on_exhaust ();
   let n = Rng.next_int t.rng t.wait in
   if t.wait < t.max_wait then t.wait <- t.wait * 2;
   n

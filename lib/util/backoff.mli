@@ -13,7 +13,6 @@ val create :
   ?min_wait:int ->
   ?max_wait:int ->
   ?budget:int ->
-  ?on_exhaust:(unit -> unit) ->
   ?seed:int ->
   unit ->
   t
@@ -22,11 +21,7 @@ val create :
     CAS-retry budget: once more than [budget] draws happen without a
     {!reset}, {!over_budget} turns true so the caller can report the
     contention (the watchdog's stuck-site escalation) — it never blocks
-    progress.  [budget = 0] (default) disables the check.
-    [on_exhaust] fires exactly once per episode, on the draw that
-    crosses the budget ({!reset} re-arms it) — the telemetry hook the
-    maps and the serving layer point at their
-    [Metrics.Retry_exhausted] counter.  It must not raise.  [seed]
+    progress.  [budget = 0] (default) disables the check.  [seed]
     fixes the PRNG drawing the spin lengths; by default each instance
     gets a distinct deterministic seed, so concurrently contending
     domains do not back off in lockstep. *)

@@ -35,7 +35,6 @@ type counter =
   | Sampling_passes
   | Cache_installs
   | Cache_adjustments
-  | Retry_exhausted
   | Wal_appends
   | Wal_fsyncs
   | Wal_retries
@@ -67,26 +66,25 @@ let[@inline] index = function
   | Sampling_passes -> 11
   | Cache_installs -> 12
   | Cache_adjustments -> 13
-  | Retry_exhausted -> 14
-  | Wal_appends -> 15
-  | Wal_fsyncs -> 16
-  | Wal_retries -> 17
-  | Checkpoints -> 18
-  | Checkpoint_records -> 19
-  | Recovery_replayed -> 20
-  | Tier_hits -> 21
-  | Tier_misses -> 22
-  | Tier_negative_hits -> 23
-  | Tier_evictions -> 24
-  | Tier_expirations -> 25
-  | Tier_rejections -> 26
+  | Wal_appends -> 14
+  | Wal_fsyncs -> 15
+  | Wal_retries -> 16
+  | Checkpoints -> 17
+  | Checkpoint_records -> 18
+  | Recovery_replayed -> 19
+  | Tier_hits -> 20
+  | Tier_misses -> 21
+  | Tier_negative_hits -> 22
+  | Tier_evictions -> 23
+  | Tier_expirations -> 24
+  | Tier_rejections -> 25
 
 let all =
   [
     Cas_attempts; Cas_retries; Helps; Freezes; Expansions; Compressions;
     Entombments; Cache_hits; Cache_misses; Cache_invalidations; Scrub_repairs;
-    Sampling_passes; Cache_installs; Cache_adjustments; Retry_exhausted;
-    Wal_appends; Wal_fsyncs; Wal_retries; Checkpoints; Checkpoint_records;
+    Sampling_passes; Cache_installs; Cache_adjustments; Wal_appends;
+    Wal_fsyncs; Wal_retries; Checkpoints; Checkpoint_records;
     Recovery_replayed; Tier_hits; Tier_misses; Tier_negative_hits;
     Tier_evictions; Tier_expirations; Tier_rejections;
   ]
@@ -108,7 +106,6 @@ let label = function
   | Sampling_passes -> "sampling_passes"
   | Cache_installs -> "cache_installs"
   | Cache_adjustments -> "cache_adjustments"
-  | Retry_exhausted -> "retry_exhausted"
   | Wal_appends -> "wal_appends"
   | Wal_fsyncs -> "wal_fsyncs"
   | Wal_retries -> "wal_retries"

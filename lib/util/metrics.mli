@@ -31,13 +31,6 @@ type counter =
   | Sampling_passes  (** cache-trie depth-sampling passes *)
   | Cache_installs  (** cache-trie cache creations *)
   | Cache_adjustments  (** cache-trie cache level changes *)
-  | Retry_exhausted
-      (** {!Backoff} retry-budget exhaustions attributed to this
-          structure: a budgeted contention episode (a CAS retry loop, a
-          full dispatch queue in the serving layer) burned its whole
-          budget without succeeding.  Bumped through
-          [Backoff.create ~on_exhaust]; structures that never run a
-          budgeted backoff read 0. *)
   | Wal_appends  (** records appended to the write-ahead log *)
   | Wal_fsyncs  (** group-commit fsyncs completed by the WAL *)
   | Wal_retries  (** failed fsyncs retried on the WAL's backoff budget *)

@@ -66,4 +66,5 @@ let fill t v =
     Array.fill t.data (base t r) t.width v
   done
 
-let footprint_words t = 1 + Array.length t.data
+(* The record (header + 4 fields) and its data array. *)
+let footprint_words t = 5 + 1 + Array.length t.data

@@ -67,4 +67,5 @@ val fill : t -> int -> unit
 (** Set every column of every row, the overflow row included. *)
 
 val footprint_words : t -> int
-(** Heap words of the backing array, header included. *)
+(** Heap words of the stripe: its record and backing array, headers
+    included. *)

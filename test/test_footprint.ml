@@ -4,8 +4,9 @@
    every reachable word is a trie word.  Covered per map: a few sizes,
    full-hash collisions (LNodes, via [Hashing.Deep], whose 12
    significant hash bits make thousands of keys collide) and the state
-   after a mass removal.  The cache-trie runs with its cache off; with
-   the cache on, the model adds the cache levels on top. *)
+   after a mass removal.  The cache-trie runs with its cache off here;
+   [test_cached] covers it with the cache on, where the model adds the
+   cache levels on top. *)
 
 open Ct_util
 
@@ -82,6 +83,34 @@ module CS_deep = Exact (struct
   let name = name ^ "-deep"
 end)
 
+(* Cache on: once [scrub] has dropped the entries whose nodes the trie
+   replaced, every cache entry shares a node the trie holds — an
+   [ANode] entry shares the slot's own box — so the model (trie plus
+   cache levels) moves exactly with the heap. *)
+module Cached = Cachetrie.Make (Hashing.Int_key)
+
+let test_cached () =
+  let empty : int Cached.t = Cached.create () in
+  let m : int Cached.t = Cached.create () in
+  let n = 30_000 in
+  for i = 0 to n - 1 do
+    Cached.insert m (i * 7919) i
+  done;
+  for i = 0 to n - 1 do
+    Alcotest.(check int) "find" i (Cached.find m (i * 7919))
+  done;
+  ignore (Cached.scrub m);
+  Alcotest.(check bool)
+    "a cache level exists" true
+    ((Cached.cache_stats m).Cachetrie.cache_level <> None);
+  (match Cached.validate m with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "validate: %s" e);
+  Alcotest.(check int)
+    (Printf.sprintf "cachetrie cached (%d keys): model delta = heap delta" n)
+    (heap_words m - heap_words empty)
+    (Cached.footprint_words m - Cached.footprint_words empty)
+
 (* The deep-hash maps must actually hold collision lists, or the LNode
    terms of the models go untested. *)
 let test_deep_has_collisions () =
@@ -97,4 +126,7 @@ let test_deep_has_collisions () =
 
 let suite =
   CT.suite @ CT_deep.suite @ CS.suite @ CS_deep.suite
-  @ [ ("deep keys collide", `Quick, test_deep_has_collisions) ]
+  @ [
+      ("cachetrie cached_after_scrub", `Quick, test_cached);
+      ("deep keys collide", `Quick, test_deep_has_collisions);
+    ]

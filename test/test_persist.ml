@@ -2,7 +2,7 @@
    group-commit acks / rotation, checkpoint round-trips, recovery's
    typed refusals (torn tail strict vs salvage, mid-file corruption,
    LSN gaps, corrupt checkpoints), the durable serving loop end to
-   end, and the property that salvage recovery after a randomly placed
+   end (including one key written from two loops), and the property that salvage recovery after a randomly placed
    crash is exactly a prefix of the appended operations. *)
 
 module Wal = Persist.Wal
@@ -314,6 +314,139 @@ let test_durable_server_survives_restart () =
         (Kv.Durable.Map.lookup (Kv.Durable.map st) 6 = None);
       ignore (Kv.Durable.close st)
 
+(* Several connections write the same keys at once.  Each connection's
+   frames run in order on the loop that owns it, but with two workers
+   two loops can write one key concurrently; the WAL must still log a
+   key's writes in the order the map applied them, or recovery brings
+   back a value other than the one the server last served.  Each loop
+   owns two of the writing connections, so both loops reach a round's
+   last writes together; every round uses fresh keys, so each key's
+   final write is a separate race; and a random pause after each exec
+   widens the window between a write's apply and its append. *)
+let test_durable_shared_key_order () =
+  with_dir @@ fun dir ->
+  let module Yp = Ct_util.Yieldpoint in
+  let exec_domain = Atomic.make (-1) in
+  Yp.install (fun phase site ->
+      if phase = Yp.After && Yp.name site = "server.worker.exec" then begin
+        Atomic.set exec_domain (Domain.self () :> int);
+        Unix.sleepf (float_of_int (Random.int 200) *. 1e-6)
+      end);
+  Fun.protect ~finally:Yp.clear @@ fun () ->
+  let per_loop = 2 and rounds = 40 and keys = 4 and reps = 8 in
+  let config =
+    {
+      (Kv.Server.default_config ()) with
+      Kv.Server.workers = 2;
+      queue_capacity = keys * reps;
+      tick_interval = 0.005;
+    }
+  in
+  let st =
+    match Kv.Durable.open_ ~dir () with
+    | Ok (st, _) -> st
+    | Error e -> Alcotest.failf "open: %s" (Recovery.error_to_string e)
+  in
+  let srv =
+    DS.start ~config ~durable:(Kv.Durable.hooks st) (Kv.Durable.map st)
+  in
+  (* The loop that wins the accept owns a connection; a probe Get
+     shows which domain that is.  Open connections until each loop
+     owns [per_loop], closing the spares. *)
+  let probe fd =
+    let b =
+      Kv.Protocol.encode_request
+        { Kv.Protocol.id = 1; deadline_ns = 0; op = Kv.Protocol.Get (-1); trace = 0 }
+    in
+    ignore (Unix.write fd b 0 (Bytes.length b));
+    let r = Kv.Protocol.Reader.create () in
+    while Kv.Protocol.Reader.next_frame r = None do
+      if Kv.Protocol.Reader.fill r fd = 0 then Alcotest.fail "probe refused"
+    done;
+    Atomic.get exec_domain
+  in
+  let rec open_conns owned attempts =
+    if List.length owned = 2 * per_loop then List.map snd owned
+    else if attempts = 0 then Alcotest.fail "connections never split across loops"
+    else begin
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, DS.port srv));
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      let d = probe fd in
+      if List.length (List.filter (fun (d', _) -> d' = d) owned) < per_loop
+      then open_conns ((d, fd) :: owned) (attempts - 1)
+      else begin
+        Unix.close fd;
+        open_conns owned (attempts - 1)
+      end
+    end
+  in
+  let fds = open_conns [] 64 in
+  let failures = Atomic.make 0 in
+  (* One burst: [reps] puts to each of the round's keys in one write,
+     then every reply, each of which must be a durable ack. *)
+  let burst round c fd =
+    let frames =
+      List.init (keys * reps) (fun i ->
+          let k = (round * keys) + (i mod keys) in
+          Kv.Protocol.encode_request
+            {
+              Kv.Protocol.id = i + 1;
+              deadline_ns = 0;
+              op = Kv.Protocol.Put (k, Printf.sprintf "c%d.%d" c i);
+              trace = 0;
+            })
+    in
+    let b = Bytes.concat Bytes.empty frames in
+    try
+      ignore (Unix.write fd b 0 (Bytes.length b));
+      let r = Kv.Protocol.Reader.create () in
+      let rec collect n =
+        if n > 0 then
+          match Kv.Protocol.Reader.next_frame r with
+          | Some p -> (
+              match Kv.Protocol.decode_reply p with
+              | Ok (_, Kv.Protocol.Stored _) -> collect (n - 1)
+              | _ -> Atomic.incr failures)
+          | None ->
+              if Kv.Protocol.Reader.fill r fd = 0 then Atomic.incr failures
+              else collect n
+      in
+      collect (keys * reps)
+    with _ -> Atomic.incr failures
+  in
+  for round = 0 to rounds - 1 do
+    List.mapi (fun c fd -> Thread.create (burst round c) fd) fds
+    |> List.iter Thread.join
+  done;
+  List.iter Unix.close fds;
+  check_int "every write acked durably" 0 (Atomic.get failures);
+  let served =
+    let c = Kv.Client.connect ~port:(DS.port srv) () in
+    let vs =
+      List.init (rounds * keys) (fun k ->
+          match Kv.Client.get c k with
+          | Kv.Protocol.Value v -> (k, v)
+          | _ -> Alcotest.failf "key %d not served" k)
+    in
+    Kv.Client.close c;
+    vs
+  in
+  Io.halt ();
+  DS.kill srv;
+  Kv.Durable.abandon st;
+  Io.resurrect ();
+  match Kv.Durable.open_ ~dir () with
+  | Error e -> Alcotest.failf "recover: %s" (Recovery.error_to_string e)
+  | Ok (st, _) ->
+      let m = Kv.Durable.map st in
+      let stale =
+        List.filter (fun (k, v) -> Kv.Durable.Map.lookup m k <> Some v) served
+      in
+      ignore (Kv.Durable.close st);
+      check_int "keys recovered to a value other than the last served" 0
+        (List.length stale)
+
 (* ------------------------ crash-point property ---------------------- *)
 
 (* Chaos.Disk kills the WAL at a random point (write or fsync, after a
@@ -442,5 +575,7 @@ let suite =
     Alcotest.test_case "lsn_gap_refused" `Quick test_lsn_gap_refused;
     Alcotest.test_case "durable_server_survives_restart" `Quick
       test_durable_server_survives_restart;
+    Alcotest.test_case "durable_shared_key_order" `Quick
+      test_durable_shared_key_order;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qtests

@@ -1,13 +1,11 @@
-(* KV serving layer (DESIGN.md §12): wire protocol, bounded queues,
-   end-to-end request/reply, the overload defences (deadlines,
-   queue-full backpressure, p99 admission control, slow-loris drops),
-   graceful drain under live traffic, and the load generator's
-   zero-silent-drop ledger. *)
+(* KV serving layer (DESIGN.md §12): wire protocol, end-to-end
+   request/reply, pipelined frames run in order by one loop, the
+   overload defences (deadlines, per-read backpressure, p99 admission
+   control, slow-loris drops), graceful drain under live traffic, and
+   the load generator's zero-silent-drop ledger. *)
 
 module Protocol = Kv.Protocol
-module Bqueue = Kv.Bqueue
 module Loadgen = Kv.Loadgen
-module Metrics = Ct_util.Metrics
 module M = Cachetrie.Make (Ct_util.Hashing.Int_key)
 module S = Kv.Server.Make (M)
 
@@ -33,6 +31,39 @@ let with_server ?config ?progress f =
 let with_client srv f =
   let c = Kv.Client.connect ~port:(S.port srv) () in
   Fun.protect ~finally:(fun () -> Kv.Client.close c) (fun () -> f c)
+
+(* Send every request in one [write] on a fresh connection, then read
+   until each has its reply.  Returns the replies in arrival order and
+   how many reads they took. *)
+let pipeline srv reqs =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, S.port srv));
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      let frames =
+        Bytes.concat Bytes.empty (List.map Protocol.encode_request reqs)
+      in
+      check_int "one write carries every frame" (Bytes.length frames)
+        (Unix.write fd frames 0 (Bytes.length frames));
+      let r = Protocol.Reader.create () in
+      let rec collect acc n reads =
+        if n = 0 then (List.rev acc, reads)
+        else
+          match Protocol.Reader.next_frame r with
+          | Some p -> (
+              match Protocol.decode_reply p with
+              | Ok ir -> collect (ir :: acc) (n - 1) reads
+              | Error e -> Alcotest.failf "bad reply: %s" e)
+          | None ->
+              if Protocol.Reader.fill r fd = 0 then
+                Alcotest.fail "connection closed early";
+              collect acc n (reads + 1)
+      in
+      collect [] (List.length reqs) 0)
+
+let req ?(deadline_ns = 0) id op = { Protocol.id; deadline_ns; op; trace = 0 }
 
 (* ------------------------------ protocol --------------------------- *)
 
@@ -281,46 +312,6 @@ let test_reader_traced_framing () =
         (q3.Protocol.trace = Obs.Trace.none
         && q3.Protocol.op = Protocol.Ping))
 
-(* ------------------------------- bqueue ---------------------------- *)
-
-let test_bqueue_basics () =
-  let q = Bqueue.create ~capacity:2 in
-  check_bool "push 1" true (Bqueue.try_push q 1);
-  check_bool "push 2" true (Bqueue.try_push q 2);
-  check_bool "push to full queue refused" false (Bqueue.try_push q 3);
-  let into = Array.make 4 None in
-  (match Bqueue.pop_batch q ~max:4 ~into with
-  | Some 2 ->
-      check_bool "fifo" true (into.(0) = Some 1 && into.(1) = Some 2)
-  | other ->
-      Alcotest.failf "expected Some 2, got %s"
-        (match other with
-        | None -> "None"
-        | Some n -> "Some " ^ string_of_int n));
-  (* A tick on an empty open queue wakes the consumer with 0 items —
-     the idle-heartbeat path. *)
-  let popped = ref (-1) in
-  let th =
-    Thread.create
-      (fun () ->
-        match Bqueue.pop_batch q ~max:4 ~into with
-        | Some n -> popped := n
-        | None -> popped := -2)
-      ()
-  in
-  Unix.sleepf 0.02;
-  Bqueue.tick q;
-  Thread.join th;
-  check_int "tick wakes an idle consumer with an empty batch" 0 !popped;
-  (* close: refuses new work but still delivers what it holds. *)
-  check_bool "push before close" true (Bqueue.try_push q 9);
-  Bqueue.close q;
-  check_bool "push after close refused" false (Bqueue.try_push q 10);
-  (match Bqueue.pop_batch q ~max:4 ~into with
-  | Some 1 -> check_bool "queued item survives close" true (into.(0) = Some 9)
-  | _ -> Alcotest.fail "expected the queued item after close");
-  check_bool "closed and drained" true (Bqueue.pop_batch q ~max:4 ~into = None)
-
 (* ----------------------------- end to end -------------------------- *)
 
 let test_e2e_basic () =
@@ -338,8 +329,11 @@ let test_e2e_basic () =
       check_bool "drain flushes" true (S.drain srv);
       check_bool "drain idempotent" true (S.drain srv))
 
-(* A request that waits out its deadline behind a stalled worker gets
-   the typed [Deadline_exceeded], and the late request never executes. *)
+(* A request that waits out its deadline behind a stalled execution
+   gets the typed [Deadline_exceeded], and the late request never
+   executes.  Both frames travel in one write on one connection, so
+   the Get is read with the blocker and waits behind its stalled
+   exec. *)
 let test_deadline_exceeded () =
   let stall =
     Chaos.Net.stall_sites ~one_in:1 ~max_stalls:1 ~duration:0.4
@@ -348,81 +342,78 @@ let test_deadline_exceeded () =
   Fun.protect ~finally:Chaos.clear (fun () ->
       with_server ~config:(small_config ~workers:1 ()) (fun srv map ->
           ignore (M.add map 5 "five");
-          (* Occupy the only worker: its first execution parks 0.4s. *)
-          let blocker =
-            Thread.create
-              (fun () ->
-                with_client srv (fun c -> ignore (Kv.Client.get c 5)))
-              ()
+          let replies, _ =
+            pipeline srv
+              [ req 1 (Protocol.Get 5); req ~deadline_ns:50_000_000 2 (Protocol.Get 5) ]
           in
-          Unix.sleepf 0.1;
-          with_client srv (fun c ->
-              match Kv.Client.get c ~deadline_ns:50_000_000 5 with
-              | Protocol.Deadline_exceeded -> ()
-              | r ->
-                  Alcotest.failf "expected Deadline_exceeded, got %s"
-                    (Protocol.reply_label r));
-          Thread.join blocker;
+          (match List.assoc_opt 2 replies with
+          | Some Protocol.Deadline_exceeded -> ()
+          | Some r ->
+              Alcotest.failf "expected Deadline_exceeded, got %s"
+                (Protocol.reply_label r)
+          | None -> Alcotest.fail "no reply for the deadline request");
+          check_bool "the blocker executed" true
+            (List.assoc_opt 1 replies = Some (Protocol.Value "five"));
           check_bool "stall fired" true (Chaos.Net.stalls_fired stall >= 1);
           check_bool "deadline miss counted" true
             (S.stat srv "deadline_expired" >= 1)))
 
-(* Pipelined flood against a stalled single worker with a tiny queue:
-   the overflow comes back as typed [Overloaded Queue_full] replies —
-   every id answered exactly once, none silently dropped — and the
-   budget exhaustion surfaces on the served map's uniform stats. *)
+(* A flood pipelined in one write against a stalled loop with a bound
+   of 2 frames per read: the overflow comes back as typed
+   [Overloaded Queue_full] replies — every id answered exactly once,
+   none silently dropped. *)
 let test_queue_full_shed () =
   ignore
     (Chaos.Net.stall_sites ~one_in:1 ~max_stalls:1 ~duration:0.5
        "server.worker.");
   Fun.protect ~finally:Chaos.clear (fun () ->
-      let config =
-        { (small_config ~workers:1 ~queue:2 ()) with Kv.Server.enqueue_budget = 1 }
-      in
-      with_server ~config (fun srv map ->
+      with_server ~config:(small_config ~workers:1 ~queue:2 ()) (fun srv _map ->
           let n = 16 in
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          Fun.protect
-            ~finally:(fun () -> try Unix.close fd with _ -> ())
-            (fun () ->
-              Unix.connect fd
-                (Unix.ADDR_INET (Unix.inet_addr_loopback, S.port srv));
-              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-              (* Same key → same worker queue: all behind the stall. *)
-              for id = 1 to n do
-                let f =
-                  Protocol.encode_request
-                    { Protocol.id; deadline_ns = 0; op = Protocol.Get 3; trace = 0 }
-                in
-                ignore (Unix.write fd f 0 (Bytes.length f))
-              done;
-              let seen = Array.make (n + 1) 0 in
-              let sheds = ref 0 in
-              let r = Protocol.Reader.create () in
-              for _ = 1 to n do
-                match Protocol.Reader.read_frame r fd with
-                | Some p -> (
-                    match Protocol.decode_reply p with
-                    | Ok (id, reply) ->
-                        seen.(id) <- seen.(id) + 1;
-                        if reply = Protocol.Overloaded Protocol.Queue_full then
-                          incr sheds
-                    | Error e -> Alcotest.failf "bad reply: %s" e)
-                | None -> Alcotest.fail "connection closed early"
-              done;
-              for id = 1 to n do
-                check_int
-                  (Printf.sprintf "id %d answered exactly once" id)
-                  1 seen.(id)
-              done;
-              check_bool "some requests were shed" true (!sheds >= 1);
-              check_bool "some requests were executed" true (!sheds < n);
-              check_int "server counted the sheds" !sheds
-                (S.stat srv "shed_queue_full");
-              check_bool "retry budget exhaustion on the map's stats" true
-                (match List.assoc_opt "retry_exhausted" (M.stats map) with
-                | Some v -> v >= 1
-                | None -> false))))
+          let replies, _ =
+            pipeline srv (List.init n (fun i -> req (i + 1) (Protocol.Get 3)))
+          in
+          let seen = Array.make (n + 1) 0 in
+          let sheds = ref 0 in
+          List.iter
+            (fun (id, reply) ->
+              seen.(id) <- seen.(id) + 1;
+              if reply = Protocol.Overloaded Protocol.Queue_full then incr sheds)
+            replies;
+          for id = 1 to n do
+            check_int
+              (Printf.sprintf "id %d answered exactly once" id)
+              1 seen.(id)
+          done;
+          check_bool "some requests were shed" true (!sheds >= 1);
+          check_bool "some requests were executed" true (!sheds < n);
+          check_int "server counted the sheds" !sheds
+            (S.stat srv "shed_queue_full")))
+
+(* Frames pipelined on one connection run in order, and the replies of
+   one read go back in one write: the five replies arrive in request
+   order with the values a serial execution gives, in a single read. *)
+let test_pipelined_fifo () =
+  with_server ~config:(small_config ()) (fun srv _map ->
+      let replies, reads =
+        pipeline srv
+          [
+            req 1 (Protocol.Put (9, "a"));
+            req 2 (Protocol.Put (9, "b"));
+            req 3 (Protocol.Get 9);
+            req 4 (Protocol.Remove 9);
+            req 5 (Protocol.Get 9);
+          ]
+      in
+      check_bool "replies in request order with serial values" true
+        (replies
+        = [
+            (1, Protocol.Stored false);
+            (2, Protocol.Stored true);
+            (3, Protocol.Value "b");
+            (4, Protocol.Removed);
+            (5, Protocol.Nil);
+          ]);
+      check_int "the five replies arrive in a single read" 1 reads)
 
 (* Admission control: with the p99 bound set below the floor of real
    request latency, the control loop starts shedding with typed
@@ -469,8 +460,8 @@ let test_latency_breach_shed () =
           done;
           check_bool "shedding recovers when the episode ends" true !recovered))
 
-(* Slow-loris: a peer that trickles a frame slower than the receive
-   timeout loses its connection (typed counter, thread freed). *)
+(* Slow-loris: a peer that leaves a frame partial for longer than the
+   idle timeout loses its connection (typed counter, loop freed). *)
 let test_slow_loris_dropped () =
   let config = { (small_config ()) with Kv.Server.idle_timeout = 0.1 } in
   with_server ~config (fun srv _map ->
@@ -703,9 +694,9 @@ let test_drain_under_traffic () =
       check_bool "drain produced typed shutdown replies or drops" true
         (s.Loadgen.shutting_down >= 1 || s.Loadgen.dropped >= 1))
 
-(* Workers attach progress slots, heartbeat while idle (ticker wakes
-   them), and detach on drain — so a watchdog over the same progress
-   sees no stall from a clean shutdown. *)
+(* Loops attach progress slots, heartbeat while idle (every select
+   timeout ends a pass), and detach on drain — so a watchdog over the
+   same progress sees no stall from a clean shutdown. *)
 let test_progress_clean_drain () =
   let progress = Ct_util.Progress.create ~slots:4 () in
   let wd = Harness.Watchdog.create ~stall_epochs:2 progress in
@@ -736,8 +727,8 @@ let test_drain_monotonic_deadline () =
   let module Slow = struct
     include M
 
-    (* Pin one worker inside a lookup so the drain flush wait has a
-       live in-flight request to time out on. *)
+    (* Pin the loop inside a lookup so the drain flush wait has a live
+       in-flight request to time out on. *)
     let lookup t k =
       Thread.delay 1.5;
       M.lookup t k
@@ -756,13 +747,13 @@ let test_drain_monotonic_deadline () =
             Fun.protect
               ~finally:(fun () -> Kv.Client.close c)
               (fun () ->
-                (* Closed queues still answer what they hold, so this
-                   returns once the slow worker finishes. *)
+                (* A stopping loop finishes its pass, so this returns
+                   once the slow lookup does. *)
                 ignore (Kv.Client.request c (Kv.Protocol.Get 1));
                 Atomic.set got_reply true))
           ()
       in
-      (* Let the request reach the sleeping worker. *)
+      (* Let the request reach the sleeping loop. *)
       Unix.sleepf 0.3;
       (* Fake monotonic time that advances 0.25 s per reading: a 60 s
          drain timeout elapses after ~240 polls of the flush loop. *)
@@ -787,10 +778,10 @@ let suite =
     ("protocol_trace_propagation", `Quick, test_protocol_trace_propagation);
     ("reader_framing", `Quick, test_reader_framing);
     ("reader_traced_framing", `Quick, test_reader_traced_framing);
-    ("bqueue_basics", `Quick, test_bqueue_basics);
     ("e2e_basic", `Quick, test_e2e_basic);
     ("deadline_exceeded", `Quick, test_deadline_exceeded);
     ("queue_full_shed", `Quick, test_queue_full_shed);
+    ("pipelined_fifo", `Quick, test_pipelined_fifo);
     ("latency_breach_shed", `Quick, test_latency_breach_shed);
     ("slow_loris_dropped", `Quick, test_slow_loris_dropped);
     ("loadgen_trace_roundtrip", `Quick, test_loadgen_trace_roundtrip);
