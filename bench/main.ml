@@ -1168,7 +1168,7 @@ let run_persist scale =
        ])
 
 (* Bounded cache tier (BENCH_cache.json): hit-rate vs throughput per
-   replacement policy and budget under zipfian skew (DESIGN.md §15).
+   budget under zipfian skew (DESIGN.md §15).
    Multi-domain read-through traffic against a universe much larger
    than any budget: every miss fabricates a ~64-byte value through the
    loader, so the curve shows what eviction quality buys back.  The
@@ -1193,55 +1193,43 @@ let run_cache scale =
   in
   let value_of k = String.make 64 (Char.chr (65 + (k land 25))) in
   let budgets = [ 1 lsl 14; 1 lsl 16 ] in
-  let policies = [ Cache.Fifo; Cache.Clock_hand; Cache.Slru ] in
   let rows =
-    List.concat_map
+    List.map
       (fun budget_words ->
-        List.map
-          (fun policy ->
-            let cfg =
-              { (Cache.default_config ~budget_words) with Cache.policy }
-            in
-            let t = Cache_tier.create ~config:cfg () in
-            let load k = Some (value_of k) in
-            let elapsed, ops =
-              Harness.Parallel.run_counted ~domains (fun d counters ->
-                  let keys = streams.(d) in
-                  let n = Array.length keys in
-                  for i = 0 to n - 1 do
-                    ignore
-                      (Sys.opaque_identity
-                         (Cache_tier.get_or_load t keys.(i) ~load))
-                  done;
-                  Ct_util.Stripe.add counters d n)
-            in
-            let s = Cache_tier.stats t in
-            let looked = s.Cache.hits + s.Cache.misses in
-            let hit_rate =
-              if looked = 0 then 0.0
-              else float_of_int s.Cache.hits /. float_of_int looked
-            in
-            let budget_ok =
-              s.Cache.used_words <= budget_words
-              && Cache_tier.validate t = Ok ()
-            in
-            if not budget_ok then
-              failwith "cache bench: budget or accounting violated";
-            ( Cache.policy_name policy,
-              budget_words,
-              float_of_int ops /. elapsed,
-              hit_rate,
-              s ))
-          policies)
+        let t =
+          Cache_tier.create ~config:(Cache.default_config ~budget_words) ()
+        in
+        let load k = Some (value_of k) in
+        let elapsed, ops =
+          Harness.Parallel.run_counted ~domains (fun d counters ->
+              let keys = streams.(d) in
+              let n = Array.length keys in
+              for i = 0 to n - 1 do
+                ignore
+                  (Sys.opaque_identity (Cache_tier.get_or_load t keys.(i) ~load))
+              done;
+              Ct_util.Stripe.add counters d n)
+        in
+        let s = Cache_tier.stats t in
+        let looked = s.Cache.hits + s.Cache.misses in
+        let hit_rate =
+          if looked = 0 then 0.0
+          else float_of_int s.Cache.hits /. float_of_int looked
+        in
+        let budget_ok =
+          s.Cache.used_words <= budget_words && Cache_tier.validate t = Ok ()
+        in
+        if not budget_ok then
+          failwith "cache bench: budget or accounting violated";
+        (budget_words, float_of_int ops /. elapsed, hit_rate, s))
       budgets
   in
   Harness.Report.print_table
     ~header:
-      [ "policy"; "budget words"; "Mops/s"; "hit rate"; "evictions"; "resident" ]
+      [ "budget words"; "Mops/s"; "hit rate"; "evictions"; "resident" ]
     (List.map
-       (fun (policy, budget, rate, hit, s) ->
+       (fun (budget, rate, hit, s) ->
          [
-           policy;
            string_of_int budget;
            Printf.sprintf "%.2f" (rate /. 1e6);
            Printf.sprintf "%.3f" hit;
@@ -1265,10 +1253,9 @@ let run_cache scale =
          ( "points",
            Json.List
              (List.map
-                (fun (policy, budget, rate, hit, s) ->
+                (fun (budget, rate, hit, s) ->
                   Json.Obj
                     [
-                      ("policy", Json.String policy);
                       ("budget_words", Json.Int budget);
                       ("ops_per_s", Json.Float rate);
                       ("hit_rate", Json.Float hit);

@@ -590,12 +590,21 @@ module Serve (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
     }
   in
   let drain_result = ref None in
+  let executed0 = Srv.stat srv "executed" in
   let gen =
     Thread.create
       (fun () -> drain_result := Some (Loadgen.run ~port drain_plan))
       ()
   in
-  Unix.sleepf 0.1;
+  (* Drain only once the phase's traffic is being served, so the drain
+     meets live requests; bounded, so a load that never arrives shows
+     as the ok-reply check below failing, not as a hang. *)
+  let live_by = Ct_util.Clock.now_ns () + 5_000_000_000 in
+  while
+    Srv.stat srv "executed" <= executed0 && Ct_util.Clock.now_ns () < live_by
+  do
+    Unix.sleepf 1e-3
+  done;
   check "drain flushed every queued request" (Srv.drain ~timeout:10.0 srv);
   Thread.join gen;
   (match !drain_result with
@@ -604,7 +613,9 @@ module Serve (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
       Format.printf "%a@." Loadgen.pp_summary d;
       check "drain-phase ledger verifies" (Loadgen.verify d = Ok ());
       check "drain produced typed shutdown replies or accounted drops"
-        (d.Loadgen.shutting_down >= 1 || d.Loadgen.dropped >= 1));
+        (d.Loadgen.shutting_down >= 1 || d.Loadgen.dropped >= 1);
+      check "drain-phase load was served before the drain"
+        (d.Loadgen.ok >= 1));
   (* Workers detached on drain: a clean shutdown must not read as a
      stall. *)
   Harness.Watchdog.stop w;
@@ -1344,7 +1355,7 @@ let recover_cmd =
 
 (* repro cache [--full]    deterministic self-check of the bounded
    cache tier (DESIGN.md §15): the budget invariant and exact
-   accounting under a zipfian read-through load for every policy,
+   accounting under a zipfian read-through load,
    deterministic TTL expiry on an injected clock, negative-caching
    stampede absorption, and the serving layer's opt-in cache mode end
    to end — including the tier counters showing up in the Prometheus
@@ -1370,31 +1381,22 @@ let cache_run timeout scale =
      let keys =
        Harness.Workload.zipf_keys ~seed:0xCAC4E ~n ~universe 0.99
      in
-     (* Phase 1 — budget + accounting per policy under skewed load. *)
-     List.iter
-       (fun policy ->
-         let cfg =
-           { (Cache.default_config ~budget_words:budget) with Cache.policy }
-         in
-         let t = Cache_tier.create ~config:cfg () in
-         let load k = Some (string_of_int k) in
-         Array.iter (fun k -> ignore (Cache_tier.get_or_load t k ~load)) keys;
-         let name = Cache.policy_name policy in
-         let s = Cache_tier.stats t in
-         check
-           (Printf.sprintf "%s: resident footprint within budget" name)
-           (s.Cache.used_words <= budget);
-         check
-           (Printf.sprintf "%s: quiescent accounting reconciles" name)
-           (Cache_tier.validate t = Ok ());
-         check
-           (Printf.sprintf "%s: skewed load hits at least 30%%" name)
-           (float_of_int s.Cache.hits
-            >= 0.3 *. float_of_int (s.Cache.hits + s.Cache.misses));
-         check
-           (Printf.sprintf "%s: eviction happened (universe >> budget)" name)
-           (s.Cache.evictions > 0))
-       [ Cache.Fifo; Cache.Clock_hand; Cache.Slru ];
+     (* Phase 1 — budget + accounting under skewed load. *)
+     let t =
+       Cache_tier.create ~config:(Cache.default_config ~budget_words:budget) ()
+     in
+     let load k = Some (string_of_int k) in
+     Array.iter (fun k -> ignore (Cache_tier.get_or_load t k ~load)) keys;
+     let s = Cache_tier.stats t in
+     check "zipf: resident footprint within budget"
+       (s.Cache.used_words <= budget);
+     check "zipf: quiescent accounting reconciles"
+       (Cache_tier.validate t = Ok ());
+     check "zipf: skewed load hits at least 30%"
+       (float_of_int s.Cache.hits
+        >= 0.3 *. float_of_int (s.Cache.hits + s.Cache.misses));
+     check "zipf: eviction happened (universe >> budget)"
+       (s.Cache.evictions > 0);
      (* Phase 2 — deterministic TTL on an injected clock. *)
      let clk = Atomic.make 0 in
      let tcfg =
@@ -1439,9 +1441,9 @@ let cache_run timeout scale =
                  Cache_map.lookup backing k));
          c_put =
            (fun k v ->
-             Cache_map.insert backing k v;
+             let prev = Cache_map.add backing k v in
              ignore (Cache_tier.put front k v);
-             true);
+             Option.is_some prev);
          c_remove =
            (fun k ->
              ignore (Cache_tier.remove front k);
@@ -1462,6 +1464,8 @@ let cache_run timeout scale =
            ~finally:(fun () -> Kv.Client.close c)
            (fun () ->
              check "serve: put through the cache tier"
+               (Kv.Client.put c 1 "one" = Kv.Protocol.Stored false);
+             check "serve: overwrite through the cache tier"
                (Kv.Client.put c 1 "one" = Kv.Protocol.Stored true);
              check "serve: read back through the tier"
                (Kv.Client.get c 1 = Kv.Protocol.Value "one");
@@ -1500,7 +1504,7 @@ let cache_cmd =
     (Cmd.info "cache"
        ~doc:
          "Self-check of the bounded cache tier: budget invariant and exact \
-          accounting per policy under zipfian load, deterministic TTL expiry \
+          accounting under zipfian load, deterministic TTL expiry \
           on an injected clock, negative-caching stampede absorption, and \
           the serving layer's cache mode with exported tier counters.")
     Term.(const cache_run $ timeout_term $ scale_term)

@@ -12,12 +12,14 @@
      of every interleaving — the QCheck churn property samples it
      concurrently — and resident cost never exceeds [used] (cost is
      released only after the entry is out of the map).
-   - replacement: striped lock-free rings of keys in admission order
-     (Ring).  FIFO pops and evicts; CLOCK gives one second chance to
-     entries whose access bit was set by a read; segmented-LRU keeps a
-     protected segment fed by promotion-on-hit, demoting FIFO-style
-     when the protected share outgrows its fraction, and always evicts
-     probation first.
+   - replacement: CLOCK over striped lock-free rings of keys in
+     admission order (Ring).  Eviction pops the oldest key; an entry
+     whose access bit was set by a read since its last pass gets the
+     bit cleared and one re-push (its second chance) instead.  An
+     overwrite keeps the key's ring position.  CLOCK is the only
+     policy: on the served cache-zipf traffic (2 domains, 1 put in 16
+     overwriting a live key) it beat FIFO and segmented LRU on hit
+     rate and CPU per op (DESIGN.md §15).
    - TTL: a hashed timing wheel (Wheel) driven opportunistically from
      write paths by the monotonic clock (injectable for tests).  Reads
      check expiry stamps themselves, so wheel lateness is a space
@@ -35,21 +37,11 @@
 module Metrics = Ct_util.Metrics
 module Clock = Ct_util.Clock
 
-type policy = Fifo | Clock_hand | Slru
-
-let policy_name = function
-  | Fifo -> "fifo"
-  | Clock_hand -> "clock"
-  | Slru -> "slru"
-
 type config = {
   budget_words : int;  (* resident-cost ceiling, machine words *)
-  policy : policy;
   stripes : int;  (* ring stripes; <= 0 = one per domain slot *)
-  default_ttl_ns : int;  (* put TTL when none given; 0 = no expiry *)
   negative_ttl_ns : int;  (* Absent-entry TTL *)
   max_entry_frac : float;  (* admission: reject entries above this share *)
-  protected_frac : float;  (* SLRU protected-segment share *)
   wheel_slots : int;
   wheel_tick_ns : int;
 }
@@ -57,12 +49,9 @@ type config = {
 let default_config ~budget_words =
   {
     budget_words;
-    policy = Clock_hand;
     stripes = 0;
-    default_ttl_ns = 0;
     negative_ttl_ns = 1_000_000_000;
     max_entry_frac = 0.25;
-    protected_frac = 0.8;
     wheel_slots = 256;
     wheel_tick_ns = 100_000_000;
   }
@@ -99,22 +88,18 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
     cost : int;  (* words reserved against the budget *)
     expires_at : int;  (* cache-clock ns; max_int = never *)
     mutable touched : bool;  (* access bit (CLOCK second chance) *)
-    mutable level : int;  (* 0 = probation, 1 = protected (SLRU) *)
   }
 
   type 'v t = {
     cfg : config;
     map : 'v entry M.t;
     used : int Atomic.t;
-    prot_used : int Atomic.t;  (* advisory SLRU protected share *)
-    rings : key Ring.t array;  (* probation / admission order *)
-    prot_rings : key Ring.t array;  (* SLRU protected segment *)
+    rings : key Ring.t array;  (* admission order *)
     smask : int;
     wheel : key Wheel.t;
     now : unit -> int;
     cost_fn : key -> 'v -> int;
     max_entry_words : int;
-    protected_budget : int;
     hand : int Atomic.t;  (* round-robin stripe cursor for eviction *)
     metrics : Metrics.t;
   }
@@ -127,8 +112,6 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
       invalid_arg "Cache.create: budget below one entry's overhead";
     if cfg.max_entry_frac <= 0.0 || cfg.max_entry_frac > 1.0 then
       invalid_arg "Cache.create: max_entry_frac outside (0, 1]";
-    if cfg.protected_frac <= 0.0 || cfg.protected_frac >= 1.0 then
-      invalid_arg "Cache.create: protected_frac outside (0, 1)";
     let now = match now with Some f -> f | None -> Clock.monotonic_ns in
     let cost_fn =
       match cost with
@@ -141,8 +124,8 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
     in
     (* Ring capacity: ~2x the largest possible resident population
        (budget / minimum entry cost), split across stripes, so CLOCK
-       re-pushes and SLRU demotions rarely displace.  Rings and wheel
-       are structure overhead, not charged against the budget. *)
+       re-pushes rarely displace.  Rings and wheel are structure
+       overhead, not charged against the budget. *)
     let per_stripe =
       max 64 (2 * cfg.budget_words / entry_overhead_words / stripes)
     in
@@ -150,9 +133,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
       cfg;
       map = M.create ();
       used = Atomic.make 0;
-      prot_used = Atomic.make 0;
       rings = Array.init stripes (fun _ -> Ring.create ~capacity:per_stripe);
-      prot_rings = Array.init stripes (fun _ -> Ring.create ~capacity:per_stripe);
       smask = stripes - 1;
       wheel =
         Wheel.create ~slots:cfg.wheel_slots ~tick_ns:cfg.wheel_tick_ns
@@ -162,8 +143,6 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
       max_entry_words =
         max entry_overhead_words
           (int_of_float (cfg.max_entry_frac *. float_of_int cfg.budget_words));
-      protected_budget =
-        int_of_float (cfg.protected_frac *. float_of_int cfg.budget_words);
       hand = Atomic.make 0;
       metrics = Metrics.create ~family:"cache-tier";
     }
@@ -178,9 +157,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
 
   (* ---------------------------- accounting --------------------------- *)
 
-  let[@inline] release t e =
-    ignore (Atomic.fetch_and_add t.used (-e.cost));
-    if e.level = 1 then ignore (Atomic.fetch_and_add t.prot_used (-e.cost))
+  let[@inline] release t e = ignore (Atomic.fetch_and_add t.used (-e.cost))
 
   (* Remove [k] for budget pressure.  True iff this call unbound it. *)
   let evict_key t k =
@@ -203,32 +180,28 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
 
   (* ---------------------------- replacement -------------------------- *)
 
-  (* Pop-scan a ring family round-robin from the hand.  [want_level]
-     skips entries whose SLRU level moved since they were pushed (the
-     live copy is tracked by the other family's ring).  [second_chance]
-     is CLOCK: a touched entry gets its bit cleared and one re-push
-     instead of eviction — except inside the last stripe-round of the
-     scan bound, where eviction is forced so the scan terminates even
-     if every resident entry is hot. *)
-  let evict_scan t rings ~second_chance ~want_level =
+  (* CLOCK: pop-scan the rings round-robin from the hand.  A touched
+     entry gets its bit cleared and one re-push instead of eviction —
+     except inside the last stripe-round of the scan bound, where
+     eviction is forced so the scan terminates even if every resident
+     entry is hot. *)
+  let evict_one t =
     let n = t.smask + 1 in
     let bound = (4 * n) + 8 in
     let start = Atomic.fetch_and_add t.hand 1 in
     let rec go i dry =
       if dry >= n || i >= bound then false
       else
-        let r = rings.((start + i) land t.smask) in
+        let r = t.rings.((start + i) land t.smask) in
         match Ring.pop r with
         | None -> go (i + 1) (dry + 1)
         | Some k -> (
             match M.lookup t.map k with
             | None -> go (i + 1) 0  (* stale: key already gone *)
             | Some e ->
-                if (match want_level with Some l -> e.level <> l | None -> false)
-                then go (i + 1) 0
-                else if e.expires_at <= t.now () then
+                if e.expires_at <= t.now () then
                   if drop_expired t k e then true else go (i + 1) 0
-                else if second_chance && e.touched && i < bound - n then begin
+                else if e.touched && i < bound - n then begin
                   e.touched <- false;
                   Ring.push r k ~on_displace:(fun v -> ignore (evict_key t v));
                   go (i + 1) 0
@@ -237,51 +210,6 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
                 else go (i + 1) 0)
     in
     go 0 0
-
-  let demote_key t k =
-    match M.lookup t.map k with
-    | Some e when e.level = 1 ->
-        e.level <- 0;
-        e.touched <- false;
-        ignore (Atomic.fetch_and_add t.prot_used (-e.cost));
-        Ring.push t.rings.(stripe_of_domain t) k
-          ~on_displace:(fun v -> ignore (evict_key t v))
-    | _ -> ()
-
-  let demote_one t =
-    let n = t.smask + 1 in
-    let start = Atomic.fetch_and_add t.hand 1 in
-    let rec go i =
-      if i >= n then false
-      else
-        match Ring.pop t.prot_rings.((start + i) land t.smask) with
-        | Some k ->
-            demote_key t k;
-            true
-        | None -> go (i + 1)
-    in
-    go 0
-
-  (* Promotion on probation hit (SLRU).  The level flip is a benign
-     race: a double promotion double-counts [prot_used], which only
-     hastens a demotion — the budget invariant lives in [used]. *)
-  let promote t k e =
-    e.level <- 1;
-    ignore (Atomic.fetch_and_add t.prot_used e.cost);
-    Ring.push t.prot_rings.(stripe_of_domain t) k ~on_displace:(demote_key t);
-    let rec rebalance guard =
-      if guard > 0 && Atomic.get t.prot_used > t.protected_budget then
-        if demote_one t then rebalance (guard - 1)
-    in
-    rebalance 8
-
-  let evict_one t =
-    match t.cfg.policy with
-    | Fifo -> evict_scan t t.rings ~second_chance:false ~want_level:None
-    | Clock_hand -> evict_scan t t.rings ~second_chance:true ~want_level:None
-    | Slru ->
-        evict_scan t t.rings ~second_chance:false ~want_level:(Some 0)
-        || evict_scan t t.prot_rings ~second_chance:false ~want_level:(Some 1)
 
   exception Found_victim
 
@@ -357,9 +285,6 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
               Negative
           | Value v ->
               Metrics.incr t.metrics Metrics.Tier_hits;
-              (match t.cfg.policy with
-              | Slru when e.level = 0 -> promote t k e
-              | _ -> ());
               Hit v
         end
 
@@ -397,11 +322,11 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
           let e = t.now () + ttl_ns in
           if e < 0 then max_int else e
       in
-      let e = { payload; cost; expires_at; touched = false; level = 0 } in
+      let e = { payload; cost; expires_at; touched = false } in
       (match M.add t.map k e with
       | Some prev ->
           (* Overwrite: the old reservation is released and the ring
-             position inherited — FIFO order does not refresh on
+             position inherited — admission order does not refresh on
              update, matching the Nichecache exemplar. *)
           release t prev
       | None ->
@@ -411,10 +336,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
       true
     end
 
-  let put ?ttl_ns t k v =
-    let ttl_ns =
-      match ttl_ns with Some n -> n | None -> t.cfg.default_ttl_ns
-    in
+  let put ?(ttl_ns = 0) t k v =
     put_payload t k (Value v) ~ttl_ns ~value_cost:(t.cost_fn k v)
 
   let put_absent ?ttl_ns t k =

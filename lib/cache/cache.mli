@@ -1,6 +1,11 @@
 (** Bounded cache tier: a functor over any [CONCURRENT_MAP] that
-    enforces a word budget with pluggable replacement, TTL expiry via
-    a hashed timing wheel, and typed negative caching (DESIGN.md §15).
+    enforces a word budget with CLOCK replacement, TTL expiry via a
+    hashed timing wheel, and typed negative caching (DESIGN.md §15).
+
+    CLOCK is the only policy: keys sit in striped rings in admission
+    order; eviction pops the oldest, and an entry read since its last
+    pass gets one second chance (its access bit is cleared and it is
+    re-pushed) instead.  An overwrite keeps the key's ring position.
 
     The budget is a hard invariant, not a goal: admission reserves an
     entry's cost against the budget with a CAS {e before} the entry
@@ -10,38 +15,21 @@
     ([Obj.reachable_words] of key and value by default, overridable)
     plus a fixed {!entry_overhead_words} metadata charge. *)
 
-(** Replacement policy for the probation rings. *)
-type policy =
-  | Fifo  (** evict in admission order; overwrite does not refresh *)
-  | Clock_hand
-      (** FIFO with one second chance for entries read since admission
-          (access bit), i.e. CLOCK *)
-  | Slru
-      (** segmented LRU: hits promote to a protected segment sized
-          [protected_frac] of the budget; probation evicts first *)
-
-val policy_name : policy -> string
-
 type config = {
   budget_words : int;  (** resident-cost ceiling, machine words *)
-  policy : policy;
   stripes : int;
       (** ring stripes; [<= 0] = one per {!Ct_util.Domain_slot} *)
-  default_ttl_ns : int;  (** TTL applied by {!Make.put} when none is
-      given; [0] = entries never expire *)
   negative_ttl_ns : int;  (** TTL for {!Make.put_absent} entries *)
   max_entry_frac : float;
       (** entries costing more than this fraction of the budget are
           rejected at admission rather than flushing the cache *)
-  protected_frac : float;  (** SLRU protected-segment share *)
   wheel_slots : int;
   wheel_tick_ns : int;
 }
 
 val default_config : budget_words:int -> config
-(** CLOCK policy, auto stripes, no default TTL, 1 s negative TTL,
-    [max_entry_frac = 0.25], [protected_frac = 0.8], 256-slot wheel of
-    100 ms ticks. *)
+(** Auto stripes, 1 s negative TTL, [max_entry_frac = 0.25], 256-slot
+    wheel of 100 ms ticks. *)
 
 val entry_overhead_words : int
 (** Fixed metadata charge per resident entry (entry record, map leaf,
@@ -89,12 +77,12 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) : sig
       expiry tests); [cost] prices a key/value pair in words (default
       {!word_cost} of both).
       @raise Invalid_argument on a budget below one entry's overhead
-      or fractions outside their ranges. *)
+      or [max_entry_frac] outside [(0, 1]]. *)
 
   val find : 'v t -> key -> 'v lookup
   (** Read path.  Checks the expiry stamp itself (dropping a dead
-      entry on sight), sets the access bit, and under SLRU promotes
-      probation hits.  Counts a hit, negative hit, or miss. *)
+      entry on sight) and sets the access bit.  Counts a hit, negative
+      hit, or miss. *)
 
   val get : 'v t -> key -> 'v option
   (** {!find} with [Negative] and [Miss] both collapsed to [None]. *)
@@ -103,9 +91,8 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) : sig
   (** [put t k v] admits [k -> v] under the budget, evicting as
       needed.  [false] = admission refused (entry above
       [max_entry_frac], or the budget could not be met), counted as a
-      rejection.  [ttl_ns] overrides [config.default_ttl_ns];
-      [<= 0] means no expiry.  Overwriting keeps the key's
-      replacement-order position (FIFO does not refresh). *)
+      rejection.  [ttl_ns] omitted or [<= 0] means no expiry.
+      Overwriting keeps the key's ring position. *)
 
   val put_absent : ?ttl_ns:int -> 'v t -> key -> bool
   (** Cache "the backing store has no [k]" for [ttl_ns] (default

@@ -118,15 +118,15 @@ type durable = {
   d_read_only : unit -> bool;  (* the log degraded; refuse writes *)
 }
 
-(* Bounded-cache mode (DESIGN.md §15), as hooks like [durable]: the
-   loop routes Get/Put/Remove through the tier instead of the raw
-   map, so entries gain TTL, eviction and admission control.  A
-   memcached-shaped store: a Put the tier refuses to admit replies
-   [Stored false], a Get after eviction/expiry replies [Nil]. *)
+(* The store a loop executes Get/Put/Remove on.  Bounded-cache mode
+   (DESIGN.md §15) passes the tier's ops, like [durable] hooks, so
+   entries gain TTL, eviction and admission control; otherwise the
+   server builds them over its map.  Replies mean the same in both
+   modes: [Stored replaced], [Removed] or [Nil], [Value v] or [Nil]. *)
 type cache_ops = {
   c_get : int -> string option;  (* tier lookup; negative entries read as None *)
-  c_put : int -> string -> bool;  (* true = admitted *)
-  c_remove : int -> bool;  (* true = was resident *)
+  c_put : int -> string -> bool;  (* true = replaced an existing binding *)
+  c_remove : int -> bool;  (* true = a binding was removed *)
 }
 
 module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
@@ -164,7 +164,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
         (* durable writes: one apply-and-append at a time per stripe *)
     progress : Progress.t option;
     durable : durable option;
-    cache : cache_ops option;
+    ops : cache_ops;  (* the tier's in cache mode, else the map's *)
     drain_mutex : Mutex.t;
     mutable drain_done : bool;
     mutable drain_flushed : bool;
@@ -292,37 +292,28 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
             ());
         Atomic.decr t.inflight)
 
-  (* Run [req]'s operation on the cache tier or the map, between the
-     exec yield points.  Raises nothing: a crash inside is a typed
-     [Error]. *)
+  let map_ops map =
+    {
+      c_get = M.lookup map;
+      c_put = (fun k v -> Option.is_some (M.add map k v));
+      c_remove = (fun k -> Option.is_some (M.remove map k));
+    }
+
+  (* Run [req]'s operation on [t.ops], between the exec yield points.
+     Raises nothing: a crash inside is a typed [Error]. *)
   let apply t (req : Protocol.request) =
     match
       Yp.here Yp.Before exec_site;
       let r =
-        match t.cache with
-        | Some c -> (
-            match req.op with
-            | Protocol.Get k -> (
-                match c.c_get k with
-                | Some v -> Protocol.Value v
-                | None -> Protocol.Nil)
-            | Protocol.Put (k, v) -> Protocol.Stored (c.c_put k v)
-            | Protocol.Remove k ->
-                if c.c_remove k then Protocol.Removed else Protocol.Nil
-            | Protocol.Ping -> Protocol.Pong)
-        | None -> (
-            match req.op with
-            | Protocol.Get k -> (
-                match M.lookup t.map k with
-                | Some v -> Protocol.Value v
-                | None -> Protocol.Nil)
-            | Protocol.Put (k, v) ->
-                Protocol.Stored (M.add t.map k v <> None)
-            | Protocol.Remove k -> (
-                match M.remove t.map k with
-                | Some _ -> Protocol.Removed
-                | None -> Protocol.Nil)
-            | Protocol.Ping -> Protocol.Pong)
+        match req.op with
+        | Protocol.Get k -> (
+            match t.ops.c_get k with
+            | Some v -> Protocol.Value v
+            | None -> Protocol.Nil)
+        | Protocol.Put (k, v) -> Protocol.Stored (t.ops.c_put k v)
+        | Protocol.Remove k ->
+            if t.ops.c_remove k then Protocol.Removed else Protocol.Nil
+        | Protocol.Ping -> Protocol.Pong
       in
       Yp.here Yp.After exec_site;
       r
@@ -714,7 +705,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
           key_locks = Array.init 64 (fun _ -> Mutex.create ());
           progress;
           durable;
-          cache;
+          ops = (match cache with Some c -> c | None -> map_ops map);
           drain_mutex = Mutex.create ();
           drain_done = false;
           drain_flushed = false;

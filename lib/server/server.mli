@@ -89,20 +89,21 @@ type durable = {
   d_read_only : unit -> bool;
 }
 
-(** Bounded-cache-mode hooks (DESIGN.md §15), typically built over a
-    [Cache.Make] tier: loops route every Get/Put/Remove through the
-    tier instead of the raw map, which makes the server a
-    memcached-shaped bounded store — entries carry TTLs, a word budget
-    evicts under pressure, and admission control may refuse a Put
-    outright.  Reply mapping: [c_get] miss (evicted, expired, or
-    negative-cached) → [Nil]; [c_put] returning [false] (admission
-    refused) → [Stored false]; [c_remove] [false] → [Nil].  Exclusive
-    with [durable]: a tier evicts entries a WAL already acked, so
-    replaying such a log would resurrect them. *)
+(** The store loops execute Get/Put/Remove on.  Bounded-cache mode
+    (DESIGN.md §15) passes ops typically built over a [Cache.Make]
+    tier, which makes the server a memcached-shaped bounded store —
+    entries carry TTLs and a word budget evicts under pressure;
+    without them the server builds the same record over its map.
+    Replies mean the same in both modes: [c_get] [None] (absent,
+    evicted, expired or negative-cached) → [Nil]; [c_put] → [Stored b]
+    with [b] = the key held a binding before ({!Protocol.reply}
+    [Stored]); [c_remove] [false] → [Nil].  Exclusive with [durable]:
+    a tier evicts entries a WAL already acked, so replaying such a log
+    would resurrect them. *)
 type cache_ops = {
   c_get : int -> string option;
-  c_put : int -> string -> bool;
-  c_remove : int -> bool;
+  c_put : int -> string -> bool;  (** [true] = replaced a binding *)
+  c_remove : int -> bool;  (** [true] = removed a binding *)
 }
 
 module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) : sig

@@ -1,6 +1,7 @@
 (* Bounded cache tier (DESIGN.md §15): budget-never-exceeded under
    sequential and concurrent churn, deterministic TTL expiry via an
-   injected clock, per-policy eviction order (FIFO / CLOCK / SLRU),
+   injected clock, CLOCK eviction order (second chance, overwrite
+   keeping its ring slot, the forced-eviction bound when all are hot),
    negative caching as stampede protection, admission rejection of
    oversized entries, and the ring/wheel substrates in isolation. *)
 
@@ -13,14 +14,13 @@ let check_int = Alcotest.(check int)
 let ov = Cache.entry_overhead_words
 
 (* Deterministic caches: one stripe (so replacement order is a single
-   FIFO), zero-cost values (every entry costs exactly [ov]), and an
+   ring), zero-cost values (every entry costs exactly [ov]), and an
    injected counter clock. *)
-let make ?(policy = Cache.Fifo) ?(entries = 3) ?clk () =
+let make ?(entries = 3) ?clk () =
   let cfg =
     {
       (Cache.default_config ~budget_words:(entries * ov)) with
-      Cache.policy;
-      stripes = 1;
+      Cache.stripes = 1;
       max_entry_frac = 1.0;
       wheel_slots = 8;
       wheel_tick_ns = 10;
@@ -139,27 +139,8 @@ let test_oversized_rejected () =
   check_int "one rejection counted" 1 (C.stats t).Cache.rejections;
   check_ok "after rejection" t
 
-let test_eviction_fifo () =
-  let t = make ~policy:Cache.Fifo ~entries:3 () in
-  List.iter (fun k -> ignore (C.put t k k)) [ 1; 2 ];
-  (* FIFO ignores recency: touching 1 must not save it... *)
-  check_bool "hit 1" true (C.get t 1 = Some 1);
-  (* ...and overwriting 1 (below capacity, so no transient eviction)
-     must not refresh its admission-order position either. *)
-  check_bool "overwrite keeps order" true (C.put t 1 11);
-  check_bool "admit 3" true (C.put t 3 3);
-  check_bool "admit 4 evicts" true (C.put t 4 4);
-  check_bool "oldest (1) evicted despite touch+overwrite" true
-    (C.get t 1 = None);
-  check_bool "2 survives" true (C.get t 2 = Some 2);
-  check_bool "3 survives" true (C.get t 3 = Some 3);
-  check_bool "4 resident" true (C.get t 4 = Some 4);
-  check_int "exactly one eviction" 1 (C.stats t).Cache.evictions;
-  check_int "still within budget" (3 * ov) (C.used_words t);
-  check_ok "fifo" t
-
 let test_eviction_clock_second_chance () =
-  let t = make ~policy:Cache.Clock_hand ~entries:3 () in
+  let t = make ~entries:3 () in
   List.iter (fun k -> ignore (C.put t k k)) [ 1; 2; 3 ];
   check_bool "touch 1" true (C.get t 1 = Some 1);
   check_bool "admit 4" true (C.put t 4 4);
@@ -168,18 +149,52 @@ let test_eviction_clock_second_chance () =
   check_bool "touched 1 survives" true (C.get t 1 = Some 1);
   check_bool "untouched 2 evicted" true (C.get t 2 = None);
   check_bool "3 survives" true (C.get t 3 = Some 3);
-  check_ok "clock" t
+  check_ok "clock" t;
+  (* An overwrite keeps the key's ring position and takes no second
+     ring slot.  Below capacity, so the overwrite's reservation
+     evicts nothing; no reads, so no access bit is set. *)
+  let t = make ~entries:3 () in
+  List.iter (fun k -> ignore (C.put t k k)) [ 1; 2 ];
+  check_bool "overwrite admitted" true (C.put t 1 11);
+  check_bool "admit 3" true (C.put t 3 3);
+  check_bool "admit 4 evicts" true (C.put t 4 4);
+  check_int "exactly one eviction" 1 (C.stats t).Cache.evictions;
+  check_int "still within budget" (3 * ov) (C.used_words t);
+  check_bool "overwritten 1 kept the oldest slot" true (C.get t 1 = None);
+  (* Ring now 2, 3, 4 — with a second slot for 1 it would be
+     2, 1, 3, 4, and after re-admitting 1 the next put would evict 1
+     through that stale slot instead of 3. *)
+  check_bool "re-admit 1" true (C.put t 1 1);
+  check_bool "admit 5" true (C.put t 5 5);
+  check_bool "2 then 3 evicted" true (C.get t 2 = None && C.get t 3 = None);
+  check_bool "no second ring slot for 1" true (C.get t 1 = Some 1);
+  check_bool "4 and 5 resident" true
+    (C.get t 4 = Some 4 && C.get t 5 = Some 5);
+  check_ok "clock overwrite" t
 
-let test_eviction_slru_probation_first () =
-  let t = make ~policy:Cache.Slru ~entries:3 () in
-  List.iter (fun k -> ignore (C.put t k k)) [ 1; 2; 3 ];
-  (* Promote 1 into the protected segment. *)
-  check_bool "promoting hit" true (C.get t 1 = Some 1);
-  check_bool "admit 4" true (C.put t 4 4);
-  check_bool "protected 1 survives" true (C.get t 1 = Some 1);
-  check_bool "probation 2 evicted" true (C.get t 2 = None);
-  check_bool "probation 3 survives" true (C.get t 3 = Some 3);
-  check_ok "slru" t
+(* Every resident entry hot: the scan clears access bits until the
+   last stripe-round of its bound (one stripe: bound 12, forced from
+   pop 12 on), then evicts the entry it holds — so a put still evicts
+   exactly one entry and keeps the budget. *)
+let test_eviction_clock_all_touched () =
+  let n = 16 in
+  let t = make ~entries:n () in
+  for k = 1 to n do
+    ignore (C.put t k k)
+  done;
+  for k = 1 to n do
+    check_bool "touch" true (C.get t k = Some k)
+  done;
+  check_bool "admit into an all-hot cache" true (C.put t 0 0);
+  check_int "exactly one eviction" 1 (C.stats t).Cache.evictions;
+  check_int "resident unchanged" n (C.resident t);
+  check_int "budget kept" (n * ov) (C.used_words t);
+  check_ok "all touched" t;
+  check_bool "forced victim is the 12th in ring order" true (C.get t 12 = None);
+  check_bool "the rest survive" true
+    (List.for_all
+       (fun k -> k = 12 || C.get t k = Some k)
+       (List.init (n + 1) Fun.id))
 
 (* -------------------------------- TTL ------------------------------ *)
 
@@ -335,8 +350,7 @@ let test_budget_concurrent_churn () =
   let cfg =
     {
       (Cache.default_config ~budget_words:budget) with
-      Cache.policy = Cache.Clock_hand;
-      max_entry_frac = 1.0;
+      Cache.max_entry_frac = 1.0;
     }
   in
   let t = C.create ~config:cfg ~cost:(fun _ v -> String.length v / 8) () in
@@ -382,9 +396,8 @@ let suite =
     ("wheel_no_tick_no_work", `Quick, test_wheel_no_tick_no_work);
     ("budget_and_accounting", `Quick, test_budget_and_accounting);
     ("oversized_rejected", `Quick, test_oversized_rejected);
-    ("eviction_fifo", `Quick, test_eviction_fifo);
     ("eviction_clock_second_chance", `Quick, test_eviction_clock_second_chance);
-    ("eviction_slru_probation_first", `Quick, test_eviction_slru_probation_first);
+    ("eviction_clock_all_touched", `Quick, test_eviction_clock_all_touched);
     ("ttl_deterministic", `Quick, test_ttl_deterministic);
     ("ttl_wheel_reclaims", `Quick, test_ttl_wheel_reclaims);
     ("ttl_refresh_wins_race", `Quick, test_ttl_refresh_wins_race);

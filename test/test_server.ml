@@ -329,6 +329,44 @@ let test_e2e_basic () =
       check_bool "drain flushes" true (S.drain srv);
       check_bool "drain idempotent" true (S.drain srv))
 
+(* Cache mode: the tier fronts a backing map, and every reply means
+   what it means in map mode — a fresh put is [Stored false]. *)
+let test_e2e_cache_mode () =
+  let module C = Cache.Make (M) in
+  let backing = M.create () in
+  let front = C.create ~config:(Cache.default_config ~budget_words:4096) () in
+  let cache =
+    {
+      Kv.Server.c_get = (fun k -> C.get_or_load front k ~load:(M.lookup backing));
+      c_put =
+        (fun k v ->
+          let prev = M.add backing k v in
+          ignore (C.put front k v);
+          Option.is_some prev);
+      c_remove =
+        (fun k ->
+          ignore (C.remove front k);
+          Option.is_some (M.remove backing k));
+    }
+  in
+  let srv = S.start ~config:(small_config ()) ~cache (M.create ()) in
+  Fun.protect
+    ~finally:(fun () -> ignore (S.drain ~timeout:5.0 srv))
+    (fun () ->
+      with_client srv (fun c ->
+          check_bool "fresh put" true (Kv.Client.put c 1 "one" = Protocol.Stored false);
+          check_bool "replacing put" true
+            (Kv.Client.put c 1 "uno" = Protocol.Stored true);
+          check_bool "get hit" true (Kv.Client.get c 1 = Protocol.Value "uno");
+          check_bool "negative get" true (Kv.Client.get c 2 = Protocol.Nil);
+          check_bool "negative get, cached" true (Kv.Client.get c 2 = Protocol.Nil);
+          check_bool "remove hit" true (Kv.Client.remove c 1 = Protocol.Removed);
+          check_bool "remove miss" true (Kv.Client.remove c 1 = Protocol.Nil);
+          check_bool "removed key gone" true (Kv.Client.get c 1 = Protocol.Nil));
+      let st = C.stats front in
+      check_bool "the tier served the hit" true (st.Cache.hits >= 1);
+      check_bool "the tier cached the negative" true (st.Cache.negative_hits >= 1))
+
 (* A request that waits out its deadline behind a stalled execution
    gets the typed [Deadline_exceeded], and the late request never
    executes.  Both frames travel in one write on one connection, so
@@ -779,6 +817,7 @@ let suite =
     ("reader_framing", `Quick, test_reader_framing);
     ("reader_traced_framing", `Quick, test_reader_traced_framing);
     ("e2e_basic", `Quick, test_e2e_basic);
+    ("e2e_cache_mode", `Quick, test_e2e_cache_mode);
     ("deadline_exceeded", `Quick, test_deadline_exceeded);
     ("queue_full_shed", `Quick, test_queue_full_shed);
     ("pipelined_fifo", `Quick, test_pipelined_fifo);
