@@ -2,9 +2,10 @@
    evaluation (Section 5 + artifact appendix).
 
    Two layers:
-   - Bechamel micro-benchmarks: one Test.make per structure for each
-     single-threaded table/figure family (Figure 10 lookup/insert, the
-     fast-path and collision micro-costs), OLS-fitted ns/op.
+   - Bechamel micro-benchmarks ([micro-json]): one Test.make per
+     structure for each single-threaded table/figure family (Figure 10
+     lookup/insert, the fast-path and collision micro-costs), OLS-fitted
+     ns/op and minor words/op, persisted to BENCH_micro.json.
    - Harness sweeps (Harness.Suites): the full tables for Figures 9 and
      10, the multi-threaded Figures 11-13, the artifact histograms, the
      Section 4.1 theory check and the cache ablation.
@@ -14,7 +15,7 @@
      main.exe full            all experiments, paper-like scale
      main.exe fig11 fig13     selected experiments (append "full")
    Experiments: fig9 fig10 fig11 fig12 fig13 hist theory ablation
-                ablation-narrow mixed zipf remove trace bechamel
+                ablation-narrow mixed zipf remove replay
                 micro-json sweeps obs cache serve persist all *)
 
 open Bechamel
@@ -161,45 +162,6 @@ let collision_test () =
          for i = 0 to batch - 1 do
            ignore (Sys.opaque_identity (C.lookup t (i land 31)))
          done))
-
-let bechamel_groups () =
-  [
-    Test.make_grouped ~name:"fig10-lookup"
-      (List.map lookup_test Suites.structures);
-    Test.make_grouped ~name:"fig10-insert"
-      (List.map insert_test Suites.structures);
-    Test.make_grouped ~name:"micro" [ collision_test (); snapshot_test () ];
-  ]
-
-let run_bechamel () =
-  Harness.Report.section "Bechamel micro-benchmarks (OLS ns per run)";
-  Printf.printf "(one run = %d operations on a %d-key structure)\n\n" batch bench_n;
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  List.iter
-    (fun group ->
-      let raw = Benchmark.all cfg [ instance ] group in
-      let results = Analyze.all ols instance raw in
-      let rows = ref [] in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let ns_per_run =
-            match Analyze.OLS.estimates ols_result with
-            | Some (x :: _) -> x
-            | _ -> nan
-          in
-          rows := [ name; Printf.sprintf "%.1f" (ns_per_run /. float_of_int batch) ] :: !rows)
-        results;
-      Harness.Report.print_table
-        ~header:[ "benchmark"; "ns/op" ]
-        (List.sort compare !rows);
-      print_newline ())
-    (bechamel_groups ())
 
 (* ----------------------- persisted JSON layer ---------------------- *)
 
@@ -1272,28 +1234,15 @@ let run_cache scale =
 (* ----------------------------- driver ------------------------------ *)
 
 let experiments : (string * (Suites.scale -> unit)) list =
-  [
-    ("fig9", Suites.fig9_footprint);
-    ("fig10", Suites.fig10_single_threaded);
-    ("fig11", Suites.fig11_insert_high_contention);
-    ("fig12", Suites.fig12_insert_low_contention);
-    ("fig13", Suites.fig13_parallel_lookup);
-    ("hist", Suites.histograms);
-    ("theory", Suites.theory);
-    ("ablation", Suites.ablation_cache);
-    ("ablation-narrow", Suites.ablation_narrow);
-    ("mixed", Suites.mixed_workload);
-    ("zipf", Suites.zipf_lookup);
-    ("remove", Suites.remove_throughput);
-    ("trace", Suites.trace_replay);
-    ("bechamel", fun _ -> run_bechamel ());
-    ("micro-json", run_micro_json);
-    ("sweeps", run_sweeps);
-    ("obs", run_obs);
-    ("cache", run_cache);
-    ("serve", run_serve);
-    ("persist", run_persist);
-  ]
+  List.map (fun (name, _, f) -> (name, f)) Suites.experiments
+  @ [
+      ("micro-json", run_micro_json);
+      ("sweeps", run_sweeps);
+      ("obs", run_obs);
+      ("cache", run_cache);
+      ("serve", run_serve);
+      ("persist", run_persist);
+    ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

@@ -63,36 +63,6 @@ let experiment name doc f =
   let run timeout scale = guarded timeout f scale in
   Cmd.v (Cmd.info name ~doc) Term.(const run $ timeout_term $ scale_term)
 
-let all_experiments =
-  [
-    ("fig9", "Memory footprint comparison (Figure 9, Artifact A.5.2).",
-     Harness.Suites.fig9_footprint);
-    ("fig10", "Single-threaded lookup and insert (Figure 10).",
-     Harness.Suites.fig10_single_threaded);
-    ("fig11", "Multi-threaded insert, high contention (Figure 11).",
-     Harness.Suites.fig11_insert_high_contention);
-    ("fig12", "Multi-threaded insert, low contention (Figure 12).",
-     Harness.Suites.fig12_insert_low_contention);
-    ("fig13", "Multi-threaded lookup (Figure 13).",
-     Harness.Suites.fig13_parallel_lookup);
-    ("hist", "Level-occupancy histograms (Artifact A.5.1).",
-     Harness.Suites.histograms);
-    ("theory", "Depth-distribution theory, Theorems 4.1-4.4 (Section 4.1).",
-     Harness.Suites.theory);
-    ("ablation", "Cache ablation: on/off and max_misses sweep.",
-     Harness.Suites.ablation_cache);
-    ("ablation-narrow", "Narrow-node (4-slot) ablation: insert time and footprint.",
-     Harness.Suites.ablation_narrow);
-    ("mixed", "Extension: YCSB-style mixed workloads across structures.",
-     Harness.Suites.mixed_workload);
-    ("zipf", "Extension: Zipf-skewed lookup throughput.",
-     Harness.Suites.zipf_lookup);
-    ("remove", "Extension: remove throughput and compression behaviour.",
-     Harness.Suites.remove_throughput);
-    ("replay", "Extension: production-style trace replay across structures.",
-     Harness.Suites.trace_replay);
-  ]
-
 (* --------------------------- obs subcommand ------------------------- *)
 
 (* repro obs [--full]        traced workload with metrics + latency +
@@ -1512,7 +1482,7 @@ let cache_cmd =
 let all_cmd =
   let run timeout scale =
     guarded timeout (fun scale ->
-        List.iter (fun (_, _, f) -> f scale) all_experiments)
+        List.iter (fun (_, _, f) -> f scale) Harness.Suites.experiments)
       scale
   in
   Cmd.v
@@ -1525,7 +1495,7 @@ let () =
       ~doc:"Reproduce the evaluation of the Cache-Tries paper (PPoPP 2018)."
   in
   let cmds =
-    (all_cmd :: List.map (fun (n, d, f) -> experiment n d f) all_experiments)
+    (all_cmd :: List.map (fun (n, d, f) -> experiment n d f) Harness.Suites.experiments)
     @ [ mc_cmd; obs_cmd; cache_cmd; serve_cmd; trace_cmd; recover_cmd ]
   in
   exit (Cmd.eval' (Cmd.group info cmds))

@@ -383,7 +383,7 @@ module Make (H : Hashing.HASHABLE) = struct
     | Some p -> p == expected
     | None -> false
 
-  (* --------------------------- batch operations --------------------- *)
+  (* ---------------------------- batched lookup ---------------------- *)
 
   (* Staged traversal (DESIGN.md §13).  Stage 0 hints every key's
      bucket slot before any sentinel is touched, then the chunk walks
@@ -490,63 +490,6 @@ module Make (H : Hashing.HASHABLE) = struct
     let hits = scr.s_hits in
     scratch_release t scr;
     hits
-
-  (* Warm-up for batched writers: hint every key's bucket slot, ensure
-     the sentinel exists and pull in its first successor, then run the
-     scalar CAS machinery — [update]/[remove_with] redo [bucket_for]
-     against now-warm lines.  Writers mutate shared list links, so
-     there is no lockstep CAS phase to stage beyond this. *)
-  let warm_chunk t scr keys base n =
-    let table = Atomic.get t.table in
-    let nb = Slots.length table in
-    for p = 0 to n - 1 do
-      let h = hash_of (Array.unsafe_get keys (base + p)) in
-      scr.s_h.(p) <- h;
-      Slots.prefetch table (h land (nb - 1))
-    done;
-    for p = 0 to n - 1 do
-      let start = bucket_for t scr.s_h.(p) in
-      match (Atomic.get start.next).succ with
-      | Some nn -> Prefetch.read nn
-      | None -> ()
-    done
-
-  let rec insert_chunks t scr keys vals base total =
-    if base < total then begin
-      let n = min chunk_cap (total - base) in
-      warm_chunk t scr keys base n;
-      for p = 0 to n - 1 do
-        insert t (Array.unsafe_get keys (base + p)) (Array.unsafe_get vals (base + p))
-      done;
-      insert_chunks t scr keys vals (base + n) total
-    end
-
-  let insert_batch t keys vals =
-    if Array.length keys <> Array.length vals then
-      invalid_arg "Split_ordered.insert_batch: keys and vals differ in length";
-    let scr = scratch_take t in
-    insert_chunks t scr keys vals 0 (Array.length keys);
-    scratch_release t scr
-
-  let rec remove_chunks t scr keys base total =
-    if base < total then begin
-      let n = min chunk_cap (total - base) in
-      warm_chunk t scr keys base n;
-      for p = 0 to n - 1 do
-        match remove t (Array.unsafe_get keys (base + p)) with
-        | Some _ -> scr.s_hits <- scr.s_hits + 1
-        | None -> ()
-      done;
-      remove_chunks t scr keys (base + n) total
-    end
-
-  let remove_batch t keys =
-    let scr = scratch_take t in
-    scr.s_hits <- 0;
-    remove_chunks t scr keys 0 (Array.length keys);
-    let removed = scr.s_hits in
-    scratch_release t scr;
-    removed
 
   (* ------------------------- aggregate queries ---------------------- *)
 

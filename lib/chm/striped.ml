@@ -226,15 +226,12 @@ module Make (H : Hashing.HASHABLE) = struct
     + ((1 + Slots.overhead_words_per_slot) * bucket_count t)
     + (7 * cells) + n_stripes
 
-  (* Writers serialize on stripe locks, so staging would only reorder
-     lock acquisitions; reads are one bucket load + a short list walk.
-     The scalar loop is the honest implementation. *)
+  (* Reads are one bucket load + a short list walk, so there is no
+     per-level state to stage: [find_batch] takes the scalar loop. *)
   include Ct_util.Map_intf.Batch_fallback (struct
     type nonrec key = key
     type nonrec 'v t = 'v t
 
     let find = find
-    let insert = insert
-    let remove = remove
   end)
 end

@@ -202,7 +202,6 @@ module Make (H : Hashing.HASHABLE) = struct
         (** the parent slot's [ANode] wrapping [s_cur]; [Null] when no
             slot holds it as an [ANode] (the root, a cache entry's node,
             an expansion's narrow node) *)
-    s_prev : 'v anode array;  (** parent of [s_cur]; valid when s_lev > 0 *)
     s_act : int array;  (** active chunk positions, compacted in place *)
     mutable s_nact : int;
     mutable s_hits : int;
@@ -238,7 +237,6 @@ module Make (H : Hashing.HASHABLE) = struct
         s_lev = [||];
         s_cur = [||];
         s_box = [||];
-        s_prev = [||];
         s_act = [||];
         s_nact = 0;
         s_hits = 0;
@@ -1147,7 +1145,7 @@ module Make (H : Hashing.HASHABLE) = struct
     | Done_none | Restart -> false
 
   (* ---------------------------------------------------------------- *)
-  (* Batch operations (DESIGN.md §13): staged lockstep traversals.      *)
+  (* Batched lookup (DESIGN.md §13): a staged lockstep traversal.       *)
   (*                                                                    *)
   (* A chunk of up to [chunk_cap] keys walks the trie one level at a    *)
   (* time, all keys together: pass A issues a prefetch hint for every   *)
@@ -1164,7 +1162,6 @@ module Make (H : Hashing.HASHABLE) = struct
       s_lev = Array.make chunk_cap 0;
       s_cur = Array.make chunk_cap t.root;
       s_box = Array.make chunk_cap Null;
-      s_prev = Array.make chunk_cap t.root;
       s_act = Array.make chunk_cap 0;
       s_nact = 0;
       s_hits = 0;
@@ -1344,102 +1341,6 @@ module Make (H : Hashing.HASHABLE) = struct
     let hits = scr.s_hits in
     scratch_release t scr;
     hits
-
-  (* Locate pass for batched updates: walk each key down in lockstep
-     with prefetch for as long as the slot holds a plain ANode child —
-     the only step a scalar update would take without acting — and
-     leave (s_cur, s_lev, s_prev) at the stop point.  The finishing
-     call re-reads the stop slot and handles every transition
-     ([Restart] falls back to the root retry, like the scalar cache
-     probe does); tracking the real parent keeps the expansion and
-     compression paths available, which the scalar fast path (probe
-     with [prev = None]) has to give up. *)
-  let locate_chunk t (keys : key array) base n scr =
-    for p = 0 to n - 1 do
-      scr.s_h.(p) <- hash_of keys.(base + p);
-      scr.s_lev.(p) <- 0;
-      scr.s_cur.(p) <- t.root;
-      scr.s_prev.(p) <- t.root;
-      scr.s_act.(p) <- p
-    done;
-    scr.s_nact <- n;
-    while scr.s_nact > 0 do
-      let nact = scr.s_nact in
-      for j = 0 to nact - 1 do
-        let p = scr.s_act.(j) in
-        let cur = scr.s_cur.(p) in
-        Slots.prefetch cur (apos cur scr.s_h.(p) scr.s_lev.(p))
-      done;
-      scr.s_nact <- 0;
-      for j = 0 to nact - 1 do
-        let p = scr.s_act.(j) in
-        let cur = scr.s_cur.(p) in
-        let h = scr.s_h.(p) in
-        match Slots.get cur (apos cur h scr.s_lev.(p)) with
-        | ANode an as box ->
-            Prefetch.read an;
-            scr.s_prev.(p) <- cur;
-            step_descend scr p an box (scr.s_lev.(p) + 4)
-        | Null | FVNode | SNode _ | LNode _ | FNode _ | ENode _ | XNode _ ->
-            ()
-      done
-    done
-
-  let rec insert_chunks t (keys : key array) (vals : 'v array) base n scr =
-    if base < n then begin
-      let cn = min chunk_cap (n - base) in
-      locate_chunk t keys base cn scr;
-      for p = 0 to cn - 1 do
-        let k = keys.(base + p) and v = vals.(base + p) in
-        let h = scr.s_h.(p) and lev = scr.s_lev.(p) in
-        let first =
-          if lev = 0 then insert_at t k v h 0 t.root None Always
-          else insert_at t k v h lev scr.s_cur.(p) (Some scr.s_prev.(p)) Always
-        in
-        match first with
-        | Restart -> ignore (insert_slow t k v h Always)
-        | Done_none | Done_some _ -> ()
-      done;
-      insert_chunks t keys vals (base + cn) n scr
-    end
-
-  let insert_batch t keys vals =
-    let n = Array.length keys in
-    if Array.length vals <> n then
-      invalid_arg "insert_batch: keys and vals differ in length";
-    let scr = scratch_take t in
-    insert_chunks t keys vals 0 n scr;
-    scratch_release t scr
-
-  let rec remove_chunks t (keys : key array) base n scr =
-    if base < n then begin
-      let cn = min chunk_cap (n - base) in
-      locate_chunk t keys base cn scr;
-      for p = 0 to cn - 1 do
-        let k = keys.(base + p) in
-        let h = scr.s_h.(p) and lev = scr.s_lev.(p) in
-        let first =
-          if lev = 0 then remove_at t k h 0 t.root None `Always
-          else remove_at t k h lev scr.s_cur.(p) (Some scr.s_prev.(p)) `Always
-        in
-        let res =
-          match first with Restart -> remove_slow t k h `Always | r -> r
-        in
-        match res with
-        | Done_some _ -> scr.s_hits <- scr.s_hits + 1
-        | Done_none -> ()
-        | Restart -> assert false
-      done;
-      remove_chunks t keys (base + cn) n scr
-    end
-
-  let remove_batch t keys =
-    let scr = scratch_take t in
-    scr.s_hits <- 0;
-    remove_chunks t keys 0 (Array.length keys) scr;
-    let removed = scr.s_hits in
-    scratch_release t scr;
-    removed
 
   (* ---------------------------------------------------------------- *)
   (* Aggregate queries (weakly consistent).                             *)

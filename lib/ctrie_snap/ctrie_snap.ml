@@ -117,7 +117,6 @@ module Make (H : Hashing.HASHABLE) = struct
     s_h : int array;
     s_lev : int array;
     s_cur : 'v inode array;
-    s_par : 'v inode array;  (** parent inode of [s_cur] (root: itself) *)
     s_main : 'v main array;  (** main node read in pass A *)
     s_act : int array;  (** active chunk positions, compacted in place *)
     mutable s_nact : int;
@@ -141,7 +140,6 @@ module Make (H : Hashing.HASHABLE) = struct
         s_h = [||];
         s_lev = [||];
         s_cur = [||];
-        s_par = [||];
         s_main = [||];
         s_act = [||];
         s_nact = 0;
@@ -401,8 +399,8 @@ module Make (H : Hashing.HASHABLE) = struct
 
   (* Compact every TNode on [k]'s path: [ifind] cleans each one it
      meets and restarts from the root, so the walk returns only once
-     the path holds none.  For a remover whose own frames cannot reach
-     the tomb's parent. *)
+     the path holds none.  For a cleanup whose parent frame went stale
+     when a snapshot renewed the path ([clean_parent]). *)
   let clean_path t k h = match find_loop t k h with _ -> () | exception Not_found -> ()
 
   let find t k = find_loop t k (hash_of k)
@@ -618,7 +616,7 @@ module Make (H : Hashing.HASHABLE) = struct
     | Some p -> p == expected
     | None -> false
 
-  (* --------------------------- batch operations ---------------------- *)
+  (* ---------------------------- batched lookup ----------------------- *)
 
   (* Staged traversal (DESIGN.md §13).  The lockstep walk stages only
      the fast path — committed main nodes, same-generation children,
@@ -634,7 +632,6 @@ module Make (H : Hashing.HASHABLE) = struct
       s_h = Array.make chunk_cap 0;
       s_lev = Array.make chunk_cap 0;
       s_cur = Array.make chunk_cap r;
-      s_par = Array.make chunk_cap r;
       s_main = Array.make chunk_cap r.main;
       s_act = Array.make chunk_cap 0;
       s_nact = 0;
@@ -751,121 +748,6 @@ module Make (H : Hashing.HASHABLE) = struct
     let hits = scr.s_hits in
     scratch_release t scr;
     hits
-
-  (* Warm-up descent for batched writers: walk each key down while the
-     path is committed, same-generation CNode→IN links, then finish
-     with the scalar GCAS machinery from the recorded inode.  Starting
-     mid-path is sound: a recorded inode that was detached (by renewal
-     or compaction) either holds a terminal TNode — on which [iinsert]
-     and [iremove] restart — or was replaced because the root
-     generation changed, in which case the GCAS commit check fails the
-     update and we restart from the root. *)
-  let locate_chunk t scr keys base n =
-    let r = rdcss_read_root t ~abort:false in
-    let startgen = r.gen in
-    for p = 0 to n - 1 do
-      scr.s_h.(p) <- hash_of (Array.unsafe_get keys (base + p));
-      scr.s_lev.(p) <- 0;
-      scr.s_cur.(p) <- r;
-      scr.s_par.(p) <- r;
-      scr.s_act.(p) <- p
-    done;
-    scr.s_nact <- n;
-    while scr.s_nact > 0 do
-      for a = 0 to scr.s_nact - 1 do
-        let p = Array.unsafe_get scr.s_act a in
-        let m = scr.s_cur.(p).main in
-        scr.s_main.(p) <- m;
-        Prefetch.read m
-      done;
-      let nact = scr.s_nact in
-      scr.s_nact <- 0;
-      for a = 0 to nact - 1 do
-        let p = Array.unsafe_get scr.s_act a in
-        let m = scr.s_main.(p) in
-        match prev_of m with
-        | No_prev -> (
-            match m with
-            | CNode { bmp; arr; _ } -> (
-                let lev = scr.s_lev.(p) in
-                let h = scr.s_h.(p) in
-                let idx = (h lsr lev) land (branching - 1) in
-                let flag = 1 lsl idx in
-                if bmp land flag <> 0 then
-                  match arr.(Bits.popcount (bmp land (flag - 1))) with
-                  | IN child when child.gen == startgen ->
-                      Prefetch.read child;
-                      scr.s_par.(p) <- scr.s_cur.(p);
-                      scr.s_cur.(p) <- child;
-                      scr.s_lev.(p) <- lev + w;
-                      scr.s_act.(scr.s_nact) <- p;
-                      scr.s_nact <- scr.s_nact + 1
-                  | IN _ | SN _ -> ())
-            | TNode _ | LNode _ -> ())
-        | Prev _ | Failed _ -> ()
-      done
-    done;
-    r
-
-  let rec insert_chunks t scr keys vals base total =
-    if base < total then begin
-      let n = min chunk_cap (total - base) in
-      let r = locate_chunk t scr keys base n in
-      for p = 0 to n - 1 do
-        let k = Array.unsafe_get keys (base + p) in
-        let v = Array.unsafe_get vals (base + p) in
-        let h = scr.s_h.(p) in
-        let lev = scr.s_lev.(p) in
-        let parent = if lev = 0 then None else Some scr.s_par.(p) in
-        match iinsert t scr.s_cur.(p) k v h lev parent Always r.gen with
-        | Done _ -> ()
-        | Restart -> ignore (update t k v Always)
-      done;
-      insert_chunks t scr keys vals (base + n) total
-    end
-
-  let insert_batch t keys vals =
-    if Array.length keys <> Array.length vals then
-      invalid_arg "Ctrie_snap.insert_batch: keys and vals differ in length";
-    let scr = scratch_take t in
-    insert_chunks t scr keys vals 0 (Array.length keys);
-    scratch_release t scr
-
-  let rec remove_chunks t scr keys base total =
-    if base < total then begin
-      let n = min chunk_cap (total - base) in
-      let r = locate_chunk t scr keys base n in
-      for p = 0 to n - 1 do
-        let k = Array.unsafe_get keys (base + p) in
-        let h = scr.s_h.(p) in
-        let lev = scr.s_lev.(p) in
-        let cur = scr.s_cur.(p) in
-        let parent = if lev = 0 then None else Some scr.s_par.(p) in
-        match
-          match iremove t cur k h lev parent `Always r.gen with
-          | Done prev -> prev
-          | Restart -> remove_with t k `Always
-        with
-        | Some _ ->
-            scr.s_hits <- scr.s_hits + 1;
-            (* The walk started at [cur], so no frame of ours holds its
-               parent: if the remove entombed [cur], compact from the
-               root as the scalar remove's frames would. *)
-            (match cur.main with
-            | TNode _ -> clean_path t k h
-            | CNode _ | LNode _ -> ())
-        | None -> ()
-      done;
-      remove_chunks t scr keys (base + n) total
-    end
-
-  let remove_batch t keys =
-    let scr = scratch_take t in
-    scr.s_hits <- 0;
-    remove_chunks t scr keys 0 (Array.length keys);
-    let removed = scr.s_hits in
-    scratch_release t scr;
-    removed
 
   (* ------------------------------ snapshot --------------------------- *)
 

@@ -547,3 +547,26 @@ let ablation_cache scale =
   in
   Report.print_table ~header:[ "variant"; "lookup ns/op"; "cache level"; "samples" ] rows;
   print_newline ()
+
+let experiments =
+  [
+    ("fig9", "Memory footprint comparison (Figure 9, Artifact A.5.2).", fig9_footprint);
+    ("fig10", "Single-threaded lookup and insert (Figure 10).", fig10_single_threaded);
+    ( "fig11",
+      "Multi-threaded insert, high contention (Figure 11).",
+      fig11_insert_high_contention );
+    ( "fig12",
+      "Multi-threaded insert, low contention (Figure 12).",
+      fig12_insert_low_contention );
+    ("fig13", "Multi-threaded lookup (Figure 13).", fig13_parallel_lookup);
+    ("hist", "Level-occupancy histograms (Artifact A.5.1).", histograms);
+    ("theory", "Depth-distribution theory, Theorems 4.1-4.4 (Section 4.1).", theory);
+    ("ablation", "Cache ablation: on/off and max_misses sweep.", ablation_cache);
+    ( "ablation-narrow",
+      "Narrow-node (4-slot) ablation: insert time and footprint.",
+      ablation_narrow );
+    ("mixed", "Extension: YCSB-style mixed workloads across structures.", mixed_workload);
+    ("zipf", "Extension: Zipf-skewed lookup throughput.", zipf_lookup);
+    ("remove", "Extension: remove throughput and compression behaviour.", remove_throughput);
+    ("replay", "Extension: production-style trace replay across structures.", trace_replay);
+  ]

@@ -80,3 +80,7 @@ val trace_replay : scale -> unit
 val remove_throughput : scale -> unit
 (** Extension: single-threaded remove throughput and the cost of
     remove-side compression (Section 3.7), per structure. *)
+
+val experiments : (string * string * (scale -> unit)) list
+(** Every experiment above as [(name, doc, runner)], in run order: the
+    one list that [bench/main.exe] and the [repro] CLI both expose. *)

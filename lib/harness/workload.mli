@@ -21,8 +21,8 @@ val lookup_order : ?seed:int -> int array -> int array
 
 val batches : batch:int -> int array -> int array array
 (** [batches ~batch keys] slices [keys] into consecutive chunks of
-    [batch] keys (the last chunk may be shorter), the shape the
-    [find_batch]/[insert_batch] paths consume.  Chunks preserve the
+    [batch] keys (the last chunk may be shorter), the shape
+    [find_batch] consumes.  Chunks preserve the
     input order, so [batches ~batch (shuffled_keys n)] is a seeded
     batch-shaped workload.
     @raise Invalid_argument if [batch <= 0]. *)

@@ -80,7 +80,7 @@ let live_mask = frozen_bit - 1
 let initial_cap = 16
 let chunk_sz = 256
 let mig_block = 64
-let chunk_cap = 64 (* batch-op chunk, as in the tries *)
+let chunk_cap = 64 (* find_batch chunk, as in the tries *)
 
 module Make (H : Hashing.HASHABLE with type t = int) = struct
   type key = int
@@ -507,7 +507,7 @@ module Make (H : Hashing.HASHABLE with type t = int) = struct
     | Some p -> p == expected
     | None -> false
 
-  (* --------------------------- batch operations ---------------------- *)
+  (* ---------------------------- batched lookup ----------------------- *)
 
   (* Flat arrays make staging trivial (DESIGN.md §13): the home slot's
      key and cell lines for a whole chunk are hinted before the first
@@ -515,7 +515,7 @@ module Make (H : Hashing.HASHABLE with type t = int) = struct
      dominates an OA lookup overlaps across the chunk.  Probes past
      the home slot ride the same or the next line.  No scratch state
      is needed — chunks carry their counters through recursion, so the
-     read path allocates nothing. *)
+     batch allocates nothing. *)
 
   let prefetch_homes tb keys base n =
     let mask = tb.cap - 1 in
@@ -554,37 +554,6 @@ module Make (H : Hashing.HASHABLE with type t = int) = struct
     if Array.length out < total then
       invalid_arg "Folklore.find_batch: out array shorter than keys";
     find_chunks (Atomic.get t.root) keys ~miss out 0 total 0
-
-  let rec insert_chunks t keys vals base total =
-    if base < total then begin
-      let n = min chunk_cap (total - base) in
-      prefetch_homes (Atomic.get t.root) keys base n;
-      for p = base to base + n - 1 do
-        insert t (Array.unsafe_get keys p) (Array.unsafe_get vals p)
-      done;
-      insert_chunks t keys vals (base + n) total
-    end
-
-  let insert_batch t keys vals =
-    if Array.length keys <> Array.length vals then
-      invalid_arg "Folklore.insert_batch: keys and vals differ in length";
-    insert_chunks t keys vals 0 (Array.length keys)
-
-  let rec remove_chunks t keys base total removed =
-    if base >= total then removed
-    else begin
-      let n = min chunk_cap (total - base) in
-      prefetch_homes (Atomic.get t.root) keys base n;
-      let removed = ref removed in
-      for p = base to base + n - 1 do
-        match remove t (Array.unsafe_get keys p) with
-        | Some _ -> incr removed
-        | None -> ()
-      done;
-      remove_chunks t keys (base + n) total !removed
-    end
-
-  let remove_batch t keys = remove_chunks t keys 0 (Array.length keys) 0
 
   (* ------------------------- aggregate queries ----------------------- *)
 

@@ -2,8 +2,8 @@
    times every single-key operation into three per-instance log-scale
    histograms — reads (lookup/find/mem), inserts (insert/add/
    put_if_absent/replace/replace_if) and removes (remove/remove_if) —
-   and otherwise delegates.  Batch operations record one whole-batch
-   sample into the matching histogram.  Aggregate queries are passed
+   and otherwise delegates.  [find_batch] records one whole-batch
+   sample into the read histogram.  Aggregate queries are passed
    through untimed: their cost is O(n) and would drown the bucket
    range the histograms are sized for.
 
@@ -105,27 +105,15 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
     Latency.record_span t.removes ~start;
     r
 
-  (* Batch operations time the whole batch as one sample into the same
-     histogram as their scalar counterpart.  Per-key samples would cost
-     2k clock reads and defeat the staged traversal the batch exists
-     for; one whole-batch sample keeps the wrapper's contract (every op
-     that touches the map leaves a mark in a histogram) at two clock
-     reads regardless of k. *)
+  (* [find_batch] times the whole batch as one sample into the read
+     histogram.  Per-key samples would cost 2k clock reads and defeat
+     the staged traversal the batch exists for; one whole-batch sample
+     keeps the wrapper's contract (every op that touches the map leaves
+     a mark in a histogram) at two clock reads regardless of k. *)
   let find_batch t keys ~miss out =
     let start = Clock.monotonic_ns () in
     let r = M.find_batch t.map keys ~miss out in
     Latency.record_span t.reads ~start;
-    r
-
-  let insert_batch t keys vals =
-    let start = Clock.monotonic_ns () in
-    M.insert_batch t.map keys vals;
-    Latency.record_span t.inserts ~start
-
-  let remove_batch t keys =
-    let start = Clock.monotonic_ns () in
-    let r = M.remove_batch t.map keys in
-    Latency.record_span t.removes ~start;
     r
 
   let size t = M.size t.map

@@ -508,14 +508,12 @@ module Make (H : Hashing.HASHABLE) = struct
     go 0 t.head
 
   (* A tower walk re-derives its path from the marks it meets, so there
-     is no per-level state to stage across keys: batches take the
-     scalar loop. *)
+     is no per-level state to stage across keys: [find_batch] takes
+     the scalar loop. *)
   include Ct_util.Map_intf.Batch_fallback (struct
     type nonrec key = key
     type nonrec 'v t = 'v t
 
     let find = find
-    let insert = insert
-    let remove = remove
   end)
 end

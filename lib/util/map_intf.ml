@@ -79,17 +79,6 @@ module type CONCURRENT_MAP = sig
       fall back to the scalar loop via {!Batch_fallback}.
       @raise Invalid_argument if [out] is shorter than [keys]. *)
 
-  val insert_batch : 'v t -> key array -> 'v array -> unit
-  (** [insert_batch t keys vals] binds [keys.(i)] to [vals.(i)] for
-      every [i], left to right.  Equivalent to a loop of {!insert}
-      (each insert individually linearizable; later duplicates win).
-      @raise Invalid_argument if the arrays differ in length. *)
-
-  val remove_batch : 'v t -> key array -> int
-  (** [remove_batch t keys] removes every [keys.(i)], left to right;
-      returns how many were bound.  Equivalent to a loop of
-      {!remove}. *)
-
   val size : 'v t -> int
   (** Number of bindings; weakly consistent, O(n). *)
 
@@ -156,17 +145,15 @@ module type MAKER = functor (H : Hashing.HASHABLE) ->
 module type INT_MAKER = functor (H : Hashing.HASHABLE with type t = int) ->
   CONCURRENT_MAP with type key = int
 
-(** Scalar-loop implementation of the batch operations, for structures
-    without a staged traversal (lock-striped table, skip list).  The
-    contract is the batch ops' own: a batch IS the corresponding loop,
-    only faster where staging helps. *)
+(** Scalar-loop implementation of {!CONCURRENT_MAP.find_batch}, for
+    structures without a staged traversal (lock-striped table, skip
+    list).  The contract is [find_batch]'s own: a batch IS the loop of
+    [find], only faster where staging helps. *)
 module Batch_fallback (M : sig
   type key
   type 'v t
 
   val find : 'v t -> key -> 'v
-  val insert : 'v t -> key -> 'v -> unit
-  val remove : 'v t -> key -> 'v option
 end) =
 struct
   let find_batch t keys ~miss out =
@@ -182,21 +169,4 @@ struct
       | exception Not_found -> Array.unsafe_set out i miss
     done;
     !hits
-
-  let insert_batch t keys vals =
-    let n = Array.length keys in
-    if Array.length vals <> n then
-      invalid_arg "insert_batch: keys and vals differ in length";
-    for i = 0 to n - 1 do
-      M.insert t (Array.unsafe_get keys i) (Array.unsafe_get vals i)
-    done
-
-  let remove_batch t keys =
-    let removed = ref 0 in
-    for i = 0 to Array.length keys - 1 do
-      match M.remove t (Array.unsafe_get keys i) with
-      | Some _ -> incr removed
-      | None -> ()
-    done;
-    !removed
 end

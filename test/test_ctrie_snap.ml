@@ -11,6 +11,9 @@ let check_int = Alcotest.(check int)
 let check_opt = Alcotest.(check (option int))
 let check_bool = Alcotest.(check bool)
 
+let assert_valid name validate t =
+  match validate t with Ok () -> () | Error e -> Alcotest.failf "%s: %s" name e
+
 (* ------------------- entombment and contraction -------------------- *)
 
 let test_contraction_after_removals () =
@@ -31,7 +34,16 @@ let test_contraction_after_removals () =
   done;
   for i = 0 to 99 do
     check_opt "reusable" (Some (-i)) (CS.lookup t i)
-  done
+  done;
+  (* A two-level cascade: [a] and [b] split two levels down, so
+     removing [b] entombs two I-nodes in turn. *)
+  let t = CS_bad.create () in
+  let a = 1 and b = 1 + (1 lsl 10) in
+  CS_bad.insert t a a;
+  CS_bad.insert t b b;
+  check_opt "cascade remove" (Some b) (CS_bad.remove t b);
+  assert_valid "after the cascade" CS_bad.validate t;
+  check_opt "survivor" (Some a) (CS_bad.lookup t a)
 
 let test_tomb_then_lookup () =
   (* Two deep-colliding keys (identity hash): removing one entombs the
@@ -448,9 +460,6 @@ let test_snapshot_size_linearizable () =
    whatever is later written to the others, and stays structurally
    valid. *)
 
-let assert_valid name validate t =
-  match validate t with Ok () -> () | Error e -> Alcotest.failf "%s: %s" name e
-
 let test_versions_are_independent () =
   let v0 = CS.create () in
   let v1 = CS.snapshot v0 in
@@ -597,27 +606,6 @@ let prop_versions ops =
       List.sort compare (CS.to_list version) = IM.bindings model)
     ((t, !m) :: !versions)
 
-(* A staged remove finishes with the scalar walk from the node its
-   lockstep descent stopped at, below the parent of the I-node it may
-   entomb, so no frame of its own can compact the tomb.  [a] and [b]
-   split two levels down: removing [b] entombs two I-nodes in a
-   cascade. *)
-let test_batch_remove_compacts () =
-  let t = CS_bad.create () in
-  let a = 1 and b = 1 + (1 lsl 10) in
-  CS_bad.insert t a a;
-  CS_bad.insert t b b;
-  check_int "removed" 1 (CS_bad.remove_batch t [| b |]);
-  assert_valid "after the cascade" CS_bad.validate t;
-  check_opt "survivor" (Some a) (CS_bad.lookup t a);
-  let t = CS.create () in
-  for i = 0 to 4_999 do
-    CS.insert t i i
-  done;
-  check_int "bulk removed" 4_900 (CS.remove_batch t (Array.init 4_900 (fun i -> i + 100)));
-  assert_valid "after a bulk batch removal" CS.validate t;
-  check_int "survivors" 100 (CS.size t)
-
 (* A snapshot of a copy-on-write clone: the ballast is shared by three
    versions and the clone's own paths are half renewed. *)
 module CW = Variants.Cow_clone (Hashing.Int_key)
@@ -666,7 +654,6 @@ let ctrie_suite =
       ("tomb_then_lookup", `Quick, test_tomb_then_lookup);
       ("deep_chains", `Quick, test_deep_chains);
       ("lnode_entomb", `Quick, test_lnode_entomb);
-      ("batch_remove_compacts", `Quick, test_batch_remove_compacts);
     ]
 
 let suite =

@@ -527,27 +527,21 @@ let test_trace_sink_and_ambient () =
   check_bool "ambient span carries the ambient id" true
     (T.spans_of tr ~id:55 <> [])
 
-(* Batch operations are timed as one whole-batch sample per call into
-   the matching histogram. *)
+(* [find_batch] is timed as one whole-batch sample per call into the
+   read histogram. *)
 let test_timed_batch () =
   let module T = Obs.Timed.Make (CT) in
   let t = T.create () in
   let keys = Array.init 64 (fun i -> i) in
   let vals = Array.init 64 (fun i -> i * 2) in
-  T.insert_batch t keys vals;
+  Array.iteri (fun i k -> T.insert t k vals.(i)) keys;
   let out = Array.make 64 (-1) in
   let found = T.find_batch t keys ~miss:(-1) out in
   check_int "batch find finds every key" 64 found;
   check_bool "batch find fills the out array" true
     (Array.to_list out = Array.to_list vals);
-  let removed = T.remove_batch t (Array.sub keys 0 8) in
-  check_int "batch remove counts" 8 removed;
   check_int "one read sample per find_batch" 1
-    (Obs.Latency.total (List.assoc "read" (T.latencies t)));
-  check_int "one insert sample per insert_batch" 1
-    (Obs.Latency.total (List.assoc "insert" (T.latencies t)));
-  check_int "one remove sample per remove_batch" 1
-    (Obs.Latency.total (List.assoc "remove" (T.latencies t)))
+    (Obs.Latency.total (List.assoc "read" (T.latencies t)))
 
 (* ------------------- watchdog post-mortem wiring ------------------- *)
 

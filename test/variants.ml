@@ -90,8 +90,6 @@ struct
     done;
     hits
 
-  let insert_batch t keys vals = M.insert_batch t (users keys) (Array.map (fun v -> Val v) vals)
-  let remove_batch t keys = M.remove_batch t (users keys)
 
   let fold f acc t =
     M.fold
