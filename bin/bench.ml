@@ -1,30 +1,24 @@
-(* Benchmark driver regenerating every table and figure of the paper's
-   evaluation (Section 5 + artifact appendix).
+(* repro bench — the six writers of the committed BENCH_*.json files.
 
    Two layers:
    - Bechamel micro-benchmarks ([micro-json]): one Test.make per
      structure for each single-threaded table/figure family (Figure 10
      lookup/insert, the fast-path and collision micro-costs), OLS-fitted
      ns/op and minor words/op, persisted to BENCH_micro.json.
-   - Harness sweeps (Harness.Suites): the full tables for Figures 9 and
-     10, the multi-threaded Figures 11-13, the artifact histograms, the
-     Section 4.1 theory check and the cache ablation.
+   - Harness-driven writers: throughput sweeps and allocation deltas
+     ([sweeps]), the metrics and tracing overhead budgets ([obs]), the
+     bounded cache tier ([cache]), and the serving and durable-serving
+     curves ([serve], [persist]).
 
-   Usage:
-     main.exe                 all experiments, quick scale
-     main.exe full            all experiments, paper-like scale
-     main.exe fig11 fig13     selected experiments (append "full")
-   Experiments: fig9 fig10 fig11 fig12 fig13 hist theory ablation
-                ablation-narrow mixed zipf remove replay
-                micro-json sweeps obs cache serve persist all *)
+   The paper's tables and figures themselves (fig9 ... replay) are the
+   [Harness.Suites.experiments] subcommands of repro. *)
 
 open Bechamel
 open Toolkit
 
 module Hashing = Ct_util.Hashing
 module Suites = Harness.Suites
-
-module CT = Cachetrie.Make (Hashing.Int_key)
+module Loadgen = Kv.Loadgen
 
 (* All generators honour CT_BENCH_SEED so a run is reproducible
    end-to-end; the seed is recorded in the emitted JSON. *)
@@ -831,62 +825,33 @@ let run_obs scale =
    lives in `repro serve`. *)
 let run_serve scale =
   Harness.Report.section "Serving overload curves (BENCH_server.json)";
-  let module S = Kv.Server.Make (CT) in
+  let module S = Setup.Serving (Setup.Trie) in
   let duration = match scale with Suites.Quick -> 1.5 | Suites.Full -> 5.0 in
   let point_cap = match scale with Suites.Quick -> 120_000 | Suites.Full -> 600_000 in
-  let workers = max 2 (min 4 (Harness.Parallel.available_domains () - 2)) in
-  let config =
-    {
-      (Kv.Server.default_config ()) with
-      Kv.Server.workers;
-      queue_capacity = 64;
-      p99_bound_ns = 150_000_000;
-      p99_window = 32;
-      tick_interval = 0.01;
-    }
-  in
-  let deadline_ns = 80_000_000 in
   (* Run one open-loop plan against a fresh map + server; return the
      client summary and the server-side facts the curve needs. *)
   let run_point ~seed ~rate =
     let n = max 1_000 (min point_cap (int_of_float (rate *. duration))) in
-    let plan =
-      {
-        Kv.Loadgen.default_plan with
-        Kv.Loadgen.seed;
-        n;
-        rate;
-        deadline_ns;
-        net = Chaos.Net.quiet;
-      }
-    in
-    let map = CT.create () in
-    let srv = S.start ~config map in
-    let s = Kv.Loadgen.run ~port:(S.port srv) plan in
-    let verified = Result.is_ok (Kv.Loadgen.verify s) in
-    let accepted_p99 = Obs.Latency.percentile (S.latency srv) 99.0 in
-    let executed = S.stat srv "executed" in
-    ignore (S.drain ~timeout:10.0 srv);
-    (s, verified, accepted_p99, executed)
+    S.with_server (Setup.Trie.create ()) @@ fun srv ->
+    let r = S.offer srv { Setup.plan with Loadgen.seed; n; rate } in
+    (r, S.Srv.stat srv "executed")
   in
   let cal_rate = match scale with Suites.Quick -> 60_000.0 | Suites.Full -> 120_000.0 in
-  let cal, cal_ok, _, _ = run_point ~seed:bench_seed ~rate:cal_rate in
+  let cal, _ = run_point ~seed:bench_seed ~rate:cal_rate in
   (* Floor the measured ceiling so a wedged calibration run cannot
      collapse the sweep into a no-load regime. *)
-  let capacity = Float.max 2_000.0 cal.Kv.Loadgen.ok_rate in
+  let capacity = Float.max 2_000.0 cal.Setup.summary.Loadgen.ok_rate in
   Printf.printf
     "capacity calibration: offered %.0f req/s -> goodput %.0f req/s (ledger %s)\n\n"
     cal_rate capacity
-    (if cal_ok then "verified" else "UNVERIFIED");
+    (if cal.Setup.verified then "verified" else "UNVERIFIED");
   let multiples = [ 0.5; 1.0; 1.5; 2.0; 3.0 ] in
   let points =
     List.mapi
       (fun i m ->
         let rate = capacity *. m in
-        let s, verified, accepted_p99, executed =
-          run_point ~seed:(bench_seed lxor (0x5E12 + i)) ~rate
-        in
-        (m, rate, s, verified, accepted_p99, executed))
+        let r, executed = run_point ~seed:(bench_seed lxor (0x5E12 + i)) ~rate in
+        (m, rate, r, executed))
       multiples
   in
   Harness.Report.print_table
@@ -902,39 +867,39 @@ let run_serve scale =
         "ledger";
       ]
     (List.map
-       (fun (m, rate, s, verified, accepted_p99, _) ->
-         let n = float_of_int s.Kv.Loadgen.plan.Kv.Loadgen.n in
+       (fun (m, rate, { Setup.summary = s; verified; accepted_p99 }, _) ->
+         let n = float_of_int s.Loadgen.plan.Loadgen.n in
          [
            Printf.sprintf "%.1fx" m;
            Printf.sprintf "%.0f" rate;
-           Printf.sprintf "%.0f" s.Kv.Loadgen.ok_rate;
-           Printf.sprintf "%.1f%%" (100.0 *. float_of_int (Kv.Loadgen.shed s) /. n);
+           Printf.sprintf "%.0f" s.Loadgen.ok_rate;
+           Printf.sprintf "%.1f%%" (100.0 *. float_of_int (Loadgen.shed s) /. n);
            Printf.sprintf "%.1f%%"
-             (100.0 *. float_of_int s.Kv.Loadgen.deadline_exceeded /. n);
+             (100.0 *. float_of_int s.Loadgen.deadline_exceeded /. n);
            Harness.Report.fmt_ns accepted_p99;
-           Harness.Report.fmt_ns s.Kv.Loadgen.client_p99_ns;
+           Harness.Report.fmt_ns s.Loadgen.client_p99_ns;
            (if verified then "ok" else "FAIL");
          ])
        points);
   print_newline ();
-  let point_json (m, rate, s, verified, accepted_p99, executed) =
+  let point_json (m, rate, { Setup.summary = s; verified; accepted_p99 }, executed) =
     Json.Obj
       [
         ("offered_over_capacity", Json.Float m);
         ("offered_rate", Json.Float rate);
-        ("requests", Json.Int s.Kv.Loadgen.plan.Kv.Loadgen.n);
-        ("achieved_rate", Json.Float s.Kv.Loadgen.achieved_rate);
-        ("goodput", Json.Float s.Kv.Loadgen.ok_rate);
-        ("ok", Json.Int s.Kv.Loadgen.ok);
-        ("shed_queue_full", Json.Int s.Kv.Loadgen.shed_queue_full);
-        ("shed_latency_breach", Json.Int s.Kv.Loadgen.shed_latency_breach);
-        ("deadline_exceeded", Json.Int s.Kv.Loadgen.deadline_exceeded);
-        ("shutting_down", Json.Int s.Kv.Loadgen.shutting_down);
-        ("dropped", Json.Int s.Kv.Loadgen.dropped);
+        ("requests", Json.Int s.Loadgen.plan.Loadgen.n);
+        ("achieved_rate", Json.Float s.Loadgen.achieved_rate);
+        ("goodput", Json.Float s.Loadgen.ok_rate);
+        ("ok", Json.Int s.Loadgen.ok);
+        ("shed_queue_full", Json.Int s.Loadgen.shed_queue_full);
+        ("shed_latency_breach", Json.Int s.Loadgen.shed_latency_breach);
+        ("deadline_exceeded", Json.Int s.Loadgen.deadline_exceeded);
+        ("shutting_down", Json.Int s.Loadgen.shutting_down);
+        ("dropped", Json.Int s.Loadgen.dropped);
         ("executed", Json.Int executed);
         ("accepted_p99_ns", Json.Float accepted_p99);
-        ("client_p50_ns", Json.Float s.Kv.Loadgen.client_p50_ns);
-        ("client_p99_ns", Json.Float s.Kv.Loadgen.client_p99_ns);
+        ("client_p50_ns", Json.Float s.Loadgen.client_p50_ns);
+        ("client_p99_ns", Json.Float s.Loadgen.client_p99_ns);
         ("ledger_verified", Json.Bool verified);
       ]
   in
@@ -944,11 +909,11 @@ let run_serve scale =
          ( "meta",
            json_meta ~scale
              [
-               ("workers", Json.Int workers);
+               ("workers", Json.Int Setup.workers);
                ("duration_s", Json.Float duration);
-               ("deadline_ns", Json.Int deadline_ns);
-               ("queue_capacity", Json.Int config.Kv.Server.queue_capacity);
-               ("p99_bound_ns", Json.Int config.Kv.Server.p99_bound_ns);
+               ("deadline_ns", Json.Int Setup.deadline_ns);
+               ("queue_capacity", Json.Int Setup.config.Kv.Server.queue_capacity);
+               ("p99_bound_ns", Json.Int Setup.config.Kv.Server.p99_bound_ns);
                ("calibration_offered_rate", Json.Float cal_rate);
                ("capacity_req_per_s", Json.Float capacity);
              ] );
@@ -969,7 +934,7 @@ let run_serve scale =
 let run_persist scale =
   Harness.Report.section
     "Durable serving: group-commit interval sweep (BENCH_persist.json)";
-  let module S = Kv.Server.Make (Kv.Durable.Map) in
+  let module S = Setup.Serving (Kv.Durable.Map) in
   let duration = match scale with Suites.Quick -> 1.0 | Suites.Full -> 4.0 in
   let point_cap =
     match scale with Suites.Quick -> 60_000 | Suites.Full -> 400_000
@@ -980,29 +945,9 @@ let run_persist scale =
     | Suites.Full -> [ 0.0005; 0.001; 0.002; 0.004; 0.008 ]
   in
   let multiples = [ 0.5; 1.0; 2.0 ] in
-  let workers = max 2 (min 4 (Harness.Parallel.available_domains () - 2)) in
-  let config =
-    {
-      (Kv.Server.default_config ()) with
-      Kv.Server.workers;
-      queue_capacity = 64;
-      p99_bound_ns = 150_000_000;
-      p99_window = 32;
-      tick_interval = 0.01;
-    }
-  in
-  let deadline_ns = 80_000_000 in
   let dir = "_persist_bench" in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Unix.rmdir path
-    | _ -> Unix.unlink path
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-  in
   let run_point ~seed ~commit_interval ~rate =
-    rm_rf dir;
+    Setup.rm_rf dir;
     let dcfg =
       {
         Kv.Durable.wal =
@@ -1014,54 +959,44 @@ let run_persist scale =
     match Kv.Durable.open_ ~config:dcfg ~dir () with
     | Error e -> failwith (Persist.Recovery.error_to_string e)
     | Ok (st, _) ->
-        let srv =
-          S.start ~config ~durable:(Kv.Durable.hooks st) (Kv.Durable.map st)
-        in
         let n = max 1_000 (min point_cap (int_of_float (rate *. duration))) in
-        let plan =
-          {
-            Kv.Loadgen.default_plan with
-            Kv.Loadgen.seed;
-            n;
-            rate;
-            profile = Harness.Trace.churn;
-            deadline_ns;
-            net = Chaos.Net.quiet;
-          }
+        let point =
+          S.with_server ~durable:(Kv.Durable.hooks st) (Kv.Durable.map st)
+          @@ fun srv ->
+          let r =
+            S.offer srv
+              { Setup.plan with Loadgen.seed; n; rate; profile = Harness.Trace.churn }
+          in
+          let m = Kv.Durable.metrics st in
+          ( r,
+            Ct_util.Metrics.get m Ct_util.Metrics.Wal_appends,
+            Ct_util.Metrics.get m Ct_util.Metrics.Wal_fsyncs )
         in
-        let s = Kv.Loadgen.run ~port:(S.port srv) plan in
-        let verified = Result.is_ok (Kv.Loadgen.verify s) in
-        let accepted_p99 = Obs.Latency.percentile (S.latency srv) 99.0 in
-        let m = Kv.Durable.metrics st in
-        let appends = Ct_util.Metrics.get m Ct_util.Metrics.Wal_appends in
-        let fsyncs = Ct_util.Metrics.get m Ct_util.Metrics.Wal_fsyncs in
-        ignore (S.drain ~timeout:10.0 srv);
         ignore (Kv.Durable.close st);
-        rm_rf dir;
-        (s, verified, accepted_p99, appends, fsyncs)
+        Setup.rm_rf dir;
+        point
   in
-  let cal, cal_ok, _, _, _ =
+  let cal, _, _ =
     run_point ~seed:bench_seed ~commit_interval:0.002 ~rate:40_000.0
   in
-  let capacity = Float.max 2_000.0 cal.Kv.Loadgen.ok_rate in
+  let capacity = Float.max 2_000.0 cal.Setup.summary.Loadgen.ok_rate in
   Printf.printf
     "capacity calibration (durable, 2ms commit): goodput %.0f req/s (ledger \
      %s)\n\n"
     capacity
-    (if cal_ok then "verified" else "UNVERIFIED");
+    (if cal.Setup.verified then "verified" else "UNVERIFIED");
   let points =
     List.concat_map
       (fun commit_interval ->
         List.mapi
           (fun i m ->
             let rate = capacity *. m in
-            let s, verified, accepted_p99, appends, fsyncs =
+            let r, appends, fsyncs =
               run_point
                 ~seed:(bench_seed lxor (0xD15C + (i * 131)))
                 ~commit_interval ~rate
             in
-            (commit_interval, m, rate, s, verified, accepted_p99, appends,
-             fsyncs))
+            (commit_interval, m, rate, r, appends, fsyncs))
           multiples)
       intervals
   in
@@ -1080,35 +1015,36 @@ let run_persist scale =
         "ledger";
       ]
     (List.map
-       (fun (ci, m, _, s, verified, accepted_p99, appends, fsyncs) ->
+       (fun (ci, m, _, { Setup.summary = s; verified; accepted_p99 }, appends, fsyncs) ->
          [
            Printf.sprintf "%.1f ms" (ci *. 1e3);
            Printf.sprintf "%.1fx" m;
-           Printf.sprintf "%.0f" s.Kv.Loadgen.ok_rate;
+           Printf.sprintf "%.0f" s.Loadgen.ok_rate;
            Printf.sprintf "%.1f" (group_size appends fsyncs);
-           Harness.Report.fmt_ns s.Kv.Loadgen.client_p99_ns;
+           Harness.Report.fmt_ns s.Loadgen.client_p99_ns;
            Harness.Report.fmt_ns accepted_p99;
            (if verified then "ok" else "FAIL");
          ])
        points);
   print_newline ();
-  let point_json (ci, m, rate, s, verified, accepted_p99, appends, fsyncs) =
+  let point_json
+      (ci, m, rate, { Setup.summary = s; verified; accepted_p99 }, appends, fsyncs) =
     Json.Obj
       [
         ("commit_interval_s", Json.Float ci);
         ("offered_over_capacity", Json.Float m);
         ("offered_rate", Json.Float rate);
-        ("requests", Json.Int s.Kv.Loadgen.plan.Kv.Loadgen.n);
-        ("goodput", Json.Float s.Kv.Loadgen.ok_rate);
-        ("ok", Json.Int s.Kv.Loadgen.ok);
-        ("shed", Json.Int (Kv.Loadgen.shed s));
-        ("read_only", Json.Int s.Kv.Loadgen.read_only);
-        ("deadline_exceeded", Json.Int s.Kv.Loadgen.deadline_exceeded);
+        ("requests", Json.Int s.Loadgen.plan.Loadgen.n);
+        ("goodput", Json.Float s.Loadgen.ok_rate);
+        ("ok", Json.Int s.Loadgen.ok);
+        ("shed", Json.Int (Loadgen.shed s));
+        ("read_only", Json.Int s.Loadgen.read_only);
+        ("deadline_exceeded", Json.Int s.Loadgen.deadline_exceeded);
         ("wal_appends", Json.Int appends);
         ("wal_fsyncs", Json.Int fsyncs);
         ("appends_per_fsync", Json.Float (group_size appends fsyncs));
-        ("client_p50_ns", Json.Float s.Kv.Loadgen.client_p50_ns);
-        ("client_p99_ns", Json.Float s.Kv.Loadgen.client_p99_ns);
+        ("client_p50_ns", Json.Float s.Loadgen.client_p50_ns);
+        ("client_p99_ns", Json.Float s.Loadgen.client_p99_ns);
         ("accepted_p99_ns", Json.Float accepted_p99);
         ("ledger_verified", Json.Bool verified);
       ]
@@ -1119,9 +1055,9 @@ let run_persist scale =
          ( "meta",
            json_meta ~scale
              [
-               ("workers", Json.Int workers);
+               ("workers", Json.Int Setup.workers);
                ("duration_s", Json.Float duration);
-               ("deadline_ns", Json.Int deadline_ns);
+               ("deadline_ns", Json.Int Setup.deadline_ns);
                ("capacity_req_per_s", Json.Float capacity);
                ( "commit_intervals_s",
                  Json.List (List.map (fun c -> Json.Float c) intervals) );
@@ -1136,7 +1072,7 @@ let run_persist scale =
    loader, so the curve shows what eviction quality buys back.  The
    budget bound and the exact-accounting check are re-asserted on the
    quiescent cache after each run. *)
-module Cache_tier = Cache.Make (CT)
+module Cache_tier = Cache.Make (Setup.Trie)
 
 let run_cache scale =
   Harness.Report.section "Bounded cache tier (BENCH_cache.json)";
@@ -1231,40 +1167,22 @@ let run_cache scale =
                 rows) );
        ])
 
-(* ----------------------------- driver ------------------------------ *)
+(* ----------------------------- writers ----------------------------- *)
 
-let experiments : (string * (Suites.scale -> unit)) list =
-  List.map (fun (name, _, f) -> (name, f)) Suites.experiments
-  @ [
-      ("micro-json", run_micro_json);
-      ("sweeps", run_sweeps);
-      ("obs", run_obs);
-      ("cache", run_cache);
-      ("serve", run_serve);
-      ("persist", run_persist);
-    ]
+let writers =
+  [
+    ("micro-json", run_micro_json);
+    ("sweeps", run_sweeps);
+    ("obs", run_obs);
+    ("cache", run_cache);
+    ("serve", run_serve);
+    ("persist", run_persist);
+  ]
 
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let scale = if List.mem "full" args then Suites.Full else Suites.Quick in
-  let selected =
-    List.filter (fun a -> a <> "full" && a <> "all") args
-  in
-  let to_run =
-    if selected = [] then experiments
-    else
-      List.filter_map
-        (fun name ->
-          match List.assoc_opt name experiments with
-          | Some f -> Some (name, f)
-          | None ->
-              Printf.eprintf
-                "unknown experiment %S (known: %s)\n" name
-                (String.concat ", " (List.map fst experiments));
-              exit 2)
-        selected
-  in
-  Printf.printf "cache-tries benchmark driver — scale: %s, domains available: %d\n"
+(* Run the named writers in the order given; none names all six. *)
+let run scale names =
+  Printf.printf "cache-tries BENCH writers — scale: %s, domains available: %d\n"
     (match scale with Suites.Quick -> "quick" | Suites.Full -> "full")
     (Harness.Parallel.available_domains ());
-  List.iter (fun (_, f) -> f scale) to_run
+  let names = if names = [] then List.map fst writers else names in
+  List.iter (fun name -> (List.assoc name writers) scale) names

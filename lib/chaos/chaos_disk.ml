@@ -70,9 +70,6 @@ type t = {
   mu : Mutex.t;
   mutable kill : kill option;
   mutable torn : int;
-  mutable shorts : int;
-  mutable fsync_fails : int;
-  mutable fsync_delays : int;
   mutable killed : int;
 }
 
@@ -111,10 +108,8 @@ let on_write t ~path ~len =
       t.torn <- t.torn + 1;
       Io.W_torn (Rng.next_int t.rng (len + 1))
     end
-    else if hit t t.plan.short_one_in && len > 1 then begin
-      t.shorts <- t.shorts + 1;
+    else if hit t t.plan.short_one_in && len > 1 then
       Io.W_short (1 + Rng.next_int t.rng (len - 1))
-    end
     else Io.W_ok
   in
   Mutex.unlock t.mu;
@@ -125,14 +120,8 @@ let on_fsync t ~path =
   let d =
     if not (contains ~sub:t.plan.target path) then Io.F_ok
     else if kill_due t ~path ~fsync:true then Io.F_halt
-    else if hit t t.plan.fsync_fail_one_in then begin
-      t.fsync_fails <- t.fsync_fails + 1;
-      Io.F_error
-    end
-    else if hit t t.plan.fsync_delay_one_in then begin
-      t.fsync_delays <- t.fsync_delays + 1;
-      Io.F_delay t.plan.fsync_delay_s
-    end
+    else if hit t t.plan.fsync_fail_one_in then Io.F_error
+    else if hit t t.plan.fsync_delay_one_in then Io.F_delay t.plan.fsync_delay_s
     else Io.F_ok
   in
   Mutex.unlock t.mu;
@@ -146,9 +135,6 @@ let install ?(salt = 0) plan =
       mu = Mutex.create ();
       kill = None;
       torn = 0;
-      shorts = 0;
-      fsync_fails = 0;
-      fsync_delays = 0;
       killed = 0;
     }
   in
@@ -161,11 +147,6 @@ let arm_kill t ?(target = "") ?(at_fsync = false) ~after () =
   if after < 0 then invalid_arg "Chaos_disk.arm_kill";
   Mutex.lock t.mu;
   t.kill <- Some { k_target = target; k_at_fsync = at_fsync; k_after = after };
-  Mutex.unlock t.mu
-
-let disarm_kill t =
-  Mutex.lock t.mu;
-  t.kill <- None;
   Mutex.unlock t.mu
 
 let kill_armed t =
@@ -181,9 +162,6 @@ let counter t f =
   n
 
 let torn t = counter t (fun t -> t.torn)
-let shorts t = counter t (fun t -> t.shorts)
-let fsync_fails t = counter t (fun t -> t.fsync_fails)
-let fsync_delays t = counter t (fun t -> t.fsync_delays)
 let killed t = counter t (fun t -> t.killed)
 
 let clear = Io.clear

@@ -36,15 +36,10 @@ val arm_kill : t -> ?target:string -> ?at_fsync:bool -> after:int -> unit -> uni
     Sweeping [after] places crashes at every phase of group commit and
     checkpoint publication. *)
 
-val disarm_kill : t -> unit
-
 val kill_armed : t -> bool
 (** [false] once the armed kill has fired (or none was armed). *)
 
 val torn : t -> int
-val shorts : t -> int
-val fsync_fails : t -> int
-val fsync_delays : t -> int
 
 val killed : t -> int
 (** Armed kills that actually fired. *)

@@ -50,36 +50,6 @@ let latency_json histograms =
 
 (* ------------------------------- spans ------------------------------ *)
 
-let span_json (s : Obs.Trace.span) =
-  Json.Obj
-    [
-      ("trace_id", Json.Int s.trace_id);
-      ("stage", Json.String (Obs.Trace.stage_name s.stage));
-      ("start_ns", Json.Int s.start_ns);
-      ("dur_ns", Json.Int s.dur_ns);
-      ("a", Json.Int s.a);
-      ("b", Json.Int s.b);
-      ("slot", Json.Int s.slot);
-      ("stamp", Json.Int s.stamp);
-    ]
-
-let spans_json tr =
-  Json.Obj
-    [
-      ( "stages",
-        Json.List
-          (List.map
-             (fun (stage, count, sum_ns) ->
-               Json.Obj
-                 [
-                   ("stage", Json.String stage);
-                   ("count", Json.Int count);
-                   ("sum_ns", Json.Int sum_ns);
-                 ])
-             (Obs.Trace.stage_summary tr)) );
-      ("spans", Json.List (List.map span_json (Obs.Trace.spans tr)));
-    ]
-
 (* Chrome trace-event JSON (the catapult format Perfetto loads):
    complete events (ph "X") with microsecond ts/dur, one tid per ring
    slot, trace id and stage annotations in args.  Timestamps are

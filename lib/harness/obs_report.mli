@@ -12,11 +12,6 @@ val latency_json : (string * Obs.Latency.t) list -> Report.Json.t
     p999_ns; buckets: [{le_ns; count}]}] — percentiles are the
     bucket-interpolated ones, buckets list only non-empty entries. *)
 
-val spans_json : Obs.Trace.t -> Report.Json.t
-(** A trace collector's resident window as [{stages: [{stage; count;
-    sum_ns}]; spans: [{trace_id; stage; start_ns; dur_ns; a; b; slot;
-    stamp}]}], stamp-ordered. *)
-
 val chrome_trace_json : Obs.Trace.t -> Report.Json.t
 (** The same window as Chrome trace-event JSON (complete events,
     [ph = "X"], microsecond [ts]/[dur] rebased to the earliest span,

@@ -82,5 +82,5 @@ val remove_throughput : scale -> unit
     remove-side compression (Section 3.7), per structure. *)
 
 val experiments : (string * string * (scale -> unit)) list
-(** Every experiment above as [(name, doc, runner)], in run order: the
-    one list that [bench/main.exe] and the [repro] CLI both expose. *)
+(** Every experiment above as [(name, doc, runner)], in run order: one
+    [repro] subcommand each. *)

@@ -19,7 +19,21 @@ module type IMAP = Ct_util.Map_intf.CONCURRENT_MAP with type key = int
 
 (* ------------------------------ recording -------------------------- *)
 
+module Apply (M : IMAP) = struct
+  let apply t = function
+    | Lookup k -> M.lookup t k
+    | Insert (k, v) -> M.add t k v
+    | Remove k -> M.remove t k
+    | Put_if_absent (k, v) -> M.put_if_absent t k v
+    | Replace (k, v) -> M.replace t k v
+    | Replace_if (k, expected, v) ->
+        if M.replace_if t k ~expected v then Some 1 else Some 0
+    | Remove_if (k, expected) ->
+        if M.remove_if t k ~expected then Some 1 else Some 0
+end
+
 let record (module M : IMAP) (scripts : op list list) : event list =
+  let module A = Apply (M) in
   let t = M.create () in
   let clock = Atomic.make 0 in
   let n = List.length scripts in
@@ -32,18 +46,7 @@ let record (module M : IMAP) (scripts : op list list) : event list =
     List.map
       (fun op ->
         let inv = Atomic.fetch_and_add clock 1 in
-        let result =
-          match op with
-          | Lookup k -> M.lookup t k
-          | Insert (k, v) -> M.add t k v
-          | Remove k -> M.remove t k
-          | Put_if_absent (k, v) -> M.put_if_absent t k v
-          | Replace (k, v) -> M.replace t k v
-          | Replace_if (k, expected, v) ->
-              if M.replace_if t k ~expected v then Some 1 else Some 0
-          | Remove_if (k, expected) ->
-              if M.remove_if t k ~expected then Some 1 else Some 0
-        in
+        let result = A.apply t op in
         let res = Atomic.fetch_and_add clock 1 in
         { thread; op; result; inv; res })
       script

@@ -39,6 +39,12 @@ type event = {
 
 module type IMAP = Ct_util.Map_intf.CONCURRENT_MAP with type key = int
 
+module Apply (M : IMAP) : sig
+  val apply : int M.t -> op -> int option
+  (** Run one operation against the map, returning the result
+      {!record} would stamp on its event. *)
+end
+
 val record : (module IMAP) -> op list list -> event list
 (** [record (module M) scripts] runs script [i] on domain [i] against
     one shared fresh map and returns all stamped events. *)

@@ -87,20 +87,10 @@ let targets : target list =
 
 (* --------------------------- scenario builder ---------------------- *)
 
-(* Same op dispatch as [Lincheck.record], but applied one op at a time
-   from inside a fiber. *)
-module Apply (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
-  let apply t op =
-    match op with
-    | Lookup k -> M.lookup t k
-    | Insert (k, v) -> M.add t k v
-    | Remove k -> M.remove t k
-    | Put_if_absent (k, v) -> M.put_if_absent t k v
-    | Replace (k, v) -> M.replace t k v
-    | Replace_if (k, expected, v) ->
-        if M.replace_if t k ~expected v then Some 1 else Some 0
-    | Remove_if (k, expected) ->
-        if M.remove_if t k ~expected then Some 1 else Some 0
+(* [Lincheck.record]'s op dispatch, applied one op at a time from
+   inside a fiber, plus the crash-recovery oracle. *)
+module Apply (M : IMAP) = struct
+  include Lincheck.Apply (M)
 
   (* The §9 contract, checked at quiescence: one scrub help-completes
      all residue and restores validate; a second scrub finds nothing. *)

@@ -55,9 +55,6 @@ let record_ns_traced t ns ~trace_id =
 let record_ns t ns = record_ns_traced t ns ~trace_id:0
 let record_span t ~start = record_ns t (Clock.monotonic_ns () - start)
 
-let record_span_traced t ~start ~trace_id =
-  record_ns_traced t (Clock.monotonic_ns () - start) ~trace_id
-
 let exemplar t b =
   if b < 0 || b >= n_buckets then invalid_arg "Latency.exemplar: bucket";
   t.exem.(b)

@@ -50,8 +50,6 @@ val record_ns_traced : t -> int -> trace_id:int -> unit
     retrievable from {!Trace}.  The exemplar cells are unstriped and
     racy: last-writer-wins is the wanted semantics. *)
 
-val record_span_traced : t -> start:int -> trace_id:int -> unit
-
 val exemplar : t -> int -> int
 (** [exemplar t b] — the trace id last stamped into bucket [b], or 0.
     @raise Invalid_argument if [b] is outside [[0, n_buckets)]. *)

@@ -260,7 +260,10 @@ let pump t () =
     t.pending <- keep;
     Mutex.unlock t.mu;
     List.iter (fun (p, o) -> try p.p_cb o with _ -> ()) fire;
-    if halted || (state = Closed && keep = []) then () else loop ()
+    (* A closed or degraded log fired every waiter above and refuses
+       new ones at [subscribe]: the pump is done.  Waiting for [Closed]
+       alone wedged [close] of a degraded log forever. *)
+    if halted || state <> Running then () else loop ()
   in
   loop ()
 
@@ -437,12 +440,6 @@ let degraded t =
   let d = t.state = Degraded_s in
   Mutex.unlock t.mu;
   d
-
-let pending_acks t =
-  Mutex.lock t.mu;
-  let n = List.length t.pending in
-  Mutex.unlock t.mu;
-  n
 
 let metrics t = t.metrics
 

@@ -73,7 +73,6 @@ val durable_lsn : t -> int
 val degraded : t -> bool
 (** The log has tripped read-only (fsync budget exhausted). *)
 
-val pending_acks : t -> int
 val metrics : t -> Ct_util.Metrics.t
 
 val close : t -> (unit, [ `Degraded | `Closed | `Halted ]) result

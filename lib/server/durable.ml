@@ -61,7 +61,6 @@ type t = {
 let map t = t.map
 let wal t = t.wal
 let metrics t = t.metrics
-let last_checkpoint_lsn t = t.last_ckpt
 let read_only t = Wal.degraded t.wal
 
 (* ---------------------------- checkpointing ------------------------- *)

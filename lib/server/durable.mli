@@ -49,8 +49,6 @@ val hooks : t -> Server.durable
 val read_only : t -> bool
 (** The WAL degraded (fsync budget exhausted); writes refuse typed. *)
 
-val last_checkpoint_lsn : t -> int
-
 val checkpoint_now :
   t ->
   ( int option,

@@ -1,5 +1,4 @@
 let hash_bits = 32
-let max_level = hash_bits - 4
 let mask = (1 lsl hash_bits) - 1
 
 let mix h = Rng.mix64 h land mask

@@ -11,9 +11,6 @@
 val hash_bits : int
 (** Width of trie hash codes: 32. *)
 
-val max_level : int
-(** Deepest trie level that still selects bits: [hash_bits - 4 = 28]. *)
-
 val mask : int
 (** [2^hash_bits - 1]. *)
 

@@ -130,7 +130,6 @@ type t = {
    toggling races only delay the effect by a few bumps. *)
 let enabled = ref true
 let set_enabled b = enabled := b
-let is_enabled () = !enabled
 
 (* ------------------------------ registry --------------------------- *)
 

@@ -116,8 +116,6 @@ val set_enabled : bool -> unit
     obs-off side of the overhead benchmark flips it off.  Reads and
     exporters keep working either way. *)
 
-val is_enabled : unit -> bool
-
 val live : unit -> t list
 (** Every instance still alive (weak registry, pruned lazily). *)
 

@@ -55,32 +55,3 @@ let warmed_up ?(window = 5) ?(threshold = 0.10) xs =
     let s = summarize tail in
     s.cov < threshold
   end
-
-(* Two-sided 97.5% t-distribution quantiles for small degrees of
-   freedom, then the normal approximation (Georges et al. use the same
-   cutoff structure). *)
-let t_quantile_975 df =
-  let table =
-    [|
-      12.706; 4.303; 3.182; 2.776; 2.571; 2.447; 2.365; 2.306; 2.262; 2.228;
-      2.201; 2.179; 2.160; 2.145; 2.131; 2.120; 2.110; 2.101; 2.093; 2.086;
-      2.080; 2.074; 2.069; 2.064; 2.060; 2.056; 2.052; 2.048; 2.045; 2.042;
-    |]
-  in
-  if df <= 0 then nan
-  else if df <= Array.length table then table.(df - 1)
-  else 1.96
-
-let confidence_interval95 xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.confidence_interval95";
-  let m = mean xs in
-  if n = 1 then (m, m)
-  else begin
-    let half = t_quantile_975 (n - 1) *. stddev xs /. sqrt (float_of_int n) in
-    (m -. half, m +. half)
-  end
-
-let speedup ~baseline x =
-  if x <= 0.0 then invalid_arg "Stats.speedup";
-  baseline /. x

@@ -30,14 +30,3 @@ val warmed_up : ?window:int -> ?threshold:float -> float array -> bool
 (** [warmed_up xs] holds when the CoV of the last [window] (default 5)
     samples is below [threshold] (default 0.10) — the ScalaMeter-style
     warmup criterion used by the paper's harness. *)
-
-val confidence_interval95 : float array -> float * float
-(** [confidence_interval95 xs] — a 95% confidence interval for the
-    mean under the t-distribution (the methodology of Georges et al.,
-    which the paper's harness follows).  For one sample the interval
-    degenerates to the sample itself.
-    @raise Invalid_argument on an empty array. *)
-
-val speedup : baseline:float -> float -> float
-(** [speedup ~baseline x] is [baseline /. x]; > 1 means faster than
-    baseline.  @raise Invalid_argument if [x <= 0.]. *)

@@ -85,9 +85,3 @@ let clear_local () =
       slot := None;
       Atomic.decr locals
 
-let local_active () =
-  match !(Domain.DLS.get local_key) with None -> false | Some _ -> true
-
-let with_local f body =
-  set_local f;
-  Fun.protect ~finally:clear_local body

@@ -114,10 +114,3 @@ val set_local : (phase -> site -> unit) -> unit
 
 val clear_local : unit -> unit
 (** Remove the calling domain's local hook, if any. *)
-
-val local_active : unit -> bool
-(** Whether the calling domain has a local hook installed. *)
-
-val with_local : (phase -> site -> unit) -> (unit -> 'a) -> 'a
-(** [with_local f body] runs [body] with [f] installed as the calling
-    domain's local hook, uninstalling it on exit (also on raise). *)

@@ -553,6 +553,38 @@ let crash_prefix_prop (ops, after, at_fsync) =
                 (sorted_bindings reference)));
       true
 
+(* Every fsync fails, so the first group commit exhausts its retry
+   budget and degrades the log.  Closing a degraded log must still
+   reap its threads: the ack pump used to exit only on [Closed], so
+   [close] waited on it forever (the recovery storm wedged this way). *)
+let test_wal_degraded_close () =
+  with_dir @@ fun dir ->
+  let failing_fsync =
+    {
+      Disk.seed = 0xFA11;
+      target = "wal-";
+      torn_one_in = 0;
+      short_one_in = 0;
+      fsync_fail_one_in = 1;
+      fsync_delay_one_in = 0;
+      fsync_delay_s = 0.0;
+    }
+  in
+  ignore (Disk.install failing_fsync);
+  Fun.protect ~finally:Disk.clear @@ fun () ->
+  let config = { Wal.default_config with Wal.fsync_retries = 0 } in
+  let w = Wal.open_ ~config ~dir ~next_lsn:1 () in
+  ignore (Wal.append w (Wal.Put (1, "v")));
+  Alcotest.(check bool) "flush degrades" true (Wal.flush w = Error `Degraded);
+  let closed = Atomic.make false in
+  ignore
+    (Thread.create
+       (fun () ->
+         ignore (Wal.close w);
+         Atomic.set closed true)
+       ());
+  await "close of a degraded log" (fun () -> Atomic.get closed)
+
 let qtests =
   [
     QCheck.Test.make ~count:40
@@ -565,6 +597,7 @@ let suite =
     Alcotest.test_case "crc_vectors" `Quick test_crc_vectors;
     Alcotest.test_case "wal_roundtrip" `Quick test_wal_roundtrip;
     Alcotest.test_case "wal_rotate_and_gap" `Quick test_wal_rotate_and_gap;
+    Alcotest.test_case "wal_degraded_close" `Quick test_wal_degraded_close;
     Alcotest.test_case "checkpoint_roundtrip" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "checkpoint_corruption_refused" `Quick
       test_checkpoint_corruption_refused;

@@ -190,30 +190,6 @@ let test_warmup () =
     (Stats.warmed_up [| 1.0; 9.0; 1.0; 9.0; 1.0; 9.0; 1.0 |]);
   check_bool "too short" false (Stats.warmed_up [| 1.0; 1.0 |])
 
-let test_confidence_interval () =
-  let lo, hi = Stats.confidence_interval95 [| 10.0; 10.0; 10.0; 10.0 |] in
-  feq "degenerate lo" 10.0 lo;
-  feq "degenerate hi" 10.0 hi;
-  let lo, hi = Stats.confidence_interval95 [| 8.0; 12.0; 9.0; 11.0; 10.0 |] in
-  check_bool "mean inside" true (lo < 10.0 && 10.0 < hi);
-  check_bool "interval ordered" true (lo < hi);
-  let lo1, hi1 = Stats.confidence_interval95 [| 5.0 |] in
-  feq "singleton" 5.0 lo1;
-  feq "singleton hi" 5.0 hi1;
-  (* More samples shrink the interval. *)
-  let wide = Stats.confidence_interval95 [| 8.0; 12.0 |] in
-  let narrow =
-    Stats.confidence_interval95 (Array.concat (List.init 10 (fun _ -> [| 8.0; 12.0 |])))
-  in
-  check_bool "narrower with more samples" true
-    (snd narrow -. fst narrow < snd wide -. fst wide)
-
-let test_speedup () =
-  feq "2x" 2.0 (Stats.speedup ~baseline:10.0 5.0);
-  feq "slowdown" 0.5 (Stats.speedup ~baseline:5.0 10.0);
-  Alcotest.check_raises "zero raises" (Invalid_argument "Stats.speedup") (fun () ->
-      ignore (Stats.speedup ~baseline:1.0 0.0))
-
 (* ----------------------------- Backoff ---------------------------- *)
 
 let test_backoff () =
@@ -674,8 +650,6 @@ let suite =
     ("stats.summary", `Quick, test_summary);
     ("stats.percentile", `Quick, test_percentile);
     ("stats.warmup", `Quick, test_warmup);
-    ("stats.confidence_interval", `Quick, test_confidence_interval);
-    ("stats.speedup", `Quick, test_speedup);
     ("backoff.basic", `Quick, test_backoff);
     ("backoff.seeding", `Quick, test_backoff_seeding);
     ("backoff.budget", `Quick, test_backoff_budget);
