@@ -953,7 +953,6 @@ let run_persist scale =
         Kv.Durable.wal =
           { Persist.Wal.default_config with Persist.Wal.commit_interval };
         checkpoint_every = 4096;
-        checkpoint_interval = 0.01;
       }
     in
     match Kv.Durable.open_ ~config:dcfg ~dir () with

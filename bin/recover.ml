@@ -65,7 +65,6 @@ let durable_config =
     Kv.Durable.wal =
       { Persist.Wal.default_config with Persist.Wal.commit_interval = 0.001 };
     checkpoint_every = 300;
-    checkpoint_interval = 0.003;
   }
 
 (* Two loops and a 2 s admission bound: the storm tests durability,

@@ -293,6 +293,7 @@ module Make (H : Hashing.HASHABLE) = struct
      from before that update, and publishing the renewed CNode would
      silently drop the update. *)
   let renewed t bmp arr (gen : gen) : 'v main =
+    Metrics.incr t.metrics Metrics.Renewals;
     let narr =
       Array.map
         (function

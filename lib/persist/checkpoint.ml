@@ -71,38 +71,52 @@ let write ?metrics ~dir ~lsn ~iter () =
   | exception Unix.Unix_error (e, _, _) ->
       Error (`Io_error (Printf.sprintf "%s: %s" tmp (Unix.error_message e)))
   | fd -> (
-      let buf = Buffer.create chunk in
-      let scratch = Bytes.create 16 in
+      (* One reusable chunk: each binding is encoded and checksummed in
+         place, and a full chunk goes straight to [write_all].  A
+         binding larger than the chunk writes its header from the chunk
+         and its value from the caller's string. *)
+      let buf = Bytes.create chunk in
+      let pos = ref 0 in
       let count = ref 0 in
       let flush () =
-        if Buffer.length buf > 0 then begin
-          let b = Buffer.to_bytes buf in
-          Buffer.clear buf;
-          Io.write_all fd ~path:tmp b 0 (Bytes.length b)
+        if !pos > 0 then begin
+          Io.write_all fd ~path:tmp buf 0 !pos;
+          pos := 0
         end
       in
+      let room n = if !pos + n > chunk then flush () in
       let emit key value =
-        let n = 8 + String.length value in
-        Bytes.set_int32_be scratch 0 (Int32.of_int n);
-        Bytes.set_int64_be scratch 8 (Int64.of_int key);
-        let crc = Crc32.bytes scratch 8 8 in
-        let crc = Crc32.update crc (Bytes.unsafe_of_string value) 0 (String.length value) in
-        Bytes.set_int32_be scratch 4 (Int32.of_int crc);
-        Buffer.add_subbytes buf scratch 0 16;
-        Buffer.add_string buf value;
-        incr count;
-        if Buffer.length buf >= chunk then flush ()
+        let vlen = String.length value in
+        room (16 + min vlen (chunk - 16));
+        let h = !pos in
+        Bytes.set_int32_be buf h (Int32.of_int (8 + vlen));
+        Bytes.set_int64_be buf (h + 8) (Int64.of_int key);
+        let v = Bytes.unsafe_of_string value in
+        let crc = Crc32.update (Crc32.bytes buf (h + 8) 8) v 0 vlen in
+        Bytes.set_int32_be buf (h + 4) (Int32.of_int crc);
+        pos := h + 16;
+        if !pos + vlen <= chunk then begin
+          Bytes.blit_string value 0 buf !pos vlen;
+          pos := !pos + vlen
+        end
+        else begin
+          flush ();
+          Io.write_all fd ~path:tmp v 0 vlen
+        end;
+        incr count
       in
       match
-        Buffer.add_string buf magic;
-        Bytes.set_int64_be scratch 0 (Int64.of_int lsn);
-        Buffer.add_subbytes buf scratch 0 8;
+        Bytes.blit_string magic 0 buf 0 (String.length magic);
+        Bytes.set_int64_be buf (String.length magic) (Int64.of_int lsn);
+        pos := String.length magic + 8;
         iter emit;
         (* terminator + footer *)
-        Bytes.set_int32_be scratch 0 0l;
-        Bytes.set_int64_be scratch 4 (Int64.of_int !count);
-        Bytes.set_int32_be scratch 12 (Int32.of_int (Crc32.bytes scratch 4 8));
-        Buffer.add_subbytes buf scratch 0 16;
+        room 16;
+        let h = !pos in
+        Bytes.set_int32_be buf h 0l;
+        Bytes.set_int64_be buf (h + 4) (Int64.of_int !count);
+        Bytes.set_int32_be buf (h + 12) (Int32.of_int (Crc32.bytes buf (h + 4) 8));
+        pos := h + 16;
         flush ();
         Io.fsync fd ~path:tmp
       with

@@ -1,26 +1,21 @@
 (* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the
-   per-record checksum of the WAL and checkpoint formats.  Table-driven
-   over native ints; results always fit 32 bits, so they round-trip
-   through the u32 frame fields unchanged. *)
+   per-record checksum of the WAL and checkpoint formats.  A
+   slice-by-8 C loop (lib/util/ct_crc32_stubs.c); results always fit
+   32 bits, so they round-trip through the u32 frame fields
+   unchanged. *)
 
-let table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+external init : unit -> unit = "ct_crc32_init" [@@noalloc]
+
+external unsafe_update : int -> Bytes.t -> int -> int -> int
+  = "ct_crc32_update"
+[@@noalloc]
+
+let () = init ()
 
 let update crc b off len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Crc32.update";
-  let c = ref (crc lxor 0xFFFF_FFFF) in
-  for i = off to off + len - 1 do
-    c :=
-      table.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
-      lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFF_FFFF
+  unsafe_update crc b off len
 
 let bytes b off len = update 0 b off len
 

@@ -13,10 +13,16 @@
    a committer thread wakes every [commit_interval], writes the
    buffered records in one contiguous write and fsyncs once — the
    group commit that lets thousands of acks share one disk flush.
-   Callers that need the ack register a callback with {!subscribe};
-   a separate pump thread fires callbacks when the durable LSN covers
-   them, when their deadline expires first (a stalled disk degrades to
-   a typed timeout, never unbounded latency), or when the log dies.
+   Callers that need the ack register a callback with {!subscribe}.
+   The thread whose fsync covered a subscription fires it, in one batch
+   per commit followed by the {!on_batch} hook, so a server can write
+   a batch's replies with one [write] per connection.  A watchdog
+   thread sleeps until the earliest pending deadline and fires
+   [Timed_out] for what no fsync covered by then (a stalled disk
+   degrades to a typed timeout, never unbounded latency), and fires
+   [Degraded]/[Lost] once the log dies.  Nothing polls: the watchdog's
+   sleep is bounded by {!watchdog_bound}, and a subscription with an
+   earlier deadline wakes it through a pipe.
 
    Failure ladder: a failed fsync retries on a budgeted {!Backoff}
    (counted as [wal_retries]); when the budget burns out the log trips
@@ -73,8 +79,16 @@ type t = {
   mutable pending : pending list;
   mutable state : state;
   mutable committer : Thread.t option;
-  mutable pump : Thread.t option;
+  mutable watchdog : Thread.t option;
+  mutable wd_wake : int;  (* the watchdog's next planned wake, ns *)
+  kick_r : Unix.file_descr;  (* a byte here wakes the watchdog early *)
+  kick_w : Unix.file_descr;
+  mutable on_batch : unit -> unit;  (* after each fired batch of acks *)
+  mutable trigger_lsn : int;  (* [when_appended]: the LSN to reach ... *)
+  mutable trigger : unit -> unit;  (* ... and what to call then *)
 }
+
+let kick_byte = Bytes.make 1 '!'
 
 (* ------------------------------ encoding ---------------------------- *)
 
@@ -145,32 +159,79 @@ let rec mkdir_p dir =
 
 let degrade_locked t = if t.state = Running then t.state <- Degraded_s
 
-(* One group commit: swap the buffer out under [mu], then write + fsync
-   under [io_mu] only — appends proceed while the disk works. *)
-let flush t =
-  Mutex.lock t.io_mu;
-  Mutex.lock t.mu;
-  let r =
-    if t.state <> Running then begin
-      let r =
-        match t.state with Degraded_s -> Error `Degraded | _ -> Error `Closed
+(* Under [mu]: take every subscription whose fate is now known.  A
+   halted process loses all of them; otherwise the durable LSN, a dead
+   log and the deadline decide, in that order. *)
+let settle_locked t ~now =
+  match t.pending with
+  | [] -> []
+  | pending ->
+      let halted = Io.is_halted () in
+      let fired, keep =
+        List.partition_map
+          (fun p ->
+            if halted then Either.Left (p, Lost)
+            else if p.p_lsn <= t.durable then Either.Left (p, Durable)
+            else if t.state <> Running then Either.Left (p, Degraded)
+            else if now > p.p_deadline then Either.Left (p, Timed_out)
+            else Either.Right p)
+          pending
       in
-      Mutex.unlock t.mu;
-      r
-    end
-    else begin
-      let data = Buffer.to_bytes t.buf in
-      Buffer.clear t.buf;
-      let target = t.buffered_to in
-      let fd = t.fd and path = t.path in
-      Mutex.unlock t.mu;
-      let len = Bytes.length data in
-      (* Background span covering the write + fsync of one group
-         commit.  Trace id 0 (no single request owns it); [a] carries
-         the byte count so a Perfetto view shows which fsync a traced
-         request's fsync-wait overlapped.  One atomic load when no
-         tracer is installed. *)
-      let io0 = Clock.monotonic_ns () in
+      t.pending <- keep;
+      fired
+
+(* Run a settled batch's callbacks, oldest subscription first, then the
+   batch hook — on the calling thread, holding neither mutex. *)
+let fire t = function
+  | [] -> ()
+  | fired ->
+      List.iter (fun (p, o) -> try p.p_cb o with _ -> ()) (List.rev fired);
+      (try t.on_batch () with _ -> ())
+
+(* Wake the watchdog before its planned time.  The pipe is
+   non-blocking: a full pipe already holds a wake-up. *)
+let kick t = try ignore (Unix.single_write t.kick_w kick_byte 0 1) with _ -> ()
+
+(* After a write + fsync meant to cover [target]: advance the durable
+   LSN or degrade, then settle — one pass under [mu]. *)
+let conclude t ~target outcome =
+  Mutex.lock t.mu;
+  (match outcome with
+  | Ok _ -> if target > t.durable then t.durable <- target
+  | Error `Degraded -> degrade_locked t
+  | Error `Halted -> ());
+  let fired = settle_locked t ~now:(Clock.monotonic_ns ()) in
+  Mutex.unlock t.mu;
+  fired
+
+let sealed_error t =
+  match t.state with Degraded_s -> Error `Degraded | _ -> Error `Closed
+
+(* One group commit, holding [io_mu]: swap the buffer out under [mu],
+   then write + fsync under [io_mu] only — appends proceed while the
+   disk works.  Returns the outcome and the subscriptions it settled,
+   which the caller fires once it has released [io_mu]. *)
+let commit_locked t =
+  Mutex.lock t.mu;
+  if t.state <> Running then begin
+    let r = sealed_error t in
+    Mutex.unlock t.mu;
+    (r, [])
+  end
+  else begin
+    let data = Buffer.to_bytes t.buf in
+    Buffer.clear t.buf;
+    let target = t.buffered_to in
+    let fd = t.fd and path = t.path in
+    Mutex.unlock t.mu;
+    let len = Bytes.length data in
+    (* Background span covering the write + fsync of one group
+       commit.  Trace id 0 (no single request owns it); [a] carries
+       the byte count so a Perfetto view shows which fsync a traced
+       request's fsync-wait overlapped.  One atomic load when no
+       tracer is installed. *)
+    let io0 = Clock.monotonic_ns () in
+    let outcome =
       match
         if len > 0 then Io.write_all fd ~path data 0 len;
         let rec sync attempt =
@@ -194,76 +255,77 @@ let flush t =
             ~dur_ns:(Clock.monotonic_ns () - io0)
             ~a:len ~b:0;
           Backoff.reset t.bo;
-          Mutex.lock t.mu;
-          if target > t.durable then t.durable <- target;
-          Mutex.unlock t.mu;
           Ok ()
-      | Error `Halted -> Error `Halted
-      | Error `Degraded ->
-          Mutex.lock t.mu;
-          degrade_locked t;
-          Mutex.unlock t.mu;
-          Error `Degraded
+      | Error _ as e -> e
       | exception Io.Halted -> Error `Halted
       | exception Unix.Unix_error _ ->
           (* A failed or torn data write: the segment tail is suspect,
              and the cleared buffer cannot be replayed without risking
              duplicate bytes.  Terminal; nothing in it was acked. *)
-          Mutex.lock t.mu;
-          degrade_locked t;
-          Mutex.unlock t.mu;
           Error `Degraded
-    end
-  in
+    in
+    let fired = conclude t ~target outcome in
+    ((outcome :> (unit, [ `Degraded | `Closed | `Halted ]) result), fired)
+  end
+
+let flush t =
+  Mutex.lock t.io_mu;
+  let r, fired = commit_locked t in
   Mutex.unlock t.io_mu;
+  fire t fired;
   r
 
 (* ------------------------------ threads ----------------------------- *)
 
+let running t =
+  Mutex.lock t.mu;
+  let r = t.state = Running in
+  Mutex.unlock t.mu;
+  r
+
+(* The group commit: every [commit_interval], one write + fsync, and
+   the acks it covered fired from here.  On exit (halted, degraded or
+   closed) it wakes the watchdog, which settles whatever is left. *)
 let committer t () =
   let rec loop () =
     Unix.sleepf t.cfg.commit_interval;
-    if Io.is_halted () then ()
-    else begin
-      Mutex.lock t.mu;
-      let state = t.state in
-      Mutex.unlock t.mu;
-      match state with
-      | Closed | Degraded_s -> ()
-      | Running -> (
-          match flush t with
-          | Ok () -> loop ()
-          | Error (`Degraded | `Halted | `Closed) -> ())
-    end
+    if (not (Io.is_halted ())) && running t then
+      match flush t with Ok () -> loop () | Error _ -> ()
   in
-  loop ()
+  loop ();
+  kick t
 
-let pump_interval cfg = Float.max 2e-4 (Float.min 1e-3 (cfg.commit_interval /. 2.))
+let watchdog_bound cfg = 50. *. cfg.commit_interval
 
-let pump t () =
+(* Deadlines: sleep until the earliest pending deadline (at most
+   [watchdog_bound]), then fire [Timed_out] for every subscription the
+   committer has not covered by then — a stalled fsync cannot hold an
+   ack past its deadline.  [subscribe] kicks the pipe when a new
+   deadline is earlier than the planned wake.  Once the log is halted
+   or no longer running, it fires everything left and stops. *)
+let watchdog t () =
+  let max_sleep = int_of_float (watchdog_bound t.cfg *. 1e9) in
+  let scratch = Bytes.create 64 in
   let rec loop () =
-    Unix.sleepf (pump_interval t.cfg);
-    let halted = Io.is_halted () in
     Mutex.lock t.mu;
-    let durable = t.durable and state = t.state in
     let now = Clock.monotonic_ns () in
-    let fire, keep =
-      List.partition_map
-        (fun p ->
-          if halted then Either.Left (p, Lost)
-          else if p.p_lsn <= durable then Either.Left (p, Durable)
-          else if state <> Running then Either.Left (p, Degraded)
-          else if now > p.p_deadline then Either.Left (p, Timed_out)
-          else Either.Right p)
-        t.pending
+    let fired = settle_locked t ~now in
+    let stop = Io.is_halted () || t.state <> Running in
+    let wake =
+      List.fold_left (fun w p -> min w p.p_deadline) (now + max_sleep) t.pending
     in
-    t.pending <- keep;
+    t.wd_wake <- wake;
     Mutex.unlock t.mu;
-    List.iter (fun (p, o) -> try p.p_cb o with _ -> ()) fire;
-    (* A closed or degraded log fired every waiter above and refuses
-       new ones at [subscribe]: the pump is done.  Waiting for [Closed]
-       alone wedged [close] of a degraded log forever. *)
-    if halted || state <> Running then () else loop ()
+    fire t fired;
+    if not stop then begin
+      (match
+         Unix.select [ t.kick_r ] [] [] (float_of_int (wake - now) /. 1e9)
+       with
+      | [], _, _ -> ()
+      | _ -> ( try ignore (Unix.read t.kick_r scratch 0 64) with _ -> ())
+      | exception Unix.Unix_error (EINTR, _, _) -> ());
+      loop ()
+    end
   in
   loop ()
 
@@ -278,6 +340,9 @@ let open_ ?(config = default_config) ?metrics ~dir ~next_lsn () =
   in
   let path = seg_path dir next_lsn in
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
+  let kick_r, kick_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock kick_r;
+  Unix.set_nonblock kick_w;
   let t =
     {
       dir;
@@ -295,11 +360,17 @@ let open_ ?(config = default_config) ?metrics ~dir ~next_lsn () =
       pending = [];
       state = Running;
       committer = None;
-      pump = None;
+      watchdog = None;
+      wd_wake = max_int;
+      kick_r;
+      kick_w;
+      on_batch = ignore;
+      trigger_lsn = max_int;
+      trigger = ignore;
     }
   in
   t.committer <- Some (Thread.create (committer t) ());
-  t.pump <- Some (Thread.create (pump t) ());
+  t.watchdog <- Some (Thread.create (watchdog t) ());
   t
 
 let append t op =
@@ -320,32 +391,62 @@ let append t op =
         t.buffered_to <- lsn;
         Metrics.incr t.metrics Metrics.Wal_appends;
         let pressure = Buffer.length t.buf >= t.cfg.max_buffer in
+        let trigger =
+          if lsn < t.trigger_lsn then ignore
+          else begin
+            let f = t.trigger in
+            t.trigger_lsn <- max_int;
+            t.trigger <- ignore;
+            f
+          end
+        in
         Mutex.unlock t.mu;
+        trigger ();
         if pressure then ignore (flush t);
         Ok lsn
   end
 
 let subscribe t ~lsn ~deadline_ns cb =
   Mutex.lock t.mu;
+  let wake_watchdog = ref false in
   let immediate =
     if Io.is_halted () then Some Lost
     else if lsn <= t.durable then Some Durable
     else if t.state <> Running then Some Degraded
     else begin
       t.pending <- { p_lsn = lsn; p_deadline = deadline_ns; p_cb = cb } :: t.pending;
+      if deadline_ns < t.wd_wake then begin
+        t.wd_wake <- deadline_ns;
+        wake_watchdog := true
+      end;
       None
     end
   in
   Mutex.unlock t.mu;
+  if !wake_watchdog then kick t;
   match immediate with Some o -> cb o | None -> ()
+
+let on_batch t f = t.on_batch <- f
+
+let when_appended t ~lsn f =
+  Mutex.lock t.mu;
+  let reached = t.next_lsn > lsn in
+  if reached then begin
+    t.trigger_lsn <- max_int;
+    t.trigger <- ignore
+  end
+  else begin
+    t.trigger_lsn <- lsn;
+    t.trigger <- f
+  end;
+  Mutex.unlock t.mu;
+  if reached then f ()
 
 let rotate t =
   Mutex.lock t.io_mu;
   Mutex.lock t.mu;
   if t.state <> Running then begin
-    let r =
-      match t.state with Degraded_s -> Error `Degraded | _ -> Error `Closed
-    in
+    let r = sealed_error t in
     Mutex.unlock t.mu;
     Mutex.unlock t.io_mu;
     r
@@ -360,7 +461,7 @@ let rotate t =
         [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
         0o644
     with
-    | exception e ->
+    | exception _ ->
         (* Could not open the next segment: keep writing the old one.
            The unwritten records go back in front of the buffer — no
            appends happened since the swap (we hold [mu]). *)
@@ -370,9 +471,8 @@ let rotate t =
         Buffer.add_bytes t.buf tail;
         Mutex.unlock t.mu;
         Mutex.unlock t.io_mu;
-        ignore e;
         Error `Degraded
-    | new_fd -> (
+    | new_fd ->
         t.fd <- new_fd;
         t.path <- seg_path t.dir t.next_lsn;
         Mutex.unlock t.mu;
@@ -386,20 +486,15 @@ let rotate t =
           with
           | () ->
               Metrics.incr t.metrics Metrics.Wal_fsyncs;
-              Mutex.lock t.mu;
-              if boundary > t.durable then t.durable <- boundary;
-              Mutex.unlock t.mu;
               Ok boundary
           | exception Io.Halted -> Error `Halted
-          | exception Unix.Unix_error _ ->
-              Mutex.lock t.mu;
-              degrade_locked t;
-              Mutex.unlock t.mu;
-              Error `Degraded
+          | exception Unix.Unix_error _ -> Error `Degraded
         in
         (try Unix.close old_fd with _ -> ());
+        let fired = conclude t ~target:boundary sealed in
         Mutex.unlock t.io_mu;
-        sealed)
+        fire t fired;
+        (sealed :> (int, [ `Degraded | `Closed | `Halted ]) result)
   end
 
 (* Unlink every segment all of whose records are <= [lsn].  A segment's
@@ -444,10 +539,14 @@ let degraded t =
 let metrics t = t.metrics
 
 let join_threads t =
+  kick t;
   (match t.committer with Some th -> Thread.join th | None -> ());
-  (match t.pump with Some th -> Thread.join th | None -> ());
+  (match t.watchdog with Some th -> Thread.join th | None -> ());
   t.committer <- None;
-  t.pump <- None
+  t.watchdog <- None
+
+let close_fds t =
+  List.iter (fun fd -> try Unix.close fd with _ -> ()) [ t.fd; t.kick_r; t.kick_w ]
 
 let close t =
   let r = flush t in
@@ -455,8 +554,8 @@ let close t =
   if t.state = Running then t.state <- Closed;
   Mutex.unlock t.mu;
   join_threads t;
-  (* Fire anything the pump left behind (it exits on Degraded only
-     after clearing; this is belt-and-braces for the halted path). *)
+  (* The watchdog settles everything before it stops; this catches a
+     subscription that raced its last pass. *)
   Mutex.lock t.mu;
   let left = t.pending in
   t.pending <- [];
@@ -466,15 +565,16 @@ let close t =
     (fun p ->
       try p.p_cb (if p.p_lsn <= durable then Durable else Lost) with _ -> ())
     left;
-  (try Unix.close t.fd with _ -> ());
+  close_fds t;
   r
 
 (* Post-crash teardown: no flush, no final acks — the process "died".
-   Joins the threads (they exit on the halted flag) and drops the fd. *)
+   Joins the threads (they exit on the halted flag or the closed
+   state) and drops the fds. *)
 let abandon t =
   Mutex.lock t.mu;
   if t.state = Running then t.state <- Closed;
   t.pending <- [];
   Mutex.unlock t.mu;
   join_threads t;
-  try Unix.close t.fd with _ -> ()
+  close_fds t

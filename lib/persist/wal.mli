@@ -3,10 +3,12 @@
     Appends are cheap (encode into a buffer, take the next LSN); a
     committer thread turns the buffer into one contiguous write plus
     one fsync every [commit_interval] — the group commit.  Durability
-    acks are callbacks ({!subscribe}), fired by an independent pump
-    thread, so a stalled disk turns into typed [Timed_out] acks rather
-    than unbounded latency.  Failed fsyncs retry on a budgeted backoff
-    and then trip the log into a terminal degraded state. *)
+    acks are callbacks ({!subscribe}), fired by the thread whose fsync
+    made them durable, as one batch per commit.  A watchdog thread
+    sleeps until the earliest pending deadline, so a stalled disk turns
+    into typed [Timed_out] acks rather than unbounded latency.  Failed
+    fsyncs retry on a budgeted backoff and then trip the log into a
+    terminal degraded state. *)
 
 type op = Put of int * string | Remove of int
 
@@ -35,7 +37,7 @@ val open_ :
   unit ->
   t
 (** Open (creating if needed) segment [wal-<next_lsn>.log] in [dir] and
-    start the committer and pump threads.  [next_lsn] is 1 for a fresh
+    start the committer and watchdog threads.  [next_lsn] is 1 for a fresh
     store, or [Recovery] stats' [last_lsn + 1] after a restart. *)
 
 val append : t -> op -> (int, [ `Degraded | `Closed | `Halted ]) result
@@ -48,8 +50,30 @@ val subscribe : t -> lsn:int -> deadline_ns:int -> (ack -> unit) -> unit
     [Durable] once a completed fsync covers it, [Timed_out] if the
     absolute {!Ct_util.Clock.monotonic_ns} deadline passes first,
     [Degraded]/[Lost] if the log dies first.  May fire synchronously
-    (already-durable LSNs); otherwise fires on the pump thread.  The
-    callback must not raise and must not block. *)
+    (already-durable LSNs); otherwise fires on the thread that settled
+    it: the one whose fsync covered it (the committer, or a caller of
+    {!flush}, {!rotate} or a pressured {!append}), or the watchdog for
+    [Timed_out], [Degraded] and [Lost].  The callback must not raise
+    and must not block. *)
+
+val on_batch : t -> (unit -> unit) -> unit
+(** [on_batch t f] makes [f] run after each batch of callbacks that
+    one commit or watchdog pass fires, on the same thread, once every
+    callback of the batch has returned — the point to write what the
+    callbacks buffered.  Not called for synchronous fires inside
+    {!subscribe}.  One slot: the last call wins. *)
+
+val watchdog_bound : config -> float
+(** The longest the watchdog sleeps, seconds: [50 * commit_interval].
+    A subscription whose deadline is earlier than the watchdog's
+    planned wake wakes it at once, so [Timed_out] fires at the
+    deadline, not up to this bound after it. *)
+
+val when_appended : t -> lsn:int -> (unit -> unit) -> unit
+(** [when_appended t ~lsn f] calls [f] once, as soon as an append is
+    assigned an LSN [>= lsn] — on the appending thread, outside the
+    log's locks — or at once if one already was.  One registration at
+    a time: a new one replaces the old.  The checkpointer's wake-up. *)
 
 val flush : t -> (unit, [ `Degraded | `Closed | `Halted ]) result
 (** Force a group commit now: everything appended so far is durable on
@@ -77,7 +101,7 @@ val metrics : t -> Ct_util.Metrics.t
 
 val close : t -> (unit, [ `Degraded | `Closed | `Halted ]) result
 (** Graceful shutdown: final flush, stop both threads, fire remaining
-    subscriptions, close the fd.  [Ok] means everything appended is on
+    subscriptions, close the fds.  [Ok] means everything appended is on
     disk. *)
 
 val abandon : t -> unit

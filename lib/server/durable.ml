@@ -7,7 +7,9 @@
    under the key's stripe lock, so that two loops writing one key for
    two connections log its writes in the order the map applied them.
    This module owns everything else — recovery at open, the WAL's
-   lifecycle, and the checkpointer thread that periodically:
+   lifecycle, and the checkpointer thread.  It sleeps on a condition
+   until the log signals ({!Wal.when_appended}) that [checkpoint_every]
+   records were appended since the last checkpoint, and then:
 
      1. {!Wal.rotate}s — sealing the current segment at a boundary LSN
         every record of which is both durable and applied;
@@ -36,15 +38,12 @@ module Map = Ctrie_snap.Make (Ct_util.Hashing.Int_key)
 type config = {
   wal : Wal.config;
   checkpoint_every : int;  (* records appended between checkpoints *)
-  checkpoint_interval : float;  (* checkpointer poll period, seconds *)
 }
 
-let default_config =
-  {
-    wal = Wal.default_config;
-    checkpoint_every = 8192;
-    checkpoint_interval = 0.01;
-  }
+let default_config = { wal = Wal.default_config; checkpoint_every = 8192 }
+
+(* After a failed checkpoint write, the pause before the next try. *)
+let io_retry_pause = 0.01
 
 type t = {
   dir : string;
@@ -54,7 +53,10 @@ type t = {
   metrics : Metrics.t;
   ckpt_mu : Mutex.t;  (* one checkpoint at a time (thread + manual) *)
   mutable last_ckpt : int;  (* boundary LSN of the newest checkpoint *)
-  stop : bool Atomic.t;
+  wake_mu : Mutex.t;  (* guards [due] and [stop] *)
+  wake : Condition.t;  (* the checkpointer waits here *)
+  mutable due : bool;  (* the log reached the next checkpoint's LSN *)
+  mutable stop : bool;
   mutable checkpointer : Thread.t option;
 }
 
@@ -97,26 +99,45 @@ let checkpoint_now t =
   Mutex.unlock t.ckpt_mu;
   r
 
+let signal t f =
+  Mutex.lock t.wake_mu;
+  f ();
+  Condition.signal t.wake;
+  Mutex.unlock t.wake_mu
+
+(* Sleep until the log reaches [last_ckpt + checkpoint_every] (or
+   [close] stops the thread), then checkpoint.  A manual
+   [checkpoint_now] in between moves [last_ckpt], so a wake-up only
+   checkpoints if the distance still holds; either way the trigger is
+   re-armed from the newest checkpoint. *)
 let checkpointer t () =
   let rec loop () =
-    Unix.sleepf t.cfg.checkpoint_interval;
-    if Atomic.get t.stop || Io.is_halted () then ()
-    else if Wal.last_lsn t.wal - t.last_ckpt >= t.cfg.checkpoint_every then begin
+    Wal.when_appended t.wal ~lsn:(t.last_ckpt + t.cfg.checkpoint_every)
+      (fun () -> signal t (fun () -> t.due <- true));
+    Mutex.lock t.wake_mu;
+    while not (t.due || t.stop) do
+      Condition.wait t.wake t.wake_mu
+    done;
+    t.due <- false;
+    let stop = t.stop in
+    Mutex.unlock t.wake_mu;
+    if stop || Io.is_halted () then ()
+    else if Wal.last_lsn t.wal - t.last_ckpt < t.cfg.checkpoint_every then loop ()
+    else
       match checkpoint_now t with
       | Ok _ -> loop ()
       | Error `Halted -> ()
       | Error (`Degraded | `Closed) -> ()  (* the log is done writing *)
-      | Error (`Io_error _) -> loop ()  (* retry next period *)
-    end
-    else loop ()
+      | Error (`Io_error _) ->
+          Unix.sleepf io_retry_pause;
+          loop ()
   in
   loop ()
 
 (* ------------------------------ lifecycle --------------------------- *)
 
 let open_ ?(config = default_config) ?(salvage = false) ~dir () =
-  if config.checkpoint_every < 1 || config.checkpoint_interval <= 0.0 then
-    invalid_arg "Durable.open_";
+  if config.checkpoint_every < 1 then invalid_arg "Durable.open_";
   let metrics = Metrics.create ~family:"durable" in
   let map = Map.create () in
   match
@@ -140,7 +161,10 @@ let open_ ?(config = default_config) ?(salvage = false) ~dir () =
           metrics;
           ckpt_mu = Mutex.create ();
           last_ckpt = stats.Recovery.checkpoint_lsn;
-          stop = Atomic.make false;
+          wake_mu = Mutex.create ();
+          wake = Condition.create ();
+          due = false;
+          stop = false;
           checkpointer = None;
         }
       in
@@ -152,11 +176,12 @@ let hooks t =
     Server.d_append = (fun op -> Wal.append t.wal op);
     d_subscribe = (fun ~lsn ~deadline_ns cb -> Wal.subscribe t.wal ~lsn ~deadline_ns cb);
     d_flush = (fun () -> ignore (Wal.flush t.wal));
+    d_on_batch = Wal.on_batch t.wal;
     d_read_only = (fun () -> Wal.degraded t.wal);
   }
 
 let join_checkpointer t =
-  Atomic.set t.stop true;
+  signal t (fun () -> t.stop <- true);
   (match t.checkpointer with Some th -> Thread.join th | None -> ());
   t.checkpointer <- None
 

@@ -4,9 +4,10 @@
 
     Open with {!open_} (which recovers from disk), serve with
     [Server.Make (Durable.Map)] passing [~durable:(hooks t)] and
-    [map t], shut down with {!close}.  The checkpointer thread rotates
-    the WAL and serializes an O(1) [fold_snapshot] every
-    [checkpoint_every] records — writers never pause. *)
+    [map t], shut down with {!close}.  The checkpointer thread sleeps
+    until the WAL signals that [checkpoint_every] records were appended
+    since the last checkpoint, then rotates the WAL and serializes an
+    O(1) [fold_snapshot] — writers never pause. *)
 
 module Map : sig
   include Ct_util.Map_intf.CONCURRENT_MAP with type key = int
@@ -20,8 +21,6 @@ type config = {
   checkpoint_every : int;
       (** records appended since the last checkpoint that trigger the
           next one (default 8192) *)
-  checkpoint_interval : float;
-      (** checkpointer poll period, seconds (default 0.01) *)
 }
 
 val default_config : config

@@ -6,14 +6,17 @@
    stamped once; every frame that read completed, decoded and executed
    inline in order; then one write of the pass's replies per
    connection.  A request never crosses a thread.  The only other
-   writer is the WAL pump delivering durable acks.
+   writer is whichever thread settles durable acks (the WAL's
+   committer after its fsync, or its deadline watchdog): it buffers
+   each connection's acks of one batch and writes them with one write
+   per connection.
 
    [Unix.select] only takes descriptors below FD_SETSIZE (1024), so a
    connection accepted on a higher descriptor is closed at once.
 
    File-descriptor ownership protocol: ONLY a connection's owning loop
    ever [Unix.close]s its fd, under the connection's write mutex.
-   Every other party (the WAL pump writing a durable ack, [kill])
+   Every other party (a thread writing a batch of durable acks, [kill])
    writes or [Unix.shutdown]s it under that mutex while [alive] still
    holds, so a closed fd number is never reused by an unrelated socket
    while someone still pokes at it.  The listener is closed by the
@@ -116,6 +119,8 @@ type durable = {
       (* fire exactly once with the lsn's fate *)
   d_flush : unit -> unit;  (* graceful drain: force a group commit *)
   d_read_only : unit -> bool;  (* the log degraded; refuse writes *)
+  d_on_batch : (unit -> unit) -> unit;
+      (* install the function run after each batch of fired acks *)
 }
 
 (* The store a loop executes Get/Put/Remove on.  Bounded-cache mode
@@ -140,6 +145,11 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
         (* read stamp since which a partial frame has waited; 0 = none *)
     mutable alive : bool;  (* fd not yet closed by its owning loop *)
     mutable broken : bool;  (* a write failed; stop writing replies *)
+    mutable acks : Bytes.t;  (* durable acks fired, not yet written *)
+    mutable acks_len : int;
+    mutable acks_n : int;  (* replies in [acks] *)
+    mutable ack_listed : bool;  (* in the server's [ack_conns] *)
+        (* the four [ack*] fields: under [wmutex] *)
   }
 
   (* 0 = running, 1 = draining, 2 = stopped *)
@@ -160,6 +170,8 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
     counters : int Atomic.t array;
     conns : conn list ref;  (* every open connection, for [kill] *)
     conn_mutex : Mutex.t;
+    ack_mu : Mutex.t;
+    mutable ack_conns : conn list;  (* connections with buffered acks *)
     key_locks : Mutex.t array;
         (* durable writes: one apply-and-append at a time per stripe *)
     progress : Progress.t option;
@@ -191,8 +203,8 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
     if conn.alive then (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with _ -> ());
     Mutex.unlock conn.wmutex
 
+  (* Write [len] bytes of [b], holding [conn.wmutex]. *)
   let write_locked t conn b len =
-    Mutex.lock conn.wmutex;
     if conn.alive && not conn.broken then begin
       let ok =
         try
@@ -213,33 +225,96 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
         bump t c_write_failures;
         try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with _ -> ()
       end
-    end;
-    Mutex.unlock conn.wmutex
+    end
 
-  (* A reply written at once: the WAL pump's durable acks. *)
-  let send_reply t conn ~id reply =
-    let b = Protocol.encode_reply ~id reply in
-    write_locked t conn b (Bytes.length b)
+  (* [buf] holding [len] bytes, with the first [n] bytes of [b]
+     appended: the same buffer, or a grown copy. *)
+  let append_to buf len b n =
+    let buf =
+      if len + n <= Bytes.length buf then buf
+      else begin
+        let grown = Bytes.create (max (2 * Bytes.length buf) (len + n)) in
+        Bytes.blit buf 0 grown 0 len;
+        grown
+      end
+    in
+    Bytes.blit b 0 buf len n;
+    buf
 
   (* A reply from the owning loop: buffered, written by [flush] with
      the rest of the pass's replies to this connection. *)
   let reply conn ~id r =
     let b = Protocol.encode_reply ~id r in
-    let n = Bytes.length b in
-    if conn.out_len + n > Bytes.length conn.out then begin
-      let grown =
-        Bytes.create (max (2 * Bytes.length conn.out) (conn.out_len + n))
-      in
-      Bytes.blit conn.out 0 grown 0 conn.out_len;
-      conn.out <- grown
-    end;
-    Bytes.blit b 0 conn.out conn.out_len n;
-    conn.out_len <- conn.out_len + n
+    conn.out <- append_to conn.out conn.out_len b (Bytes.length b);
+    conn.out_len <- conn.out_len + Bytes.length b
 
+  (* A durable ack, on the thread that settled it: buffered on its
+     connection, which joins [ack_conns] unless it is there already.
+     The end of the batch ([flush_acks]) or the owning loop's next
+     [flush], whichever comes first, writes it. *)
+  let deliver t conn ~id r =
+    let b = Protocol.encode_reply ~id r in
+    Mutex.lock conn.wmutex;
+    conn.acks <- append_to conn.acks conn.acks_len b (Bytes.length b);
+    conn.acks_len <- conn.acks_len + Bytes.length b;
+    conn.acks_n <- conn.acks_n + 1;
+    let enlist = not conn.ack_listed in
+    conn.ack_listed <- true;
+    Mutex.unlock conn.wmutex;
+    if enlist then begin
+      Mutex.lock t.ack_mu;
+      t.ack_conns <- conn :: t.ack_conns;
+      Mutex.unlock t.ack_mu
+    end
+
+  (* Holding [wmutex]: hand the buffered acks to [write]; returns how
+     many replies they were. *)
+  let take_acks conn write =
+    let n = conn.acks_n in
+    if n > 0 then begin
+      write conn.acks conn.acks_len;
+      conn.acks_len <- 0;
+      conn.acks_n <- 0
+    end;
+    n
+
+  (* Count [n] written acks off [inflight] — only once their bytes are
+     written, or dropped because the connection is dead or broken, so
+     a drain never closes a connection whose acks still wait. *)
+  let acked t n = if n > 0 then ignore (Atomic.fetch_and_add t.inflight (-n))
+
+  (* The end of one batch of fired acks: one write per connection that
+     gained acks in it. *)
+  let flush_acks t =
+    Mutex.lock t.ack_mu;
+    let conns = t.ack_conns in
+    t.ack_conns <- [];
+    Mutex.unlock t.ack_mu;
+    List.iter
+      (fun conn ->
+        Mutex.lock conn.wmutex;
+        conn.ack_listed <- false;
+        let n = take_acks conn (write_locked t conn) in
+        Mutex.unlock conn.wmutex;
+        acked t n)
+      conns
+
+  (* The owning loop's write of one pass: its replies, plus any acks
+     buffered for the connection, in one write.  [acks_n] is peeked
+     without the mutex: a stale 0 leaves those acks to the batch's
+     own [flush_acks], which runs anyway. *)
   let flush t conn =
-    if conn.out_len > 0 then begin
-      write_locked t conn conn.out conn.out_len;
-      conn.out_len <- 0
+    if conn.out_len > 0 || conn.acks_n > 0 then begin
+      Mutex.lock conn.wmutex;
+      let n =
+        take_acks conn (fun b len ->
+            conn.out <- append_to conn.out conn.out_len b len;
+            conn.out_len <- conn.out_len + len)
+      in
+      if conn.out_len > 0 then write_locked t conn conn.out conn.out_len;
+      Mutex.unlock conn.wmutex;
+      conn.out_len <- 0;
+      acked t n
     end
 
   (* --------------------------- executing ---------------------------- *)
@@ -251,12 +326,14 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
 
   (* Withhold [reply] until the WAL covers [lsn] with an fsync.  The
      connection reply (and the inflight decrement drain waits on)
-     moves to the ack callback — fired by the WAL's pump thread, which
-     runs even when the disk stalls, so the deadline still binds.
-     [exec_end] is the loop's post-execution timestamp, so the
-     sampled request's fsync-wait span starts exactly where its exec
-     span ended and the stage durations sum to the recorded end-to-end
-     latency. *)
+     moves to the ack callback, which runs on the thread that settles
+     the ack: the one whose fsync covered it, or the WAL's deadline
+     watchdog, which runs even when the disk stalls, so the deadline
+     still binds.  The callback only buffers the reply ([deliver]);
+     the batch's end or the owning loop writes it.  [exec_end] is the
+     loop's post-execution timestamp, so the sampled request's
+     fsync-wait span starts exactly where its exec span ended and the
+     stage durations sum to the recorded end-to-end latency. *)
   let finish_durable t conn ~arrival (req : Protocol.request) d reply lsn
       ~exec_end =
     let tr = req.trace in
@@ -266,7 +343,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
     in
     Atomic.incr t.inflight;
     d.d_subscribe ~lsn ~deadline_ns (fun ack ->
-        (match ack with
+        match ack with
         | Persist.Wal.Durable ->
             bump t c_durable_acks;
             let fin = Clock.monotonic_ns () in
@@ -279,18 +356,17 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
               Obs.Trace.record_sink tr Obs.Trace.Request ~start_ns:arrival
                 ~dur_ns:e2e ~a:0 ~b:0
             end;
-            send_reply t conn ~id:req.id reply
+            deliver t conn ~id:req.id reply
         | Persist.Wal.Timed_out ->
             bump t c_deadline_expired;
             bump t c_durable_timeouts;
-            send_reply t conn ~id:req.id Protocol.Deadline_exceeded
+            deliver t conn ~id:req.id Protocol.Deadline_exceeded
         | Persist.Wal.Degraded ->
             bump t c_read_only;
-            send_reply t conn ~id:req.id Protocol.Read_only
+            deliver t conn ~id:req.id Protocol.Read_only
         | Persist.Wal.Lost ->
             (* Simulated process death: a dead server sends nothing. *)
-            ());
-        Atomic.decr t.inflight)
+            acked t 1)
 
   let map_ops map =
     {
@@ -551,6 +627,10 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
             partial_since = 0;
             alive = true;
             broken = false;
+            acks = Bytes.empty;
+            acks_len = 0;
+            acks_n = 0;
+            ack_listed = false;
           }
         in
         bump t c_conns_opened;
@@ -702,6 +782,8 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
             Array.init (Array.length stat_labels) (fun _ -> Atomic.make 0);
           conns = ref [];
           conn_mutex = Mutex.create ();
+          ack_mu = Mutex.create ();
+          ack_conns = [];
           key_locks = Array.init 64 (fun _ -> Mutex.create ());
           progress;
           durable;
@@ -714,6 +796,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
         (try Unix.close listen_fd with _ -> ());
         raise e
     in
+    Option.iter (fun d -> d.d_on_batch (fun () -> flush_acks t)) durable;
     t.loops <-
       Array.init config.workers (fun i -> Domain.spawn (fun () -> run_loop t i));
     t.ticker_thread <- Some (Thread.create (fun () -> ticker t) ());

@@ -79,7 +79,10 @@ val exec_site : Ct_util.Yieldpoint.site
     what makes background checkpoints consistent.  The loop holds one
     lock per key stripe across a write's apply and append, so writes
     to one key from connections on different loops reach the log in
-    the order the map applied them. *)
+    the order the map applied them.  An ack callback runs on the thread
+    that settled the ack and only buffers the reply; [d_on_batch]
+    installs the server's end-of-batch step, which writes each
+    connection's buffered acks with one [write]. *)
 type durable = {
   d_append :
     Persist.Wal.op -> (int, [ `Degraded | `Closed | `Halted ]) result;
@@ -87,6 +90,9 @@ type durable = {
     lsn:int -> deadline_ns:int -> (Persist.Wal.ack -> unit) -> unit;
   d_flush : unit -> unit;
   d_read_only : unit -> bool;
+  d_on_batch : (unit -> unit) -> unit;
+      (** install the function run after each batch of fired acks, on
+          the firing thread ({!Persist.Wal.on_batch}) *)
 }
 
 (** The store loops execute Get/Put/Remove on.  Bounded-cache mode

@@ -47,6 +47,7 @@ type counter =
   | Tier_evictions
   | Tier_expirations
   | Tier_rejections
+  | Renewals
 
 (* [@inline] matters: without flambda this match is otherwise a real
    call on every bump, and after inlining at a constant-constructor
@@ -78,6 +79,7 @@ let[@inline] index = function
   | Tier_evictions -> 23
   | Tier_expirations -> 24
   | Tier_rejections -> 25
+  | Renewals -> 26
 
 let all =
   [
@@ -86,7 +88,7 @@ let all =
     Sampling_passes; Cache_installs; Cache_adjustments; Wal_appends;
     Wal_fsyncs; Wal_retries; Checkpoints; Checkpoint_records;
     Recovery_replayed; Tier_hits; Tier_misses; Tier_negative_hits;
-    Tier_evictions; Tier_expirations; Tier_rejections;
+    Tier_evictions; Tier_expirations; Tier_rejections; Renewals;
   ]
 
 let n_counters = List.length all
@@ -118,6 +120,7 @@ let label = function
   | Tier_evictions -> "tier_evictions"
   | Tier_expirations -> "tier_expirations"
   | Tier_rejections -> "tier_rejections"
+  | Renewals -> "renewals"
 
 (* [words] is [Stripe.words rows], kept at hand for the bump below. *)
 type t = {

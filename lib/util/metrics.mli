@@ -48,6 +48,9 @@ type counter =
   | Tier_expirations  (** bounded-cache tier: entries dropped by TTL *)
   | Tier_rejections
       (** bounded-cache tier: puts refused by admission control *)
+  | Renewals
+      (** Ctrie_snap: C-nodes copied into the current generation
+          because a snapshot moved the root to a new one *)
 
 val all : counter list
 (** Every counter, in the fixed export order. *)

@@ -75,6 +75,119 @@ let test_crc_vectors () =
   Bytes.set b 4 (Char.chr (Char.code (Bytes.get b 4) lxor 1));
   check_bool "bit flip detected" true (Crc32.bytes b 0 (Bytes.length b) <> c0)
 
+(* CRC-32 as the log formats defined it before the C stub: the
+   byte-at-a-time table loop, kept here as the reference. *)
+let ref_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let ref_crc crc b off len =
+  let c = ref (crc lxor 0xFFFF_FFFF) in
+  for i = off to off + len - 1 do
+    c := ref_table.((!c lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFF_FFFF
+
+(* Random bytes of length 0..4096 at a random offset inside a larger
+   buffer, and a split point for a chained [update]. *)
+let crc_case_arb =
+  QCheck.make
+    ~print:(fun (s, off, len, cut) ->
+      Printf.sprintf "buffer %d bytes, off %d, len %d, cut %d" (String.length s)
+        off len cut)
+    QCheck.Gen.(
+      int_range 0 4096 >>= fun len ->
+      int_range 0 15 >>= fun off ->
+      int_range 0 len >>= fun cut ->
+      string_size ~gen:char (return (off + len + 8)) >>= fun s ->
+      return (s, off, len, cut))
+
+let crc_stub_prop (s, off, len, cut) =
+  let b = Bytes.of_string s in
+  let want = ref_crc 0 b off len in
+  Crc32.bytes b off len = want
+  && Crc32.update (Crc32.update 0 b off cut) b (off + cut) (len - cut) = want
+  && Crc32.update 0x1234_5678 b off len = ref_crc 0x1234_5678 b off len
+
+(* A checkpoint and a WAL segment written by the byte-at-a-time CRC
+   code: the store must still recover them, and today's encoders must
+   reproduce them byte for byte. *)
+let legacy_checkpoint =
+    "\x63\x74\x6b\x76\x2d\x63\x6b\x70\x74\x20\x76\x31\x0a\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x0b\x56\x16\x89\x6a\x00\x00\x00\
+   \x00\x00\x00\x00\x01\x6f\x6e\x65\x00\x00\x00\x08\x8b\x2c\xbe\x45\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x30\x1f\x87\x9b\x57\
+   \x00\x00\x00\x00\x00\x00\x00\x03\x20\x27\x2e\x35\x3c\x43\x4a\x51\x58\x5f\x66\x6d\x74\x7b\x23\x2a\x31\x38\x3f\x46\x4d\x54\x5b\x62\
+   \x69\x70\x77\x7e\x26\x2d\x34\x3b\x42\x49\x50\x57\x5e\x65\x6c\x73\x00\x00\x00\x14\xbb\xe3\xc6\x32\xff\xff\xff\xff\xff\xff\xff\xf9\
+   \x6e\x65\x67\x61\x74\x69\x76\x65\x20\x6b\x65\x79\x00\x00\x00\x0b\x42\x59\x8d\x5c\x3f\xff\xff\xff\xff\xff\xff\xff\x00\xff\x80\x00\
+   \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x05\x15\x48\x2b\xe6"
+
+let legacy_segment =
+    "\x00\x00\x00\x14\x63\xc5\xb3\x6e\x00\x00\x00\x00\x00\x00\x00\x06\x00\x00\x00\x00\x00\x00\x00\x00\x01\x75\x6e\x6f\x00\x00\x00\x11\
+   \xd2\x46\x9f\xab\x00\x00\x00\x00\x00\x00\x00\x07\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x61\xb5\x51\x07\xa4\x00\x00\x00\
+   \x00\x00\x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x00\x04\x20\x27\x2e\x35\x3c\x43\x4a\x51\x58\x5f\x66\x6d\x74\x7b\x23\x2a\x31\x38\
+   \x3f\x46\x4d\x54\x5b\x62\x69\x70\x77\x7e\x26\x2d\x34\x3b\x42\x49\x50\x57\x5e\x65\x6c\x73\x20\x27\x2e\x35\x3c\x43\x4a\x51\x58\x5f\
+   \x66\x6d\x74\x7b\x23\x2a\x31\x38\x3f\x46\x4d\x54\x5b\x62\x69\x70\x77\x7e\x26\x2d\x34\x3b\x42\x49\x50\x57\x5e\x65\x6c\x73\x00\x00\
+   \x00\x11\x8f\x84\x6b\x74\x00\x00\x00\x00\x00\x00\x00\x09\x01\xff\xff\xff\xff\xff\xff\xff\xf9\x00\x00\x00\x12\x0a\xa8\xd5\x8e\x00\
+   \x00\x00\x00\x00\x00\x00\x0a\x00\x00\x00\x00\x00\x00\x00\x00\x09\x78"
+
+let legacy_long = String.init 40 (fun i -> Char.chr (32 + (i * 7 mod 95)))
+
+let legacy_bindings =
+  [ (1, "one"); (2, ""); (3, legacy_long); (-7, "negative key"); (max_int, "\000\255\128") ]
+
+let legacy_ops =
+  [
+    Wal.Put (1, "uno");
+    Wal.Remove 2;
+    Wal.Put (4, legacy_long ^ legacy_long);
+    Wal.Remove (-7);
+    Wal.Put (9, "x");
+  ]
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_legacy_files_recover () =
+  with_dir @@ fun dir ->
+  write_file (Filename.concat dir (Checkpoint.ckpt_name 5)) legacy_checkpoint;
+  write_file (Filename.concat dir (Wal.seg_name 6)) legacy_segment;
+  let tbl, r = load_tbl dir in
+  (match r with
+  | Ok s ->
+      check_int "checkpoint lsn" 5 s.Recovery.checkpoint_lsn;
+      check_int "checkpoint records" 5 s.Recovery.checkpoint_records;
+      check_int "wal suffix replayed" 5 s.Recovery.replayed;
+      check_int "last lsn" 10 s.Recovery.last_lsn
+  | Error e -> Alcotest.failf "recovery: %s" (Recovery.error_to_string e));
+  check_bool "recovered state" true
+    (sorted_bindings tbl
+    = List.sort compare
+        [
+          (1, "uno");
+          (3, legacy_long);
+          (4, legacy_long ^ legacy_long);
+          (9, "x");
+          (max_int, "\000\255\128");
+        ]);
+  with_dir @@ fun dir ->
+  (match
+     Checkpoint.write ~dir ~lsn:5
+       ~iter:(fun emit -> List.iter (fun (k, v) -> emit k v) legacy_bindings)
+       ()
+   with
+  | Ok n -> check_int "bindings written" 5 n
+  | Error _ -> Alcotest.fail "checkpoint write");
+  check_bool "checkpoint bytes unchanged" true
+    (read_file (Filename.concat dir (Checkpoint.ckpt_name 5)) = legacy_checkpoint);
+  let records = List.mapi (fun i op -> Wal.encode_record ~lsn:(6 + i) op) legacy_ops in
+  check_bool "wal record bytes unchanged" true
+    (Bytes.to_string (Bytes.concat Bytes.empty records) = legacy_segment)
+
 (* -------------------------------- wal ------------------------------- *)
 
 let test_wal_roundtrip () =
@@ -138,6 +251,101 @@ let test_wal_rotate_and_gap () =
   | Ok _ -> Alcotest.fail "gap recovered silently"
   | Error e -> Alcotest.failf "wrong refusal: %s" (Recovery.error_to_string e))
 
+(* Record every ack a subscription gets, with the monotonic time it
+   arrived. *)
+let ack_log () =
+  let mu = Mutex.create () and log = ref [] in
+  let cb a =
+    Mutex.lock mu;
+    log := (a, Ct_util.Clock.monotonic_ns ()) :: !log;
+    Mutex.unlock mu
+  in
+  let seen () =
+    Mutex.lock mu;
+    let l = List.rev !log in
+    Mutex.unlock mu;
+    l
+  in
+  (cb, seen)
+
+(* A stalled disk: every fsync sleeps 0.3 s.  A subscription with a
+   50 ms deadline must get exactly one [Timed_out], within its
+   deadline plus the watchdog bound, and never a [Durable] when the
+   stalled fsync finally lands. *)
+let test_wal_stalled_fsync_times_out () =
+  with_dir @@ fun dir ->
+  Io.install
+    {
+      Io.on_write = (fun ~path:_ ~len:_ -> Io.W_ok);
+      on_fsync = (fun ~path:_ -> Io.F_delay 0.3);
+    };
+  Fun.protect ~finally:Io.clear @@ fun () ->
+  let w = Wal.open_ ~dir ~next_lsn:1 () in
+  let lsn =
+    match Wal.append w (Wal.Put (1, "v")) with
+    | Ok l -> l
+    | Error _ -> Alcotest.fail "append"
+  in
+  let cb, seen = ack_log () in
+  let t0 = Ct_util.Clock.monotonic_ns () in
+  let deadline_ns = t0 + 50_000_000 in
+  Wal.subscribe w ~lsn ~deadline_ns cb;
+  await "timed-out ack" (fun () -> seen () <> []);
+  let bound_ns =
+    50_000_000
+    + int_of_float (Wal.watchdog_bound Wal.default_config *. 1e9)
+    + 50_000_000
+  in
+  (match seen () with
+  | [ (Wal.Timed_out, at) ] ->
+      check_bool
+        (Printf.sprintf "fired %.1f ms after subscribe" (float_of_int (at - t0) /. 1e6))
+        true
+        (at >= deadline_ns && at - t0 <= bound_ns)
+  | _ -> Alcotest.fail "first ack is not a single Timed_out");
+  await "stalled fsync lands" (fun () -> Wal.durable_lsn w >= lsn);
+  Unix.sleepf 0.02;
+  check_int "no second ack after the fsync" 1 (List.length (seen ()));
+  check_bool "close" true (Wal.close w = Ok ());
+  check_int "still one ack after close" 1 (List.length (seen ()))
+
+(* No faults: an appended LSN acks [Durable] within one commit
+   interval plus one fsync, with slack for a busy host. *)
+let test_wal_durable_within_commit () =
+  with_dir @@ fun dir ->
+  let fsync_s =
+    let path = Filename.concat dir "probe" in
+    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+    ignore (Unix.write_substring fd "x" 0 1);
+    let t0 = Unix.gettimeofday () in
+    Unix.fsync fd;
+    let dt = Unix.gettimeofday () -. t0 in
+    Unix.close fd;
+    dt
+  in
+  let cfg = Wal.default_config in
+  let w = Wal.open_ ~config:cfg ~dir ~next_lsn:1 () in
+  let bound_ns = int_of_float ((cfg.Wal.commit_interval +. fsync_s +. 0.1) *. 1e9) in
+  for i = 1 to 10 do
+    let lsn =
+      match Wal.append w (Wal.Put (i, "v")) with
+      | Ok l -> l
+      | Error _ -> Alcotest.fail "append"
+    in
+    let cb, seen = ack_log () in
+    let t0 = Ct_util.Clock.monotonic_ns () in
+    Wal.subscribe w ~lsn ~deadline_ns:max_int cb;
+    await "durable ack" (fun () -> seen () <> []);
+    match seen () with
+    | [ (Wal.Durable, at) ] ->
+        if at - t0 > bound_ns then
+          Alcotest.failf "ack %d took %.1f ms (bound %.1f ms)" i
+            (float_of_int (at - t0) /. 1e6)
+            (float_of_int bound_ns /. 1e6)
+    | _ -> Alcotest.fail "ack is not a single Durable"
+  done;
+  check_bool "close" true (Wal.close w = Ok ())
+
 (* ----------------------------- checkpoint --------------------------- *)
 
 let test_checkpoint_roundtrip () =
@@ -178,6 +386,32 @@ let test_checkpoint_roundtrip () =
   | Error e -> Alcotest.failf "recovery: %s" (Recovery.error_to_string e));
   check_bool "composed state" true
     (sorted_bindings tbl = [ (2, "bb"); (3, ""); (9, "nine") ])
+
+(* The writer's reusable 64 KiB chunk: many small bindings cross its
+   boundary, one value fills a chunk exactly, and one is larger than a
+   chunk (written straight from the caller's string). *)
+let test_checkpoint_chunk_boundaries () =
+  with_dir @@ fun dir ->
+  let small = List.init 5000 (fun i -> (i, String.make (i mod 41) 'a')) in
+  let bindings =
+    small @ [ (-1, String.make ((64 * 1024) - 16) 'b'); (-2, String.make 100_000 'c') ]
+  in
+  let iter emit = List.iter (fun (k, v) -> emit k v) bindings in
+  (match Checkpoint.write ~dir ~lsn:9 ~iter () with
+  | Ok n -> check_int "bindings written" (List.length bindings) n
+  | Error _ -> Alcotest.fail "checkpoint write");
+  let tbl = Hashtbl.create 8 in
+  (match
+     Checkpoint.read
+       ~path:(Filename.concat dir (Checkpoint.ckpt_name 9))
+       ~add:(Hashtbl.replace tbl)
+   with
+  | Ok (lsn, n) ->
+      check_int "lsn" 9 lsn;
+      check_int "count" (List.length bindings) n
+  | Error e -> Alcotest.failf "checkpoint read: %s" e);
+  check_bool "bindings round-trip" true
+    (sorted_bindings tbl = List.sort compare bindings)
 
 let flip_byte path off =
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
@@ -447,6 +681,111 @@ let test_durable_shared_key_order () =
       check_int "keys recovered to a value other than the last served" 0
         (List.length stale)
 
+(* Drain with acks in flight: one connection pipelines 64 durable
+   Puts, and the drain starts as soon as the group commit covering
+   them lands, while their acks are still being written — the
+   end-of-batch write runs 0.1 s late here.  Every ack must reach the
+   client before the server closes the connection: acks fired in a
+   batch count as answered only once they are written. *)
+let test_durable_drain_pipelined () =
+  with_dir @@ fun dir ->
+  let st =
+    match Kv.Durable.open_ ~dir () with
+    | Ok (st, _) -> st
+    | Error e -> Alcotest.failf "open: %s" (Recovery.error_to_string e)
+  in
+  let h = Kv.Durable.hooks st in
+  let late_writes =
+    {
+      h with
+      Kv.Server.d_on_batch =
+        (fun f ->
+          h.Kv.Server.d_on_batch (fun () ->
+              Unix.sleepf 0.1;
+              f ()));
+    }
+  in
+  let srv = DS.start ~durable:late_writes (Kv.Durable.map st) in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, DS.port srv));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let n = 64 in
+  let frames =
+    List.init n (fun i ->
+        Kv.Protocol.encode_request
+          {
+            Kv.Protocol.id = i + 1;
+            deadline_ns = 0;
+            op = Kv.Protocol.Put (i, "v");
+            trace = 0;
+          })
+  in
+  let b = Bytes.concat Bytes.empty frames in
+  ignore (Unix.write fd b 0 (Bytes.length b));
+  await "puts committed" (fun () -> Wal.durable_lsn (Kv.Durable.wal st) >= n);
+  let drained = ref false in
+  let drainer = Thread.create (fun () -> drained := DS.drain ~timeout:5.0 srv) () in
+  let r = Kv.Protocol.Reader.create () in
+  let stored = ref 0 and refused = ref 0 and other = ref 0 in
+  let rec collect () =
+    match Kv.Protocol.Reader.next_frame r with
+    | Some p ->
+        (match Kv.Protocol.decode_reply p with
+        | Ok (_, Kv.Protocol.Stored _) -> incr stored
+        | Ok (_, Kv.Protocol.Shutting_down) -> incr refused
+        | _ -> incr other);
+        collect ()
+    | None -> (
+        match Kv.Protocol.Reader.fill r fd with
+        | 0 -> ()
+        | _ -> collect ()
+        | exception Unix.Unix_error _ -> ())
+  in
+  collect ();
+  Thread.join drainer;
+  Unix.close fd;
+  check_bool "drain flushed" true !drained;
+  check_int "no other replies" 0 !other;
+  check_int "every put acked before EOF" n !stored;
+  check_bool "close" true (Kv.Durable.close st = Ok ())
+
+(* A simulated kill while acks wait on a stalled fsync: the pending
+   ack turns [Lost], and the client sees the connection end without a
+   single reply byte. *)
+let test_durable_halt_sends_nothing () =
+  with_dir @@ fun dir ->
+  let st =
+    match Kv.Durable.open_ ~dir () with
+    | Ok (st, _) -> st
+    | Error e -> Alcotest.failf "open: %s" (Recovery.error_to_string e)
+  in
+  let srv = DS.start ~durable:(Kv.Durable.hooks st) (Kv.Durable.map st) in
+  Io.install
+    {
+      Io.on_write = (fun ~path:_ ~len:_ -> Io.W_ok);
+      on_fsync = (fun ~path:_ -> Io.F_delay 0.3);
+    };
+  Fun.protect ~finally:(fun () ->
+      Io.clear ();
+      Io.resurrect ())
+  @@ fun () ->
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, DS.port srv));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  let b =
+    Kv.Protocol.encode_request
+      { Kv.Protocol.id = 1; deadline_ns = 0; op = Kv.Protocol.Put (1, "v"); trace = 0 }
+  in
+  ignore (Unix.write fd b 0 (Bytes.length b));
+  await "put applied and logged" (fun () -> DS.stat srv "dispatched" >= 1);
+  Io.halt ();
+  DS.kill srv;
+  Kv.Durable.abandon st;
+  let got = Bytes.create 64 in
+  let n = try Unix.read fd got 0 64 with Unix.Unix_error _ -> -1 in
+  Unix.close fd;
+  check_int "no reply bytes before EOF" 0 n
+
 (* ------------------------ crash-point property ---------------------- *)
 
 (* Chaos.Disk kills the WAL at a random point (write or fsync, after a
@@ -555,8 +894,9 @@ let crash_prefix_prop (ops, after, at_fsync) =
 
 (* Every fsync fails, so the first group commit exhausts its retry
    budget and degrades the log.  Closing a degraded log must still
-   reap its threads: the ack pump used to exit only on [Closed], so
-   [close] waited on it forever (the recovery storm wedged this way). *)
+   reap its threads: an ack thread that exits only on [Closed] makes
+   [close] wait on it forever (the recovery storm once wedged this
+   way). *)
 let test_wal_degraded_close () =
   with_dir @@ fun dir ->
   let failing_fsync =
@@ -590,6 +930,8 @@ let qtests =
     QCheck.Test.make ~count:40
       ~name:"salvage recovery is a prefix of appends at random crash points"
       crash_case_arb crash_prefix_prop;
+    QCheck.Test.make ~count:300 ~name:"crc32 stub matches the table reference"
+      crc_case_arb crc_stub_prop;
   ]
 
 let suite =
@@ -598,7 +940,13 @@ let suite =
     Alcotest.test_case "wal_roundtrip" `Quick test_wal_roundtrip;
     Alcotest.test_case "wal_rotate_and_gap" `Quick test_wal_rotate_and_gap;
     Alcotest.test_case "wal_degraded_close" `Quick test_wal_degraded_close;
+    Alcotest.test_case "wal_stalled_fsync_times_out" `Quick
+      test_wal_stalled_fsync_times_out;
+    Alcotest.test_case "wal_durable_within_commit" `Quick
+      test_wal_durable_within_commit;
     Alcotest.test_case "checkpoint_roundtrip" `Quick test_checkpoint_roundtrip;
+    Alcotest.test_case "checkpoint_chunk_boundaries" `Quick
+      test_checkpoint_chunk_boundaries;
     Alcotest.test_case "checkpoint_corruption_refused" `Quick
       test_checkpoint_corruption_refused;
     Alcotest.test_case "torn_tail_strict_vs_salvage" `Quick
@@ -610,5 +958,10 @@ let suite =
       test_durable_server_survives_restart;
     Alcotest.test_case "durable_shared_key_order" `Quick
       test_durable_shared_key_order;
+    Alcotest.test_case "durable_drain_pipelined" `Quick
+      test_durable_drain_pipelined;
+    Alcotest.test_case "durable_halt_sends_nothing" `Quick
+      test_durable_halt_sends_nothing;
+    Alcotest.test_case "legacy_files_recover" `Quick test_legacy_files_recover;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qtests
