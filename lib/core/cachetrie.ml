@@ -6,11 +6,16 @@ module Slots = Ct_util.Slots
    The implementation follows the paper's pseudocode (Figures 2-8)
    with the OCaml-specific decisions documented in DESIGN.md:
 
-   - ANodes are [Slots.t] arrays (Ct_util.Slots): a single flat array
-     CASed field-by-field through the runtime's
-     [caml_atomic_cas_field].  A slot is a stable location for the
-     lifetime of its ANode, so CAS identities work exactly as in the
-     paper (DESIGN.md "Slot layout").
+   - An ANode is one heap block, as in the paper's Figure 1: its tag
+     is the [ANode] constructor's and its 4 or 16 fields are its
+     slots, read and CASed in place through Ct_util.Slots (the
+     runtime's [caml_atomic_cas_field]).  There is no constructor box
+     around a slot array, so a level of the walk is one dependent load
+     (the slot) and the node a slot holds is the node itself, also as
+     a cache entry.  A slot is a stable location for the lifetime of
+     its ANode, so CAS identities work exactly as in the paper
+     (DESIGN.md "Slot layout").  The casts between the two views of an
+     ANode block sit in one section below.
    - An SNode is one 5-word block, an inline record whose mutable
      [txn] field is CASed in place through the same primitive
      (Ct_util.Field), so a leaf is named by its [node] value.  [txn]
@@ -132,6 +137,11 @@ type stats = {
   cache_adjustments : int;
 }
 
+(* The argument type of the [ANode] constructor: abstract and without
+   values, so an [ANode] can be matched but never built or bound (see
+   "ANode blocks" below). *)
+type anode_repr
+
 module Make (H : Hashing.HASHABLE) = struct
   type key = H.t
 
@@ -146,7 +156,9 @@ module Make (H : Hashing.HASHABLE) = struct
     | FVNode  (** frozen empty slot *)
     | SNode of { hash : int; key : key; value : 'v; mutable txn : 'v txn }
         (** leaf holding one binding; [txn] is CASed in place *)
-    | ANode of 'v anode  (** inner node: 4 (narrow) or 16 (wide) slots *)
+    | ANode of anode_repr [@warning "-37"]
+        (** inner node: one block of 4 (narrow) or 16 (wide) slots,
+            allocated by [new_anode], never by the constructor *)
     | LNode of 'v lnode  (** list of bindings whose 32-bit hashes collide *)
     | FNode of 'v node  (** freeze wrapper for an ANode or LNode *)
     | ENode of 'v enode  (** expansion descriptor *)
@@ -158,7 +170,7 @@ module Make (H : Hashing.HASHABLE) = struct
     | Replace of 'v node  (** announced replacement (SNode, ANode or LNode) *)
     | Removed  (** announced removal: parent slot will become Null *)
 
-  and 'v anode = 'v node Slots.t
+  and 'v anode = 'v node Slots.t  (** an [ANode] block, seen as its slots *)
 
   and 'v lnode = { lhash : int; entries : (key * 'v) list }
 
@@ -198,10 +210,6 @@ module Make (H : Hashing.HASHABLE) = struct
     s_h : int array;  (** mixed hash per chunk position *)
     s_lev : int array;  (** current trie level; -1 = already resolved *)
     s_cur : 'v anode array;  (** node the next step reads *)
-    s_box : 'v node array;
-        (** the parent slot's [ANode] wrapping [s_cur]; [Null] when no
-            slot holds it as an [ANode] (the root, a cache entry's node,
-            an expansion's narrow node) *)
     s_act : int array;  (** active chunk positions, compacted in place *)
     mutable s_nact : int;
     mutable s_hits : int;
@@ -228,7 +236,38 @@ module Make (H : Hashing.HASHABLE) = struct
      cache misses, small enough that the per-level state stays in L1. *)
   let chunk_cap = 64
 
-  let new_anode n : 'v anode = Slots.make n Null
+  (* ---------------------------------------------------------------- *)
+  (* ANode blocks: every cast of the trie.  An [ANode] value and its    *)
+  (* slots are one block of the [ANode] constructor's tag (1: [SNode]   *)
+  (* is 0).  [anode_of_node] is only applied to a value matched as      *)
+  (* [ANode _].  [Obj.new_block] fills the fields with [()], which is   *)
+  (* [Null]'s representation; the start-up check fails if it is not.   *)
+  (* ---------------------------------------------------------------- *)
+
+  let anode_tag = 1
+
+  let[@inline] node_of_anode (an : 'v anode) : 'v node = Obj.magic an
+  let[@inline] anode_of_node (node : 'v node) : 'v anode = Obj.magic node
+  let new_anode n : 'v anode = Obj.obj (Obj.new_block anode_tag n)
+
+  (* [None] when [an] is laid out as an ANode: the [ANode] tag and 4 or
+     16 fields.  [validate] checks it on every ANode of the trie. *)
+  let anode_layout_error (an : 'v anode) =
+    let r = Obj.repr an in
+    let size = Obj.size r in
+    if Obj.tag r = anode_tag && (size = narrow_width || size = wide_width) then None
+    else
+      Some
+        (Printf.sprintf "ANode block with tag %d and %d fields (must be tag %d with 4 or 16)"
+           (Obj.tag r) size anode_tag)
+
+  let () =
+    let an = new_anode wide_width in
+    assert (match node_of_anode an with ANode _ -> true | _ -> false);
+    assert (anode_layout_error an = None);
+    for i = 0 to wide_width - 1 do
+      assert (match Slots.get an i with Null -> true | _ -> false)
+    done
 
   let create_with ~config () =
     let scratch_dummy =
@@ -236,7 +275,6 @@ module Make (H : Hashing.HASHABLE) = struct
         s_h = [||];
         s_lev = [||];
         s_cur = [||];
-        s_box = [||];
         s_act = [||];
         s_nact = 0;
         s_hits = 0;
@@ -302,7 +340,7 @@ module Make (H : Hashing.HASHABLE) = struct
       let an = new_anode narrow_width in
       Slots.set an np1 (fresh_snode h1 k1 v1);
       Slots.set an np2 (fresh_snode h2 k2 v2);
-      ANode an
+      node_of_anode an
     end
     else begin
       let wp1 = (h1 lsr lev) land (wide_width - 1)
@@ -313,7 +351,7 @@ module Make (H : Hashing.HASHABLE) = struct
         Slots.set an wp2 (fresh_snode h2 k2 v2)
       end
       else Slots.set an wp1 (join_disjoint cfg h1 k1 v1 h2 k2 v2 (lev + 4));
-      ANode an
+      node_of_anode an
     end
 
   (* Insert into a private (unpublished) subtree.  [build_insert node
@@ -339,13 +377,14 @@ module Make (H : Hashing.HASHABLE) = struct
           Slots.set an ((ln.lhash lsr lev) land (wide_width - 1)) (LNode ln);
           build_into_anode cfg an lev h k v
         end
-    | ANode an ->
+    | ANode _ ->
+        let an = anode_of_node node in
         if is_narrow an then begin
           let pos = (h lsr lev) land (narrow_width - 1) in
           match Slots.get an pos with
           | Null ->
               Slots.set an pos (fresh_snode h k v);
-              ANode an
+              node
           | _ ->
               (* Promote the narrow node to a wide one, then insert. *)
               let wide = new_anode wide_width in
@@ -369,7 +408,7 @@ module Make (H : Hashing.HASHABLE) = struct
   and build_into_anode cfg (an : 'v anode) lev h k v : 'v node =
     let pos = apos an h lev in
     Slots.set an pos (build_insert cfg (Slots.get an pos) (lev + 4) h k v);
-    ANode an
+    node_of_anode an
 
   (* Collect all bindings of a frozen subtree (used by compression and
      as the generic expansion-copy fallback). *)
@@ -379,7 +418,8 @@ module Make (H : Hashing.HASHABLE) = struct
     | SNode sn -> (sn.hash, sn.key, sn.value) :: acc
     | LNode ln -> List.fold_left (fun acc (k, v) -> (ln.lhash, k, v) :: acc) acc ln.entries
     | FNode inner -> collect_frozen inner acc
-    | ANode an -> Slots.fold (fun acc child -> collect_frozen child acc) acc an
+    | ANode _ ->
+        Slots.fold (fun acc child -> collect_frozen child acc) acc (anode_of_node node)
     | ENode _ | XNode _ ->
         (* freeze completes nested descriptors before wrapping *)
         assert false
@@ -429,8 +469,8 @@ module Make (H : Hashing.HASHABLE) = struct
       | LNode _ as old ->
           if yp_cas_slot m yp_freeze_wrap cur !i old (FNode old) then
             Metrics.incr m Metrics.Freezes
-      | FNode (ANode an) ->
-          freeze t an;
+      | FNode (ANode _ as inner) ->
+          freeze t (anode_of_node inner);
           incr i
       | FNode _ -> incr i
       | ENode en as self -> complete_expansion t self en
@@ -453,7 +493,7 @@ module Make (H : Hashing.HASHABLE) = struct
     | Some wide ->
         ignore
           (yp_cas_slot t.metrics yp_expand_commit en.e_parent en.e_parentpos
-             self (ANode wide))
+             self (node_of_anode wide))
     | None -> assert false
 
   and complete_compression t (self : 'v node) (xn : 'v xnode) =
@@ -469,7 +509,7 @@ module Make (H : Hashing.HASHABLE) = struct
           | many ->
               let an = new_anode wide_width in
               List.iter (fun (h, k, v) -> ignore (build_into_anode t.config an xn.x_level h k v)) many;
-              ANode an
+              node_of_anode an
         in
         if yp_cas t.metrics yp_compress_repl xn.x_repl None (Some repl) then
           Metrics.incr t.metrics Metrics.Compressions);
@@ -521,32 +561,31 @@ module Make (H : Hashing.HASHABLE) = struct
             | Some _ | None -> ())
     end
 
-  (* [inhabit] for a wide ANode at trie level [lev], given as [box]:
-     the [ANode] value of the slot the traversal reached it through.
-     The entry shares that box rather than wrapping the node in a fresh
-     2-word one, and the store is skipped when the cache already holds
-     it — the steady state for every cache-served read, which would
-     otherwise dirty the entry's cache line on each hit. *)
-  let write_anode_entry cl (box : 'v node) h =
+  (* [inhabit] for an ANode at trie level [lev] that the traversal
+     reached through a trie slot (never the root or a descriptor's
+     node).  Only wide nodes are cached, and the width is read only on
+     a cache level.  The store is skipped when the entry already is
+     the node — the steady state for every cache-served read, which
+     would otherwise dirty the entry's cache line on each hit. *)
+  let write_anode_entry cl (an : 'v anode) h =
     let pos = h land (Array.length cl.c_entries - 1) in
-    if cl.c_entries.(pos) != box then begin
+    let entry = node_of_anode an in
+    if Slots.length an = wide_width && cl.c_entries.(pos) != entry then begin
       Yp.here Yp.Before yp_cache_install;
-      cl.c_entries.(pos) <- box;
+      cl.c_entries.(pos) <- entry;
       Yp.here Yp.After yp_cache_install
     end
 
-  let inhabit_anode t (box : 'v node) h lev =
-    match box with
-    | ANode an when t.config.enable_cache && Slots.length an = wide_width -> (
-        match Atomic.get t.cache_head with
-        | None -> ()
-        | Some head -> (
-            if head.c_level = lev then write_anode_entry head box h
-            else if t.config.dual_level_cache then
-              match head.c_parent with
-              | Some cl when cl.c_level = lev -> write_anode_entry cl box h
-              | Some _ | None -> ()))
-    | _ -> ()
+  let inhabit_anode t (an : 'v anode) h lev =
+    if t.config.enable_cache then
+      match Atomic.get t.cache_head with
+      | None -> ()
+      | Some head -> (
+          if head.c_level = lev then write_anode_entry head an h
+          else if t.config.dual_level_cache then
+            match head.c_parent with
+            | Some cl when cl.c_level = lev -> write_anode_entry cl an h
+            | Some _ | None -> ())
 
   (* Does any cache level in the chain cover trie level [lev]? *)
   let cache_covers t lev =
@@ -580,10 +619,10 @@ module Make (H : Hashing.HASHABLE) = struct
     if child_depth < Array.length hist then begin
       hist.(child_depth) <- hist.(child_depth) + count_leaves an 0 0;
       match Slots.get an (apos an h lev) with
-      | ANode child -> sample_walk hist h child (lev + 4)
+      | ANode _ as child -> sample_walk hist h (anode_of_node child) (lev + 4)
       | ENode en -> sample_walk hist h en.e_narrow (lev + 4)
       | XNode xn -> sample_walk hist h xn.x_stale (lev + 4)
-      | FNode (ANode child) -> sample_walk hist h child (lev + 4)
+      | FNode (ANode _ as child) -> sample_walk hist h (anode_of_node child) (lev + 4)
       | Null | FVNode | SNode _ | LNode _ | FNode _ -> ()
     end
 
@@ -679,8 +718,9 @@ module Make (H : Hashing.HASHABLE) = struct
     Yp.here Yp.Before yp_read_walk;
     match Slots.get cur (apos cur h lev) with
     | Null | FVNode -> raise_notrace Not_found
-    | ANode an as box ->
-        inhabit_anode t box h (lev + 4);
+    | ANode _ as child ->
+        let an = anode_of_node child in
+        inhabit_anode t an h (lev + 4);
         find_at t k h (lev + 4) an
     | SNode sn as leaf ->
         leaf_housekeeping t leaf h (lev + 4);
@@ -690,7 +730,7 @@ module Make (H : Hashing.HASHABLE) = struct
         if ln.lhash = h then lassoc k ln.entries else raise_notrace Not_found
     | ENode en -> find_at t k h (lev + 4) en.e_narrow
     | XNode xn -> find_at t k h (lev + 4) xn.x_stale
-    | FNode (ANode an) -> find_at t k h (lev + 4) an
+    | FNode (ANode _ as child) -> find_at t k h (lev + 4) (anode_of_node child)
     | FNode (LNode ln) ->
         if ln.lhash = h then lassoc k ln.entries else raise_notrace Not_found
     | FNode _ -> raise_notrace Not_found
@@ -721,7 +761,8 @@ module Make (H : Hashing.HASHABLE) = struct
                 if H.equal sn.key k then sn.value else raise_notrace Not_found
             | Frozen_snode | Replace _ | Removed ->
                 probe_find t k h mcur cl.c_parent)
-        | ANode an -> (
+        | ANode _ as entry -> (
+            let an = anode_of_node entry in
             let cpos = (h lsr cl.c_level) land (Slots.length an - 1) in
             match Slots.get an cpos with
             | FVNode | FNode _ -> probe_find t k h mcur cl.c_parent
@@ -789,8 +830,9 @@ module Make (H : Hashing.HASHABLE) = struct
                 (fresh_snode h k v)
             then Done_none
             else insert_at t k v h lev cur prev mode)
-    | ANode an as box ->
-        inhabit_anode t box h (lev + 4);
+    | ANode _ as child ->
+        let an = anode_of_node child in
+        inhabit_anode t an h (lev + 4);
         insert_at t k v h (lev + 4) an (Some cur) mode
     | SNode old as leaf -> begin
         match old.txn with
@@ -825,11 +867,10 @@ module Make (H : Hashing.HASHABLE) = struct
               | None -> Restart (* fast path entered here without a parent *)
               | Some parent -> (
                   let ppos = apos parent h (lev - 4) in
-                  (* CAS compares physical identity, so re-read the
-                     parent slot to obtain the exact node wrapping
-                     [cur]. *)
+                  (* Re-read the parent slot: it must still hold [cur]
+                     itself, or a descriptor to help. *)
                   match Slots.get parent ppos with
-                  | ANode a as pnode when a == cur ->
+                  | ANode _ as pnode when pnode == node_of_anode cur ->
                       let en =
                         {
                           e_parent = parent;
@@ -846,8 +887,9 @@ module Make (H : Hashing.HASHABLE) = struct
                       then begin
                         complete_expansion t self en;
                         match Slots.get parent ppos with
-                        | ANode wide as box ->
-                            inhabit_anode t box h lev;
+                        | ANode _ as node ->
+                            let wide = anode_of_node node in
+                            inhabit_anode t wide h lev;
                             insert_at t k v h lev wide (Some parent) mode
                         | _ -> Restart
                       end
@@ -948,7 +990,7 @@ module Make (H : Hashing.HASHABLE) = struct
           if !live = 0 || (!live = 1 && !only_leaves) then begin
             let ppos = apos parent h (lev - 4) in
             match Slots.get parent ppos with
-            | ANode a as pnode when a == cur ->
+            | ANode _ as pnode when pnode == node_of_anode cur ->
                 let xn =
                   {
                     x_parent = parent;
@@ -975,8 +1017,8 @@ module Make (H : Hashing.HASHABLE) = struct
     let pos = apos cur h lev in
     match Slots.get cur pos with
     | Null -> Done_none
-    | ANode an ->
-        let res = remove_at t k h (lev + 4) an (Some cur) rmode in
+    | ANode _ as child ->
+        let res = remove_at t k h (lev + 4) (anode_of_node child) (Some cur) rmode in
         (* Cascade compaction up the removal path: the child may have
            contracted into [cur], leaving [cur] itself with at most one
            leaf. *)
@@ -1055,7 +1097,8 @@ module Make (H : Hashing.HASHABLE) = struct
     | Some cl -> (
         let pos = h land (Array.length cl.c_entries - 1) in
         match cl.c_entries.(pos) with
-        | ANode an -> (
+        | ANode _ as entry -> (
+            let an = anode_of_node entry in
             let cpos = (h lsr cl.c_level) land (Slots.length an - 1) in
             match Slots.get an cpos with
             | FVNode | FNode _ -> probe_insert t k v h mode cl.c_parent
@@ -1105,7 +1148,8 @@ module Make (H : Hashing.HASHABLE) = struct
     | Some cl -> (
         let pos = h land (Array.length cl.c_entries - 1) in
         match cl.c_entries.(pos) with
-        | ANode an -> (
+        | ANode _ as entry -> (
+            let an = anode_of_node entry in
             let cpos = (h lsr cl.c_level) land (Slots.length an - 1) in
             match Slots.get an cpos with
             | FVNode | FNode _ -> probe_remove t k h rmode cl.c_parent
@@ -1161,7 +1205,6 @@ module Make (H : Hashing.HASHABLE) = struct
       s_h = Array.make chunk_cap 0;
       s_lev = Array.make chunk_cap 0;
       s_cur = Array.make chunk_cap t.root;
-      s_box = Array.make chunk_cap Null;
       s_act = Array.make chunk_cap 0;
       s_nact = 0;
       s_hits = 0;
@@ -1179,9 +1222,8 @@ module Make (H : Hashing.HASHABLE) = struct
 
   (* Out-of-line helpers for the lockstep loops (module-level so the
      loops allocate no closures). *)
-  let step_descend scr p an box lev =
+  let step_descend scr p an lev =
     scr.s_cur.(p) <- an;
-    scr.s_box.(p) <- box;
     scr.s_lev.(p) <- lev;
     scr.s_act.(scr.s_nact) <- p;
     scr.s_nact <- scr.s_nact + 1
@@ -1214,7 +1256,8 @@ module Make (H : Hashing.HASHABLE) = struct
                 else out.(base + p) <- miss
             | Frozen_snode | Replace _ | Removed ->
                 probe_start t scr keys base out miss mcur p cl.c_parent)
-        | ANode an -> (
+        | ANode _ as entry -> (
+            let an = anode_of_node entry in
             let cpos = (h lsr cl.c_level) land (Slots.length an - 1) in
             match Slots.get an cpos with
             | FVNode | FNode _ ->
@@ -1227,7 +1270,6 @@ module Make (H : Hashing.HASHABLE) = struct
             | Null | SNode _ | ANode _ | LNode _ | ENode _ | XNode _ ->
                 Metrics.incr_at t.metrics mcur Metrics.Cache_hits;
                 scr.s_cur.(p) <- an;
-                scr.s_box.(p) <- Null;
                 scr.s_lev.(p) <- cl.c_level)
         | Null | FVNode | LNode _ | FNode _ | ENode _ | XNode _ ->
             probe_start t scr keys base out miss mcur p cl.c_parent)
@@ -1283,14 +1325,13 @@ module Make (H : Hashing.HASHABLE) = struct
         let lev = scr.s_lev.(p) in
         let k = keys.(base + p) in
         Yp.here Yp.Before yp_read_walk;
-        (* Inhabit here, not at the descent: after the prefetch the
-           node's header is resident. *)
-        if lev > 0 then inhabit_anode t scr.s_box.(p) h lev;
         match Slots.get cur (apos cur h lev) with
         | Null | FVNode -> out.(base + p) <- miss
-        | ANode an as box ->
+        | ANode _ as child ->
+            let an = anode_of_node child in
             Prefetch.read an;
-            step_descend scr p an box (lev + 4)
+            inhabit_anode t an h (lev + 4);
+            step_descend scr p an (lev + 4)
         | SNode sn as leaf ->
             leaf_housekeeping t leaf h (lev + 4);
             if H.equal sn.key k then step_hit scr out base p sn.value
@@ -1304,13 +1345,14 @@ module Make (H : Hashing.HASHABLE) = struct
             else out.(base + p) <- miss
         | ENode en ->
             Prefetch.read en.e_narrow;
-            step_descend scr p en.e_narrow Null (lev + 4)
+            step_descend scr p en.e_narrow (lev + 4)
         | XNode xn ->
             Prefetch.read xn.x_stale;
-            step_descend scr p xn.x_stale Null (lev + 4)
-        | FNode (ANode an) ->
+            step_descend scr p xn.x_stale (lev + 4)
+        | FNode (ANode _ as child) ->
+            let an = anode_of_node child in
             Prefetch.read an;
-            step_descend scr p an Null (lev + 4)
+            step_descend scr p an (lev + 4)
         | FNode (LNode ln) ->
             if ln.lhash = h then (
               match lassoc k ln.entries with
@@ -1357,11 +1399,11 @@ module Make (H : Hashing.HASHABLE) = struct
           | No_txn | Frozen_snode -> f acc sn.key sn.value)
       | LNode ln -> List.fold_left (fun acc (k, v) -> f acc k v) acc ln.entries
       | FNode inner -> go_node acc inner
-      | ANode an -> Slots.fold go_node acc an
-      | ENode en -> go_node acc (ANode en.e_narrow)
-      | XNode xn -> go_node acc (ANode xn.x_stale)
+      | ANode _ -> Slots.fold go_node acc (anode_of_node node)
+      | ENode en -> Slots.fold go_node acc en.e_narrow
+      | XNode xn -> Slots.fold go_node acc xn.x_stale
     in
-    go_node acc (ANode t.root)
+    Slots.fold go_node acc t.root
 
   let iter f t = fold (fun () k v -> f k v) () t
   let size t = fold (fun n _ _ -> n + 1) 0 t
@@ -1381,7 +1423,7 @@ module Make (H : Hashing.HASHABLE) = struct
           | No_txn | Frozen_snode -> Seq.Cons ((sn.key, sn.value), rest))
       | LNode ln -> Seq.append (List.to_seq ln.entries) rest ()
       | FNode inner -> seq_node inner rest ()
-      | ANode an -> seq_slots an 0 rest ()
+      | ANode _ -> seq_slots (anode_of_node node) 0 rest ()
       | ENode en -> seq_slots en.e_narrow 0 rest ()
       | XNode xn -> seq_slots xn.x_stale 0 rest ()
     and seq_slots (an : 'v anode) i rest () =
@@ -1426,9 +1468,9 @@ module Make (H : Hashing.HASHABLE) = struct
       | SNode _ -> bump depth 1
       | LNode ln -> bump depth (List.length ln.entries)
       | FNode inner -> go inner depth
-      | ANode an -> Slots.iter (fun child -> go child (depth + 1)) an
-      | ENode en -> go (ANode en.e_narrow) depth
-      | XNode xn -> go (ANode xn.x_stale) depth
+      | ANode _ -> Slots.iter (fun child -> go child (depth + 1)) (anode_of_node node)
+      | ENode en -> go (node_of_anode en.e_narrow) depth
+      | XNode xn -> go (node_of_anode xn.x_stale) depth
     in
     Slots.iter (fun child -> go child 1) t.root;
     hist
@@ -1436,9 +1478,9 @@ module Make (H : Hashing.HASHABLE) = struct
   (* Word-cost model, exact for the trie: every block counts its
      header plus its fields, so with the cache off the model moves
      word for word with [Obj.reachable_words] (keys and values are not
-     counted).  An SNode is one 5-word block.  A child ANode is its
-     2-word constructor box plus the slot array (1 + width; the root
-     array is held unboxed).  An LNode is its box, its 3-word record
+     counted).  An SNode is one 5-word block.  An ANode, the root
+     included, is one block of 1 + width words: header and slots, with
+     no constructor box.  An LNode is its box, its 3-word record
      and, per binding, a 3-word cons cell and a 3-word pair.  FNode is
      a 2-word box; a descriptor adds its record and result cell.  The
      cache adds each level's option box, record, entry array and miss
@@ -1455,7 +1497,7 @@ module Make (H : Hashing.HASHABLE) = struct
       | SNode _ -> 5
       | LNode ln -> 2 + 3 + (6 * List.length ln.entries)
       | FNode inner -> 2 + node_words inner
-      | ANode an -> 2 + anode_words an
+      | ANode _ -> anode_words (anode_of_node node)
       | ENode en -> 2 + 6 + 2 + anode_words en.e_narrow
       | XNode xn -> 2 + 6 + 2 + anode_words xn.x_stale
     in
@@ -1483,14 +1525,15 @@ module Make (H : Hashing.HASHABLE) = struct
   let node_at t pos target =
     let rec go (node : 'v node) lev =
       match node with
-      | ENode en -> go (ANode en.e_narrow) lev
-      | XNode xn -> go (ANode xn.x_stale) lev
+      | ENode en -> go (node_of_anode en.e_narrow) lev
+      | XNode xn -> go (node_of_anode xn.x_stale) lev
       | FNode inner -> go inner lev
-      | ANode an when lev < target ->
+      | ANode _ when lev < target ->
+          let an = anode_of_node node in
           go (Slots.get an ((pos lsr lev) land (Slots.length an - 1))) (lev + 4)
       | node -> if lev = target then Some node else None
     in
-    go (ANode t.root) 0
+    go (node_of_anode t.root) 0
 
   (* A detached ANode is benign in the cache only if it is fully
      frozen: the probe fast path then rejects every slot on its own
@@ -1526,10 +1569,12 @@ module Make (H : Hashing.HASHABLE) = struct
             match sn.txn with
             | No_txn -> Co_broken "live SNode detached from the trie"
             | Frozen_snode | Replace _ | Removed -> Co_stale))
-    | ANode an -> (
+    | ANode _ -> (
         match node_at t pos level with
-        | Some (ANode a) when a == an -> Co_ok
-        | _ -> if frozen_anode an then Co_stale else Co_broken "live ANode detached from the trie")
+        | Some n when n == entry -> Co_ok
+        | _ ->
+            if frozen_anode (anode_of_node entry) then Co_stale
+            else Co_broken "live ANode detached from the trie")
     | LNode _ -> Co_stale (* dead weight: the probe never uses LNode entries *)
     | FVNode | FNode _ | ENode _ | XNode _ ->
         Co_broken "cache entry holds a freeze marker or descriptor"
@@ -1571,20 +1616,23 @@ module Make (H : Hashing.HASHABLE) = struct
             (fun (k, _) ->
               if hash_of k <> ln.lhash then err "LNode entry with mismatched hash")
             ln.entries
-      | ANode an ->
+      | ANode _ ->
+          let an = anode_of_node node in
           if in_narrow then err "ANode stored inside a narrow ANode"
           else begin
-            let w = Slots.length an in
-            if w <> narrow_width && w <> wide_width then
-              err "ANode of width %d (must be 4 or 16)" w;
-            for i = 0 to w - 1 do
-              go (Slots.get an i) (lev + 4)
-                (prefix lor (i lsl lev))
-                (pmask lor ((w - 1) lsl lev))
-                (w = narrow_width)
-            done
+            match anode_layout_error an with
+            | Some what -> err "level %d: %s" lev what
+            | None ->
+                let w = Slots.length an in
+                for i = 0 to w - 1 do
+                  go (Slots.get an i) (lev + 4)
+                    (prefix lor (i lsl lev))
+                    (pmask lor ((w - 1) lsl lev))
+                    (w = narrow_width)
+                done
           end
     in
+    Option.iter (err "root: %s") (anode_layout_error t.root);
     for i = 0 to Slots.length t.root - 1 do
       go (Slots.get t.root i) 4 i (wide_width - 1) false
     done;
@@ -1644,7 +1692,7 @@ module Make (H : Hashing.HASHABLE) = struct
                   Metrics.incr t.metrics Metrics.Helps;
                 incr repairs;
                 scrub_slot an i (budget - 1))
-        | ANode child -> scrub_anode child
+        | ANode _ as child -> scrub_anode (anode_of_node child)
         | ENode en as self ->
             complete_expansion t self en;
             incr repairs;

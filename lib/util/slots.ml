@@ -12,7 +12,10 @@ let make n v =
     invalid_arg "Slots.make: float slots are unsupported";
   a
 
-let length = Array.length
+(* The field count from the header: the same as [Array.length] for
+   the arrays [make] builds (never [Double_array_tag]), and also right
+   for blocks of another tag that callers address as slots. *)
+let[@inline] length a = Obj.size (Obj.repr a)
 
 (* [Obj.field]/[Obj.set_field] rather than [Array.unsafe_get]/[set]:
    the argument type is already [Obj.t array] so an array access
@@ -31,13 +34,13 @@ let[@inline] cas a i (expected : 'a) (repl : 'a) =
 let[@inline] prefetch a i = Prefetch.cell a i
 
 let iter f a =
-  for i = 0 to Array.length a - 1 do
+  for i = 0 to length a - 1 do
     f (get a i)
   done
 
 let fold f acc a =
   let acc = ref acc in
-  for i = 0 to Array.length a - 1 do
+  for i = 0 to length a - 1 do
     acc := f !acc (get a i)
   done;
   !acc

@@ -10,7 +10,13 @@
     same GC-write-barrier-correct CAS that backs
     [Atomic.compare_and_set], applied to an arbitrary field index).
     DESIGN.md ("Slot layout") documents the memory-model argument for
-    the fenceless reads. *)
+    the fenceless reads.
+
+    [length], [get], [set], [cas], [prefetch], [iter] and [fold] work
+    on any scanned heap block whose fields are all values, not only on
+    arrays built by {!make}: a cache-trie ANode is a block tagged with
+    its [ANode] constructor whose fields are its slots, allocated by
+    the trie itself and addressed through this module. *)
 
 type 'a t
 
@@ -25,6 +31,7 @@ val make : int -> 'a -> 'a t
     bare floats). *)
 
 val length : 'a t -> int
+(** The block's field count (its header's size). *)
 
 val get : 'a t -> int -> 'a
 (** [get a i] reads slot [i] with a plain (fenceless) load — see

@@ -544,6 +544,25 @@ let test_footprint_grows () =
   let emptied = CT.footprint_words t in
   check_bool "footprint shrinks after removals" true (emptied < after)
 
+(* [validate] checks each ANode block's layout, not only its width: a
+   block of the ANode tag with 5 fields, planted with [Obj] into a slot
+   of the root (the trie record's first field), is reported. *)
+let test_validate_anode_layout () =
+  let t = CT.create () in
+  CT.insert t 1 1;
+  assert_valid "before planting" t;
+  let root = Obj.field (Obj.repr t) 0 in
+  Obj.set_field root 0 (Obj.new_block (Obj.tag root) 5);
+  let names_layout e =
+    let sub = "with tag 1 and 5 fields" in
+    let n = String.length sub in
+    let rec go i = i + n <= String.length e && (String.sub e i n = sub || go (i + 1)) in
+    go 0
+  in
+  match CT.validate t with
+  | Ok () -> Alcotest.fail "validate accepted a 5-field ANode block"
+  | Error e -> check_bool ("error names the layout: " ^ e) true (names_layout e)
+
 let test_stats_shape () =
   let t = CT.create () in
   let s = CT.cache_stats t in
@@ -585,5 +604,6 @@ let suite =
     ("slow_path_removal_compacts", `Slow, test_slow_path_removal_compacts);
     ("depth_histogram", `Slow, test_depth_histogram);
     ("footprint_grows", `Quick, test_footprint_grows);
+    ("validate_anode_layout", `Quick, test_validate_anode_layout);
     ("stats_shape", `Quick, test_stats_shape);
   ]

@@ -83,10 +83,43 @@ module CS_deep = Exact (struct
   let name = name ^ "-deep"
 end)
 
+(* The cache-trie's node layout, pinned word for word: an ANode is one
+   block of [1 + width] words (no constructor box around its slots) and
+   an SNode one 5-word block.  Two keys share root slot [a] and split
+   on hash bits 4-5, so they live in a narrow (4-slot) child; two more
+   share root slot [b] and bits 4-5 but split on bits 6-7, so they live
+   in a wide (16-slot) child.  With the cache off the heap then holds
+   exactly those two children and four leaves beyond the empty trie. *)
+module NC = Nocache (Hashing.Int_key)
+
+let test_anode_layout () =
+  let h k = Hashing.Int_key.hash k land Hashing.mask in
+  let rec find_key from pred = if pred (h from) then from else find_key (from + 1) pred in
+  let slot x = x land 15 and bits45 x = (x lsr 4) land 3 and bits67 x = (x lsr 6) land 3 in
+  let n1 = find_key 1 (fun _ -> true) in
+  let a = slot (h n1) in
+  let n2 = find_key (n1 + 1) (fun x -> slot x = a && bits45 x <> bits45 (h n1)) in
+  let w1 = find_key 1 (fun x -> slot x <> a) in
+  let b = slot (h w1) in
+  let w2 =
+    find_key (w1 + 1) (fun x ->
+        slot x = b && bits45 x = bits45 (h w1) && bits67 x <> bits67 (h w1))
+  in
+  let empty : int NC.t = NC.create () in
+  let m : int NC.t = NC.create () in
+  List.iter (fun k -> NC.insert m k k) [ n1; n2; w1; w2 ];
+  (match NC.validate m with Ok () -> () | Error e -> Alcotest.failf "validate: %s" e);
+  Alcotest.(check (array int)) "all four keys one level below the root"
+    [| 0; 0; 4; 0; 0; 0; 0; 0; 0; 0 |] (NC.depth_histogram m);
+  let model = (1 + 4) + (1 + 16) + (4 * 5) in
+  Alcotest.(check int) "heap words = layout model" model (heap_words m - heap_words empty);
+  Alcotest.(check int) "footprint_words = layout model" model
+    (NC.footprint_words m - NC.footprint_words empty)
+
 (* Cache on: once [scrub] has dropped the entries whose nodes the trie
-   replaced, every cache entry shares a node the trie holds — an
-   [ANode] entry shares the slot's own box — so the model (trie plus
-   cache levels) moves exactly with the heap. *)
+   replaced, every cache entry is a node the trie holds — an ANode
+   entry is the node block itself — so the model (trie plus cache
+   levels) moves exactly with the heap. *)
 module Cached = Cachetrie.Make (Hashing.Int_key)
 
 let test_cached () =
@@ -127,6 +160,7 @@ let test_deep_has_collisions () =
 let suite =
   CT.suite @ CT_deep.suite @ CS.suite @ CS_deep.suite
   @ [
+      ("cachetrie-nc anode_layout", `Quick, test_anode_layout);
       ("cachetrie cached_after_scrub", `Quick, test_cached);
       ("deep keys collide", `Quick, test_deep_has_collisions);
     ]
