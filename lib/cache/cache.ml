@@ -13,10 +13,15 @@
      concurrently — and resident cost never exceeds [used] (cost is
      released only after the entry is out of the map).
    - replacement: CLOCK over striped lock-free rings of keys in
-     admission order (Ring).  Eviction pops the oldest key; an entry
-     whose access bit was set by a read since its last pass gets the
-     bit cleared and one re-push (its second chance) instead.  An
-     overwrite keeps the key's ring position.  CLOCK is the only
+     admission order (Ring), one ring per domain slot.  Eviction pops
+     the oldest key, starting at the caller's own ring and then
+     walking the others round-robin (there is no shared hand); an
+     entry whose access bit was set by a read since its last pass
+     gets the bit cleared and one re-push (its second chance)
+     instead.  A read stores the bit only when it is clear, so a hit
+     on a hot entry is a pure read and writes no line that another
+     domain reads.  An overwrite keeps the key's ring position.
+     Entries without a TTL never read the clock.  CLOCK is the only
      policy: on the served cache-zipf traffic (2 domains, 1 put in 16
      overwriting a live key) it beat FIFO and segmented LRU on hit
      rate and CPU per op (DESIGN.md §15).
@@ -24,9 +29,11 @@
      write paths by the monotonic clock (injectable for tests).  Reads
      check expiry stamps themselves, so wheel lateness is a space
      delay, never a stale read.
-   - negative caching: a typed [Absent] payload caches backing-store
-     misses under their own (short) TTL, so a miss storm on one absent
-     key costs one backing-store load, not a stampede.
+   - negative caching: a [None] payload caches a backing-store miss
+     under its own (short) TTL, so a miss storm on one absent key costs
+     one backing-store load, not a stampede.  [get] and [get_or_load]
+     return the stored option itself, so a hit allocates only what the
+     map's lookup does.
 
    Rings are advisory (see ring.ml): residency truth lives in the map,
    budget truth in [used].  When every ring runs dry while over
@@ -40,7 +47,7 @@ module Clock = Ct_util.Clock
 type config = {
   budget_words : int;  (* resident-cost ceiling, machine words *)
   stripes : int;  (* ring stripes; <= 0 = one per domain slot *)
-  negative_ttl_ns : int;  (* Absent-entry TTL *)
+  negative_ttl_ns : int;  (* cached-absence TTL *)
   max_entry_frac : float;  (* admission: reject entries above this share *)
   wheel_slots : int;
   wheel_tick_ns : int;
@@ -57,7 +64,7 @@ let default_config ~budget_words =
   }
 
 (* Fixed per-entry metadata charge, in words: the entry record, its
-   payload box, the map's leaf + amortized interior share, and the
+   value's option box, the map's leaf + amortized interior share, and the
    entry's ring/wheel slots.  Deliberately a round, conservative
    constant — the budget is a cost model, not an allocator. *)
 let entry_overhead_words = 24
@@ -81,10 +88,8 @@ type 'v lookup = Hit of 'v | Negative | Miss
 module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
   type key = M.key
 
-  type 'v payload = Value of 'v | Absent
-
   type 'v entry = {
-    payload : 'v payload;
+    payload : 'v option;  (* None = the backing store has no such key *)
     cost : int;  (* words reserved against the budget *)
     expires_at : int;  (* cache-clock ns; max_int = never *)
     mutable touched : bool;  (* access bit (CLOCK second chance) *)
@@ -100,7 +105,6 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
     now : unit -> int;
     cost_fn : key -> 'v -> int;
     max_entry_words : int;
-    hand : int Atomic.t;  (* round-robin stripe cursor for eviction *)
     metrics : Metrics.t;
   }
 
@@ -143,7 +147,6 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
       max_entry_words =
         max entry_overhead_words
           (int_of_float (cfg.max_entry_frac *. float_of_int cfg.budget_words));
-      hand = Atomic.make 0;
       metrics = Metrics.create ~family:"cache-tier";
     }
 
@@ -158,6 +161,9 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
   (* ---------------------------- accounting --------------------------- *)
 
   let[@inline] release t e = ignore (Atomic.fetch_and_add t.used (-e.cost))
+
+  (* A no-TTL entry never reads the clock. *)
+  let[@inline] expired t e = e.expires_at <> max_int && e.expires_at <= t.now ()
 
   (* Remove [k] for budget pressure.  True iff this call unbound it. *)
   let evict_key t k =
@@ -180,15 +186,16 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
 
   (* ---------------------------- replacement -------------------------- *)
 
-  (* CLOCK: pop-scan the rings round-robin from the hand.  A touched
-     entry gets its bit cleared and one re-push instead of eviction —
-     except inside the last stripe-round of the scan bound, where
-     eviction is forced so the scan terminates even if every resident
-     entry is hot. *)
+  (* CLOCK: pop-scan the caller's own ring first, then the others
+     round-robin, so a domain evicts its own oldest admissions before it
+     touches another domain's ring.  A touched entry gets its bit
+     cleared and one re-push instead of eviction — except inside the
+     last stripe-round of the scan bound, where eviction is forced so
+     the scan terminates even if every resident entry is hot. *)
   let evict_one t =
     let n = t.smask + 1 in
     let bound = (4 * n) + 8 in
-    let start = Atomic.fetch_and_add t.hand 1 in
+    let start = stripe_of_domain t in
     let rec go i dry =
       if dry >= n || i >= bound then false
       else
@@ -199,7 +206,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
             match M.lookup t.map k with
             | None -> go (i + 1) 0  (* stale: key already gone *)
             | Some e ->
-                if e.expires_at <= t.now () then
+                if expired t e then
                   if drop_expired t k e then true else go (i + 1) 0
                 else if e.touched && i < bound - n then begin
                   e.touched <- false;
@@ -247,7 +254,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
 
   let wheel_expire t k =
     match M.lookup t.map k with
-    | Some e when e.expires_at <= t.now () -> ignore (drop_expired t k e)
+    | Some e when expired t e -> ignore (drop_expired t k e)
     | _ -> ()
 
   let maybe_advance t =
@@ -257,8 +264,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
     let dropped = ref 0 in
     let expire k =
       match M.lookup t.map k with
-      | Some e when e.expires_at <= t.now () ->
-          if drop_expired t k e then incr dropped
+      | Some e when expired t e -> if drop_expired t k e then incr dropped
       | _ -> ()
     in
     ignore (Wheel.advance t.wheel ~now:(t.now ()) ~expire);
@@ -266,47 +272,49 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
 
   (* ----------------------------- operations -------------------------- *)
 
-  let find_untraced t k =
+  (* The one read path.  A live entry comes back as the very option
+     [M.lookup] returned, so callers can hand out its stored payload
+     without allocating; an expired one is dropped on sight and reads
+     as a miss. *)
+  let read_untraced t k =
     match M.lookup t.map k with
-    | None ->
+    | Some e as live when not (expired t e) ->
+        if not e.touched then e.touched <- true;
+        Metrics.incr t.metrics
+          (match e.payload with
+          | Some _ -> Metrics.Tier_hits
+          | None -> Metrics.Tier_negative_hits);
+        live
+    | dead ->
+        (match dead with Some e -> ignore (drop_expired t k e) | None -> ());
         Metrics.incr t.metrics Metrics.Tier_misses;
-        Miss
-    | Some e ->
-        if e.expires_at <= t.now () then begin
-          ignore (drop_expired t k e);
-          Metrics.incr t.metrics Metrics.Tier_misses;
-          Miss
-        end
-        else begin
-          e.touched <- true;
-          match e.payload with
-          | Absent ->
-              Metrics.incr t.metrics Metrics.Tier_negative_hits;
-              Negative
-          | Value v ->
-              Metrics.incr t.metrics Metrics.Tier_hits;
-              Hit v
-        end
+        None
 
   (* A request the server sampled for tracing (its context is ambient
      on this domain) gets its tier lookup recorded as a span; for
      everyone else the check is a domain-local read and a branch —
      written out rather than via [timed_ambient] so the common path
      does not build a closure. *)
-  let find t k =
+  let read t k =
     let ctx = Obs.Trace.current () in
     if Obs.Trace.sampled ctx then begin
       let t0 = Clock.monotonic_ns () in
-      let r = find_untraced t k in
+      let r = read_untraced t k in
       Obs.Trace.record_sink ctx Obs.Trace.Cache_lookup ~start_ns:t0
         ~dur_ns:(Clock.monotonic_ns () - t0)
-        ~a:(match r with Hit _ -> 1 | Negative -> 2 | Miss -> 0)
+        ~a:(match r with Some { payload = Some _; _ } -> 1 | Some _ -> 2 | None -> 0)
         ~b:0;
       r
     end
-    else find_untraced t k
+    else read_untraced t k
 
-  let get t k = match find t k with Hit v -> Some v | Negative | Miss -> None
+  let find t k =
+    match read t k with
+    | Some { payload = Some v; _ } -> Hit v
+    | Some _ -> Negative
+    | None -> Miss
+
+  let get t k = match read t k with Some e -> e.payload | None -> None
 
   let put_payload t k payload ~ttl_ns ~value_cost =
     maybe_advance t;
@@ -337,13 +345,13 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
     end
 
   let put ?(ttl_ns = 0) t k v =
-    put_payload t k (Value v) ~ttl_ns ~value_cost:(t.cost_fn k v)
+    put_payload t k (Some v) ~ttl_ns ~value_cost:(t.cost_fn k v)
 
   let put_absent ?ttl_ns t k =
     let ttl_ns =
       match ttl_ns with Some n -> n | None -> t.cfg.negative_ttl_ns
     in
-    put_payload t k Absent ~ttl_ns ~value_cost:0
+    put_payload t k None ~ttl_ns ~value_cost:0
 
   let remove t k =
     match M.remove t.map k with
@@ -353,10 +361,9 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
     | None -> false
 
   let get_or_load ?ttl_ns ?negative_ttl_ns t k ~load =
-    match find t k with
-    | Hit v -> Some v
-    | Negative -> None
-    | Miss -> (
+    match read t k with
+    | Some e -> e.payload
+    | None -> (
         (* The backing-store load is the expensive leg of a tier miss;
            a sampled request gets it as its own span so a tail request
            shows load time separately from lookup time. *)

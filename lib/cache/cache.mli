@@ -57,7 +57,7 @@ type stats = {
     unknown key. *)
 type 'v lookup =
   | Hit of 'v
-  | Negative  (** resident [Absent] entry: the key is known missing *)
+  | Negative  (** resident cached absence: the key is known missing *)
   | Miss
 
 module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) : sig
@@ -110,7 +110,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) : sig
     load:(key -> 'v option) ->
     'v option
   (** Read-through: on {!Miss} calls [load] and caches its answer —
-      [Some v] as a value, [None] as an [Absent] entry, so an absent
+      [Some v] as a value, [None] as a cached absence, so an absent
       key storm costs one load per negative-TTL window rather than a
       stampede. *)
 

@@ -17,12 +17,15 @@ let make n v =
    for blocks of another tag that callers address as slots. *)
 let[@inline] length a = Obj.size (Obj.repr a)
 
-(* [Obj.field]/[Obj.set_field] rather than [Array.unsafe_get]/[set]:
-   the argument type is already [Obj.t array] so an array access
-   would be safe too, but going through [Obj] keeps the float-array
-   question out of the generated code entirely.  [Obj.set_field] is
-   [caml_modify]: a release store plus the GC write barrier, so a
-   reader that sees the new pointer sees the object behind it. *)
+(* [Obj.field]/[Obj.set_field] compile to the same generic array
+   access as [Array.unsafe_get]/[set] on an [Obj.t array]: each load
+   and store tests the block's tag for [Double_array_tag] before
+   touching the field ([ocamlopt -S] shows the check).  [make] refuses
+   float arrays, so the test always takes the boxed branch; it costs a
+   header load and a predictable branch, not a wrong result.
+   [Obj.set_field] is [caml_modify]: a release store plus the GC write
+   barrier, so a reader that sees the new pointer sees the object
+   behind it. *)
 let[@inline] get a i : 'a = Obj.obj (Obj.field (Obj.repr a) i)
 let[@inline] set a i (v : 'a) = Obj.set_field (Obj.repr a) i (Obj.repr v)
 

@@ -1,9 +1,11 @@
 (* Bounded cache tier (DESIGN.md §15): budget-never-exceeded under
    sequential and concurrent churn, deterministic TTL expiry via an
    injected clock, CLOCK eviction order (second chance, overwrite
-   keeping its ring slot, the forced-eviction bound when all are hot),
-   negative caching as stampede protection, admission rejection of
-   oversized entries, and the ring/wheel substrates in isolation. *)
+   keeping its ring slot, the forced-eviction bound when all are hot,
+   each domain evicting from its own ring first), hits that allocate
+   no more than a bare map lookup, negative caching as stampede
+   protection, admission rejection of oversized entries, and the
+   ring/wheel substrates in isolation. *)
 
 module M = Cachetrie.Make (Ct_util.Hashing.Int_key)
 module C = Cache.Make (M)
@@ -195,6 +197,83 @@ let test_eviction_clock_all_touched () =
     (List.for_all
        (fun k -> k = 12 || C.get t k = Some k)
        (List.init (n + 1) Fun.id))
+
+(* Run [f] on a spawned domain whose slot parity is not [p].  A
+   candidate that lands on parity [p] parks holding its slot, so the
+   next candidate leases another one. *)
+let on_other_parity p f =
+  let release = Atomic.make false in
+  let rec go spawned tries =
+    let state = Atomic.make 0 in  (* 1 = ran [f], 2 = parked *)
+    let d =
+      Domain.spawn (fun () ->
+          if Ct_util.Domain_slot.get () land 1 <> p then
+            Fun.protect ~finally:(fun () -> Atomic.set state 1) f
+          else begin
+            Atomic.set state 2;
+            while not (Atomic.get release) do Domain.cpu_relax () done
+          end)
+    in
+    while Atomic.get state = 0 do Domain.cpu_relax () done;
+    if Atomic.get state = 1 || tries <= 1 then (Atomic.get state = 1, d :: spawned)
+    else go (d :: spawned) (tries - 1)
+  in
+  let ran, spawned = go [] 4 in
+  Atomic.set release true;
+  List.iter Domain.join spawned;
+  if not ran then Alcotest.fail "no free domain slot of the other parity"
+
+(* Eviction starts at the evicting domain's own ring.  Two stripes and
+   a budget of two entries: the main domain and a spawned domain each
+   admit one key, then the domain on stripe 1 admits a third.  Its own
+   key is the victim and the other domain's key stays; a shared hand
+   starting at stripe 0 would evict the stripe-0 key instead. *)
+let test_eviction_own_ring_first () =
+  let cfg =
+    {
+      (Cache.default_config ~budget_words:(2 * ov)) with
+      Cache.stripes = 2;
+      max_entry_frac = 1.0;
+    }
+  in
+  let t = C.create ~config:cfg ~now:(fun () -> 0) ~cost:(fun _ _ -> 0) () in
+  let main_stripe = Ct_util.Domain_slot.get () land 1 in
+  check_bool "admit main's key" true (C.put t 1 1);
+  on_other_parity main_stripe (fun () ->
+      check_bool "admit the spawned domain's key" true (C.put t 2 2);
+      if main_stripe = 0 then check_bool "admit 3 on stripe 1" true (C.put t 3 3));
+  if main_stripe = 1 then check_bool "admit 3 on stripe 1" true (C.put t 3 3);
+  let own, other = if main_stripe = 1 then (1, 2) else (2, 1) in
+  check_int "exactly one eviction" 1 (C.stats t).Cache.evictions;
+  check_bool "stripe 1's own key evicted" true (C.get t own = None);
+  check_bool "stripe 0's key stays" true (C.get t other = Some other);
+  check_bool "3 resident" true (C.get t 3 = Some 3);
+  check_ok "own ring first" t
+
+(* A hit hands out the option the tier stored: [get] and [get_or_load]
+   allocate no more per hit than a bare map [lookup] does. *)
+let test_hit_allocates_nothing () =
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let bare = M.create () in
+  M.insert bare 5 10;
+  let t = make () in
+  ignore (C.put t 5 10);
+  let load _ = Some 0 in
+  let lookups = words (fun () -> ignore (M.lookup bare 5)) in
+  let gets = words (fun () -> ignore (C.get t 5)) in
+  let loads = words (fun () -> ignore (C.get_or_load t 5 ~load)) in
+  if gets > lookups then
+    Alcotest.failf "get: %.0f words over 10k hits > %.0f for bare lookups" gets lookups;
+  if loads > lookups then
+    Alcotest.failf "get_or_load: %.0f words over 10k hits > %.0f for bare lookups"
+      loads lookups;
+  check_int "every call hit" 20_000 (C.stats t).Cache.hits
 
 (* -------------------------------- TTL ------------------------------ *)
 
@@ -398,6 +477,8 @@ let suite =
     ("oversized_rejected", `Quick, test_oversized_rejected);
     ("eviction_clock_second_chance", `Quick, test_eviction_clock_second_chance);
     ("eviction_clock_all_touched", `Quick, test_eviction_clock_all_touched);
+    ("eviction_own_ring_first", `Quick, test_eviction_own_ring_first);
+    ("hit_allocates_nothing", `Quick, test_hit_allocates_nothing);
     ("ttl_deterministic", `Quick, test_ttl_deterministic);
     ("ttl_wheel_reclaims", `Quick, test_ttl_wheel_reclaims);
     ("ttl_refresh_wins_race", `Quick, test_ttl_refresh_wins_race);
