@@ -159,7 +159,15 @@ let collision_test () =
 
 (* ----------------------- persisted JSON layer ---------------------- *)
 
-module Json = Harness.Report.Json
+module Report = Harness.Report
+module Json = Report.Json
+
+(* Table formatters shared by the writers' column lists. *)
+let ns_col = Report.float Report.fmt_ns
+let dec3_col = Report.float (Printf.sprintf "%.3f")
+let rate_col = Report.float (Printf.sprintf "%.0f")
+let multiple_col = Report.float (Printf.sprintf "%.1fx")
+let ledger_col = function Json.Bool true -> "ok" | _ -> "FAIL"
 
 (* Bechamel's stock [Instance.minor_allocated] reads
    [Gc.quick_stat ()], which OCaml 5 refreshes only at GC boundaries —
@@ -293,27 +301,22 @@ let run_micro_json scale =
                 | Some i -> String.sub name (i + 1) (String.length name - i - 1)
                 | None -> name
               in
-              (short, ns, words))
+              Json.Obj
+                [
+                  ("structure", Json.String short);
+                  ("ns_per_op", Json.Float ns);
+                  ("minor_words_per_op", Json.Float words);
+                ])
             names
         in
-        Harness.Report.print_table
-          ~header:[ Printf.sprintf "%s: structure" gname; "ns/op"; "minor words/op" ]
-          (List.map
-             (fun (name, ns, words) ->
-               [ name; Harness.Report.fmt_ns ns; Printf.sprintf "%.3f" words ])
-             rows);
-        print_newline ();
-        ( gname,
-          Json.List
-            (List.map
-               (fun (name, ns, words) ->
-                 Json.Obj
-                   [
-                     ("structure", Json.String name);
-                     ("ns_per_op", Json.Float ns);
-                     ("minor_words_per_op", Json.Float words);
-                   ])
-               rows) ))
+        Report.print_rows
+          [
+            (gname ^ ": structure", "structure", Report.cell);
+            ("ns/op", "ns_per_op", ns_col);
+            ("minor words/op", "minor_words_per_op", dec3_col);
+          ]
+          rows;
+        (gname, Json.List rows))
       groups
   in
   Json.write_file "BENCH_micro.json"
@@ -334,7 +337,7 @@ let run_sweeps scale =
   let reps = 3 in
   let keys = Harness.Workload.shuffled_keys ~seed:bench_seed n in
   let sweep_rows = ref [] in
-  let record experiment name p elapsed ops =
+  let record experiment name p (elapsed, ops) =
     sweep_rows :=
       Json.Obj
         [
@@ -343,45 +346,21 @@ let run_sweeps scale =
           ("domains", Json.Int p);
           ("size", Json.Int n);
           ("elapsed_s", Json.Float elapsed);
-          ( "ops_per_sec",
-            Json.Float
-              (Harness.Report.checked_rate ~what:"sweeps" ~elapsed ~ops) );
+          ("ops_per_sec", Json.Float (Report.checked_rate ~what:"sweeps" ~elapsed ~ops));
         ]
       :: !sweep_rows
   in
+  (* Figures 12 and 13's measurements at the sweep's size: disjoint-range
+     inserts into a fresh map, and disjoint-range finds over a
+     prefilled, warmed one. *)
   List.iter
     (fun (module M : Suites.IMAP) ->
+      let find = Suites.disjoint_find (module M) keys in
       List.iter
         (fun p ->
-          let ranges = Harness.Workload.disjoint_ranges ~domains:p ~total:n in
-          (* Insert, low contention: each domain owns a key range. *)
-          let best_insert = ref (infinity, 0) in
-          for _ = 1 to reps do
-            let t = M.create () in
-            let elapsed, ops =
-              Harness.Parallel.run_counted ~domains:p (fun d counters ->
-                  let r = ranges.(d) in
-                  Array.iter (fun k -> M.insert t k k) r;
-                  Ct_util.Stripe.add counters d (Array.length r))
-            in
-            if elapsed < fst !best_insert then best_insert := (elapsed, ops)
-          done;
-          record "insert" M.name p (fst !best_insert) (snd !best_insert);
-          (* Lookup over a prefilled, cache-warmed structure. *)
-          let t = M.create () in
-          Array.iter (fun k -> M.insert t k k) keys;
-          Array.iter (fun k -> ignore (M.lookup t k)) keys;
-          let best_lookup = ref (infinity, 0) in
-          for _ = 1 to reps do
-            let elapsed, ops =
-              Harness.Parallel.run_counted ~domains:p (fun d counters ->
-                  let r = ranges.(d) in
-                  Array.iter (fun k -> ignore (Sys.opaque_identity (M.find t k))) r;
-                  Ct_util.Stripe.add counters d (Array.length r))
-            in
-            if elapsed < fst !best_lookup then best_lookup := (elapsed, ops)
-          done;
-          record "lookup" M.name p (fst !best_lookup) (snd !best_lookup))
+          record "insert" M.name p
+            (Suites.disjoint_insert (module M) ~total:n ~domains:p);
+          record "lookup" M.name p (find ~domains:p))
         threads)
     Suites.structures;
   (* Batch-vs-scalar lookup curves: the staged [find_batch] path at
@@ -405,24 +384,18 @@ let run_sweeps scale =
                 Array.map (fun r -> Harness.Workload.batches ~batch:kk r) ranges
               in
               let outs = Array.init p (fun _ -> Array.make kk 0) in
-              let best = ref (infinity, 0) in
-              for _ = 1 to reps do
-                let elapsed, ops =
-                  Harness.Parallel.run_counted ~domains:p (fun d counters ->
-                      let out = outs.(d) in
-                      let hits = ref 0 in
-                      Array.iter
-                        (fun chunk ->
-                          hits := !hits + M.find_batch t chunk ~miss:(-1) out)
-                        chunked.(d);
-                      ignore (Sys.opaque_identity !hits);
-                      Ct_util.Stripe.add counters d (Array.length ranges.(d)))
-                in
-                if elapsed < fst !best then best := (elapsed, ops)
-              done;
               record
                 (Printf.sprintf "find_batch_k%d" kk)
-                M.name p (fst !best) (snd !best))
+                M.name p
+                (Harness.Parallel.best_of ~reps ~domains:p (fun () d counters ->
+                     let out = outs.(d) in
+                     let hits = ref 0 in
+                     Array.iter
+                       (fun chunk ->
+                         hits := !hits + M.find_batch t chunk ~miss:(-1) out)
+                       chunked.(d);
+                     ignore (Sys.opaque_identity !hits);
+                     Ct_util.Stripe.add counters d (Array.length ranges.(d)))))
             batch_ks)
         threads)
     Suites.structures;
@@ -480,10 +453,8 @@ let run_sweeps scale =
             in
             if elapsed < fst !best_batch then best_batch := (elapsed, ops)
           done;
-          record "wordcount" M.name p (fst !best_scalar) (snd !best_scalar);
-          record
-            (Printf.sprintf "wordcount_batch_k%d" wc_k)
-            M.name p (fst !best_batch) (snd !best_batch))
+          record "wordcount" M.name p !best_scalar;
+          record (Printf.sprintf "wordcount_batch_k%d" wc_k) M.name p !best_batch)
         threads)
     Suites.structures;
   (* Allocation deltas, measured on this domain alone so the
@@ -545,35 +516,16 @@ let run_sweeps scale =
           ])
       Suites.structures
   in
-  Harness.Report.print_table
-    ~header:
-      [
-        "structure"; "find w/op"; "mem w/op"; "lookup w/op"; "batch w/op";
-        "insert w/op";
-      ]
-    (List.map
-       (fun row ->
-         match row with
-         | Json.Obj
-             [
-               (_, Json.String name);
-               (_, Json.Float f);
-               (_, Json.Float m);
-               (_, Json.Float l);
-               (_, Json.Float b);
-               (_, Json.Float i);
-             ] ->
-             [
-               name;
-               Printf.sprintf "%.3f" f;
-               Printf.sprintf "%.3f" m;
-               Printf.sprintf "%.3f" l;
-               Printf.sprintf "%.3f" b;
-               Printf.sprintf "%.3f" i;
-             ]
-         | _ -> [ "?" ])
-       alloc_rows);
-  print_newline ();
+  Report.print_rows
+    [
+      ("structure", "structure", Report.cell);
+      ("find w/op", "find_minor_words_per_op", dec3_col);
+      ("mem w/op", "mem_minor_words_per_op", dec3_col);
+      ("lookup w/op", "lookup_minor_words_per_op", dec3_col);
+      ("batch w/op", "find_batch_minor_words_per_op", dec3_col);
+      ("insert w/op", "insert_minor_words_per_op", dec3_col);
+    ]
+    alloc_rows;
   Json.write_file "BENCH_sweeps.json"
     (Json.Obj
        [
@@ -631,8 +583,14 @@ let run_obs scale =
           Array.iter (fun k -> ignore (Sys.opaque_identity (M.find t k))) keys;
           (Gc.minor_words () -. w0) /. fn
         in
-        let overhead_pct = (!best_on -. !best_off) /. !best_off *. 100.0 in
-        (M.name, !best_off, !best_on, overhead_pct, words))
+        Json.Obj
+          [
+            ("structure", Json.String M.name);
+            ("ns_per_op_metrics_off", Json.Float !best_off);
+            ("ns_per_op_metrics_on", Json.Float !best_on);
+            ("overhead_pct", Json.Float ((!best_on -. !best_off) /. !best_off *. 100.0));
+            ("minor_words_per_op_metrics_on", Json.Float words);
+          ])
       Suites.structures
   in
   Ct_util.Metrics.set_enabled true;
@@ -730,48 +688,41 @@ let run_obs scale =
         and base = mode 1
         and guard = mode 2
         and samp = mode 3 in
-        let unsampled_pct = (guard -. base) /. base *. 100.0 in
-        let sampled_amortized_pct = (samp -. base) /. base /. 64.0 *. 100.0 in
-        (M.name, plain, base, guard, samp, unsampled_pct, sampled_amortized_pct))
+        Json.Obj
+          [
+            ("structure", Json.String M.name);
+            ("ns_per_op_plain_find", Json.Float plain);
+            ("ns_per_op_untraced", Json.Float base);
+            ("ns_per_op_unsampled_guard", Json.Float guard);
+            ("ns_per_op_sampled", Json.Float samp);
+            ("unsampled_overhead_pct", Json.Float ((guard -. base) /. base *. 100.0));
+            ( "sampled_amortized_overhead_pct",
+              Json.Float ((samp -. base) /. base /. 64.0 *. 100.0) );
+          ])
       Suites.structures
   in
   Obs.Trace.uninstall ();
-  Harness.Report.print_table
-    ~header:
-      [ "structure"; "find ns/op (off)"; "find ns/op (on)"; "overhead"; "minor words/op (on)" ]
-    (List.map
-       (fun (name, off, on, pct, words) ->
-         [
-           name;
-           Harness.Report.fmt_ns off;
-           Harness.Report.fmt_ns on;
-           Printf.sprintf "%+.1f%%" pct;
-           Printf.sprintf "%.3f" words;
-         ])
-       rows);
-  print_newline ();
-  Harness.Report.print_table
-    ~header:
-      [
-        "structure";
-        "plain find";
-        "untraced ctx";
-        "unsampled ctx";
-        "sampled (every op)";
-        "amortized 1-in-64";
-      ]
-    (List.map
-       (fun (name, plain, base, guard, samp, upct, spct) ->
-         [
-           name;
-           Harness.Report.fmt_ns plain;
-           Harness.Report.fmt_ns base;
-           Printf.sprintf "%s (%+.2f%%)" (Harness.Report.fmt_ns guard) upct;
-           Harness.Report.fmt_ns samp;
-           Printf.sprintf "%+.2f%%" spct;
-         ])
-       trace_rows);
-  print_newline ();
+  let pct_col digits = Report.float (Printf.sprintf "%+.*f%%" digits) in
+  Report.print_rows
+    [
+      ("structure", "structure", Report.cell);
+      ("find ns/op (off)", "ns_per_op_metrics_off", ns_col);
+      ("find ns/op (on)", "ns_per_op_metrics_on", ns_col);
+      ("overhead", "overhead_pct", pct_col 1);
+      ("minor words/op (on)", "minor_words_per_op_metrics_on", dec3_col);
+    ]
+    rows;
+  Report.print_rows
+    [
+      ("structure", "structure", Report.cell);
+      ("plain find", "ns_per_op_plain_find", ns_col);
+      ("untraced ctx", "ns_per_op_untraced", ns_col);
+      ("unsampled ctx", "ns_per_op_unsampled_guard", ns_col);
+      ("unsampled overhead", "unsampled_overhead_pct", pct_col 2);
+      ("sampled (every op)", "ns_per_op_sampled", ns_col);
+      ("amortized 1-in-64", "sampled_amortized_overhead_pct", pct_col 2);
+    ]
+    trace_rows;
   Json.write_file "BENCH_obs.json"
     (Json.Obj
        [
@@ -784,34 +735,8 @@ let run_obs scale =
                   recording cost divided by the head-sampling rate *)
                ("trace_sampling_one_in", Json.Int 64);
              ] );
-         ( "find_overhead",
-           Json.List
-             (List.map
-                (fun (name, off, on, pct, words) ->
-                  Json.Obj
-                    [
-                      ("structure", Json.String name);
-                      ("ns_per_op_metrics_off", Json.Float off);
-                      ("ns_per_op_metrics_on", Json.Float on);
-                      ("overhead_pct", Json.Float pct);
-                      ("minor_words_per_op_metrics_on", Json.Float words);
-                    ])
-                rows) );
-         ( "trace_overhead",
-           Json.List
-             (List.map
-                (fun (name, plain, base, guard, samp, upct, spct) ->
-                  Json.Obj
-                    [
-                      ("structure", Json.String name);
-                      ("ns_per_op_plain_find", Json.Float plain);
-                      ("ns_per_op_untraced", Json.Float base);
-                      ("ns_per_op_unsampled_guard", Json.Float guard);
-                      ("ns_per_op_sampled", Json.Float samp);
-                      ("unsampled_overhead_pct", Json.Float upct);
-                      ("sampled_amortized_overhead_pct", Json.Float spct);
-                    ])
-                trace_rows) );
+         ("find_overhead", Json.List rows);
+         ("trace_overhead", Json.List trace_rows);
        ])
 
 (* Serving-tier overload curves (BENCH_server.json): the sustained-
@@ -850,59 +775,44 @@ let run_serve scale =
     List.mapi
       (fun i m ->
         let rate = capacity *. m in
-        let r, executed = run_point ~seed:(bench_seed lxor (0x5E12 + i)) ~rate in
-        (m, rate, r, executed))
+        let { Setup.summary = s; verified; accepted_p99 }, executed =
+          run_point ~seed:(bench_seed lxor (0x5E12 + i)) ~rate
+        in
+        Json.Obj
+          [
+            ("offered_over_capacity", Json.Float m);
+            ("offered_rate", Json.Float rate);
+            ("requests", Json.Int s.Loadgen.plan.Loadgen.n);
+            ("achieved_rate", Json.Float s.Loadgen.achieved_rate);
+            ("goodput", Json.Float s.Loadgen.ok_rate);
+            ("ok", Json.Int s.Loadgen.ok);
+            ("shed_queue_full", Json.Int s.Loadgen.shed_queue_full);
+            ("shed_latency_breach", Json.Int s.Loadgen.shed_latency_breach);
+            ("deadline_exceeded", Json.Int s.Loadgen.deadline_exceeded);
+            ("shutting_down", Json.Int s.Loadgen.shutting_down);
+            ("dropped", Json.Int s.Loadgen.dropped);
+            ("executed", Json.Int executed);
+            ("accepted_p99_ns", Json.Float accepted_p99);
+            ("client_p50_ns", Json.Float s.Loadgen.client_p50_ns);
+            ("client_p99_ns", Json.Float s.Loadgen.client_p99_ns);
+            ("ledger_verified", Json.Bool verified);
+          ])
       multiples
   in
-  Harness.Report.print_table
-    ~header:
-      [
-        "offered/capacity";
-        "offered req/s";
-        "goodput req/s";
-        "shed %";
-        "deadline %";
-        "accepted p99";
-        "client p99";
-        "ledger";
-      ]
-    (List.map
-       (fun (m, rate, { Setup.summary = s; verified; accepted_p99 }, _) ->
-         let n = float_of_int s.Loadgen.plan.Loadgen.n in
-         [
-           Printf.sprintf "%.1fx" m;
-           Printf.sprintf "%.0f" rate;
-           Printf.sprintf "%.0f" s.Loadgen.ok_rate;
-           Printf.sprintf "%.1f%%" (100.0 *. float_of_int (Loadgen.shed s) /. n);
-           Printf.sprintf "%.1f%%"
-             (100.0 *. float_of_int s.Loadgen.deadline_exceeded /. n);
-           Harness.Report.fmt_ns accepted_p99;
-           Harness.Report.fmt_ns s.Loadgen.client_p99_ns;
-           (if verified then "ok" else "FAIL");
-         ])
-       points);
-  print_newline ();
-  let point_json (m, rate, { Setup.summary = s; verified; accepted_p99 }, executed) =
-    Json.Obj
-      [
-        ("offered_over_capacity", Json.Float m);
-        ("offered_rate", Json.Float rate);
-        ("requests", Json.Int s.Loadgen.plan.Loadgen.n);
-        ("achieved_rate", Json.Float s.Loadgen.achieved_rate);
-        ("goodput", Json.Float s.Loadgen.ok_rate);
-        ("ok", Json.Int s.Loadgen.ok);
-        ("shed_queue_full", Json.Int s.Loadgen.shed_queue_full);
-        ("shed_latency_breach", Json.Int s.Loadgen.shed_latency_breach);
-        ("deadline_exceeded", Json.Int s.Loadgen.deadline_exceeded);
-        ("shutting_down", Json.Int s.Loadgen.shutting_down);
-        ("dropped", Json.Int s.Loadgen.dropped);
-        ("executed", Json.Int executed);
-        ("accepted_p99_ns", Json.Float accepted_p99);
-        ("client_p50_ns", Json.Float s.Loadgen.client_p50_ns);
-        ("client_p99_ns", Json.Float s.Loadgen.client_p99_ns);
-        ("ledger_verified", Json.Bool verified);
-      ]
-  in
+  Report.print_rows
+    [
+      ("offered/capacity", "offered_over_capacity", multiple_col);
+      ("offered req/s", "offered_rate", rate_col);
+      ("goodput req/s", "goodput", rate_col);
+      ("requests", "requests", Report.cell);
+      ("queue sheds", "shed_queue_full", Report.cell);
+      ("latency sheds", "shed_latency_breach", Report.cell);
+      ("deadline", "deadline_exceeded", Report.cell);
+      ("accepted p99", "accepted_p99_ns", ns_col);
+      ("client p99", "client_p99_ns", ns_col);
+      ("ledger", "ledger_verified", ledger_col);
+    ]
+    points;
   Json.write_file "BENCH_server.json"
     (Json.Obj
        [
@@ -917,7 +827,7 @@ let run_serve scale =
                ("calibration_offered_rate", Json.Float cal_rate);
                ("capacity_req_per_s", Json.Float capacity);
              ] );
-         ("points", Json.List (List.map point_json points));
+         ("points", Json.List points);
        ])
 
 (* Durable-serving cost curves (BENCH_persist.json): what the WAL's
@@ -990,64 +900,49 @@ let run_persist scale =
         List.mapi
           (fun i m ->
             let rate = capacity *. m in
-            let r, appends, fsyncs =
+            let { Setup.summary = s; verified; accepted_p99 }, appends, fsyncs =
               run_point
                 ~seed:(bench_seed lxor (0xD15C + (i * 131)))
                 ~commit_interval ~rate
             in
-            (commit_interval, m, rate, r, appends, fsyncs))
+            let group_size =
+              if fsyncs = 0 then 0.0 else float_of_int appends /. float_of_int fsyncs
+            in
+            Json.Obj
+              [
+                ("commit_interval_s", Json.Float commit_interval);
+                ("offered_over_capacity", Json.Float m);
+                ("offered_rate", Json.Float rate);
+                ("requests", Json.Int s.Loadgen.plan.Loadgen.n);
+                ("goodput", Json.Float s.Loadgen.ok_rate);
+                ("ok", Json.Int s.Loadgen.ok);
+                ("shed", Json.Int (Loadgen.shed s));
+                ("read_only", Json.Int s.Loadgen.read_only);
+                ("deadline_exceeded", Json.Int s.Loadgen.deadline_exceeded);
+                ("wal_appends", Json.Int appends);
+                ("wal_fsyncs", Json.Int fsyncs);
+                ("appends_per_fsync", Json.Float group_size);
+                ("client_p50_ns", Json.Float s.Loadgen.client_p50_ns);
+                ("client_p99_ns", Json.Float s.Loadgen.client_p99_ns);
+                ("accepted_p99_ns", Json.Float accepted_p99);
+                ("ledger_verified", Json.Bool verified);
+              ])
           multiples)
       intervals
   in
-  let group_size appends fsyncs =
-    if fsyncs = 0 then 0.0 else float_of_int appends /. float_of_int fsyncs
-  in
-  Harness.Report.print_table
-    ~header:
-      [
-        "commit interval";
-        "offered/capacity";
-        "goodput req/s";
-        "appends/fsync";
-        "client p99";
-        "accepted p99";
-        "ledger";
-      ]
-    (List.map
-       (fun (ci, m, _, { Setup.summary = s; verified; accepted_p99 }, appends, fsyncs) ->
-         [
-           Printf.sprintf "%.1f ms" (ci *. 1e3);
-           Printf.sprintf "%.1fx" m;
-           Printf.sprintf "%.0f" s.Loadgen.ok_rate;
-           Printf.sprintf "%.1f" (group_size appends fsyncs);
-           Harness.Report.fmt_ns s.Loadgen.client_p99_ns;
-           Harness.Report.fmt_ns accepted_p99;
-           (if verified then "ok" else "FAIL");
-         ])
-       points);
-  print_newline ();
-  let point_json
-      (ci, m, rate, { Setup.summary = s; verified; accepted_p99 }, appends, fsyncs) =
-    Json.Obj
-      [
-        ("commit_interval_s", Json.Float ci);
-        ("offered_over_capacity", Json.Float m);
-        ("offered_rate", Json.Float rate);
-        ("requests", Json.Int s.Loadgen.plan.Loadgen.n);
-        ("goodput", Json.Float s.Loadgen.ok_rate);
-        ("ok", Json.Int s.Loadgen.ok);
-        ("shed", Json.Int (Loadgen.shed s));
-        ("read_only", Json.Int s.Loadgen.read_only);
-        ("deadline_exceeded", Json.Int s.Loadgen.deadline_exceeded);
-        ("wal_appends", Json.Int appends);
-        ("wal_fsyncs", Json.Int fsyncs);
-        ("appends_per_fsync", Json.Float (group_size appends fsyncs));
-        ("client_p50_ns", Json.Float s.Loadgen.client_p50_ns);
-        ("client_p99_ns", Json.Float s.Loadgen.client_p99_ns);
-        ("accepted_p99_ns", Json.Float accepted_p99);
-        ("ledger_verified", Json.Bool verified);
-      ]
-  in
+  Report.print_rows
+    [
+      ( "commit interval",
+        "commit_interval_s",
+        Report.float (fun ci -> Printf.sprintf "%.1f ms" (ci *. 1e3)) );
+      ("offered/capacity", "offered_over_capacity", multiple_col);
+      ("goodput req/s", "goodput", rate_col);
+      ("appends/fsync", "appends_per_fsync", Report.float (Printf.sprintf "%.1f"));
+      ("client p99", "client_p99_ns", ns_col);
+      ("accepted p99", "accepted_p99_ns", ns_col);
+      ("ledger", "ledger_verified", ledger_col);
+    ]
+    points;
   Json.write_file "BENCH_persist.json"
     (Json.Obj
        [
@@ -1061,7 +956,7 @@ let run_persist scale =
                ( "commit_intervals_s",
                  Json.List (List.map (fun c -> Json.Float c) intervals) );
              ] );
-         ("points", Json.List (List.map point_json points));
+         ("points", Json.List points);
        ])
 
 (* Bounded cache tier (BENCH_cache.json): hit-rate vs throughput per
@@ -1118,23 +1013,29 @@ let run_cache scale =
         in
         if not budget_ok then
           failwith "cache bench: budget or accounting violated";
-        (budget_words, float_of_int ops /. elapsed, hit_rate, s))
+        Json.Obj
+          [
+            ("budget_words", Json.Int budget_words);
+            ("ops_per_s", Json.Float (float_of_int ops /. elapsed));
+            ("hit_rate", Json.Float hit_rate);
+            ("evictions", Json.Int s.Cache.evictions);
+            ("rejections", Json.Int s.Cache.rejections);
+            ("expirations", Json.Int s.Cache.expirations);
+            ("used_words", Json.Int s.Cache.used_words);
+            ("resident", Json.Int s.Cache.resident);
+            ("budget_ok", Json.Bool true);
+          ])
       budgets
   in
-  Harness.Report.print_table
-    ~header:
-      [ "budget words"; "Mops/s"; "hit rate"; "evictions"; "resident" ]
-    (List.map
-       (fun (budget, rate, hit, s) ->
-         [
-           string_of_int budget;
-           Printf.sprintf "%.2f" (rate /. 1e6);
-           Printf.sprintf "%.3f" hit;
-           string_of_int s.Cache.evictions;
-           string_of_int s.Cache.resident;
-         ])
-       rows);
-  print_newline ();
+  Report.print_rows
+    [
+      ("budget words", "budget_words", Report.cell);
+      ("Mops/s", "ops_per_s", Report.float (fun r -> Printf.sprintf "%.2f" (r /. 1e6)));
+      ("hit rate", "hit_rate", dec3_col);
+      ("evictions", "evictions", Report.cell);
+      ("resident", "resident", Report.cell);
+    ]
+    rows;
   Json.write_file "BENCH_cache.json"
     (Json.Obj
        [
@@ -1147,23 +1048,7 @@ let run_cache scale =
                ("zipf_s", Json.Float skew);
                ("value_bytes", Json.Int 64);
              ] );
-         ( "points",
-           Json.List
-             (List.map
-                (fun (budget, rate, hit, s) ->
-                  Json.Obj
-                    [
-                      ("budget_words", Json.Int budget);
-                      ("ops_per_s", Json.Float rate);
-                      ("hit_rate", Json.Float hit);
-                      ("evictions", Json.Int s.Cache.evictions);
-                      ("rejections", Json.Int s.Cache.rejections);
-                      ("expirations", Json.Int s.Cache.expirations);
-                      ("used_words", Json.Int s.Cache.used_words);
-                      ("resident", Json.Int s.Cache.resident);
-                      ("budget_ok", Json.Bool true);
-                    ])
-                rows) );
+         ("points", Json.List rows);
        ])
 
 (* ----------------------------- writers ----------------------------- *)

@@ -84,8 +84,9 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Regenerate the committed BENCH_*.json files: $(b,micro-json) \
-          (Bechamel ns/op and minor words/op), $(b,sweeps) (throughput \
-          per domain count, find_batch curves, allocation deltas), \
+          (Bechamel ns/op and minor words/op), $(b,sweeps) (Figures 12 \
+          and 13's insert and find throughput per domain count, \
+          find_batch and word-count curves, allocation deltas), \
           $(b,obs) (metrics and tracing overhead), $(b,cache) (bounded \
           tier hit rate per budget), $(b,serve) (overload curves) and \
           $(b,persist) (group-commit interval sweep).  Each writes its \

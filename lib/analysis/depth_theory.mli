@@ -9,16 +9,13 @@ val p : int -> int -> float
     depth [d] in a trie holding [n+1] keys under a universal hash,
     [(1 - 16^-(d+1))^n - (1 - 16^-d)^n]. *)
 
-val eta : int -> int -> float
-(** [eta d n = p d n +. p (d+1) n] — probability mass of the adjacent
-    depth pair starting at [d]. *)
-
 val mu : int -> float
-(** [mu n = max_d (eta d n)] — the most populated adjacent pair.
+(** [mu n = max_d (p d n +. p (d+1) n)] — the probability mass of the
+    most populated adjacent depth pair.
     Theorem 4.2: as [n → ∞] this stays within ⟨0.8745, 0.9746⟩. *)
 
 val best_pair : int -> int
-(** [best_pair n] — the depth [d] maximizing [eta d n]; the cache
+(** [best_pair n] — the depth [d] maximizing [p d n +. p (d+1) n]; the cache
     should target level [4 * d]. *)
 
 val expected_depth : int -> float

@@ -35,9 +35,6 @@ val entry_overhead_words : int
 (** Fixed metadata charge per resident entry (entry record, map leaf,
     ring/wheel slots), added to the caller-visible value cost. *)
 
-val word_cost : 'a -> int
-(** [Obj.reachable_words] of a value — the default cost model, same as
-    [Harness.Footprint]. *)
 
 (** Counter snapshot; also exported via {!Make.metrics} under the
     [cache-tier] family (Prometheus/JSON). *)
@@ -75,7 +72,8 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) : sig
       [now] is the nanosecond clock driving TTLs (default
       [Ct_util.Clock.monotonic_ns]; inject a fake for deterministic
       expiry tests); [cost] prices a key/value pair in words (default
-      {!word_cost} of both).
+      [Obj.reachable_words] of both, the
+      same model as [Harness.Footprint]).
       @raise Invalid_argument on a budget below one entry's overhead
       or [max_entry_frac] outside [(0, 1]]. *)
 

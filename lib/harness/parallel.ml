@@ -39,3 +39,12 @@ let run_counted ~domains body =
     spawn_timed ~what:"Parallel.run_counted" ~domains (fun d -> body d counters)
   in
   (elapsed, Ct_util.Stripe.sum counters)
+
+let best_of ~reps ~domains prepare =
+  if reps <= 0 then invalid_arg "Parallel.best_of";
+  let best = ref (infinity, 0) in
+  for _ = 1 to reps do
+    let run = run_counted ~domains (prepare ()) in
+    if fst run < fst !best then best := run
+  done;
+  !best

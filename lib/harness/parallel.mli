@@ -20,6 +20,17 @@ val run_counted :
     sharing between domains).  Returns [(elapsed_seconds, total_ops)]
     with the counters summed after every domain has joined. *)
 
+val best_of :
+  reps:int -> domains:int -> (unit -> int -> Ct_util.Stripe.t -> unit) ->
+  float * int
+(** [best_of ~reps ~domains prepare] times [reps] runs of
+    {!run_counted} and returns the fastest one's
+    [(elapsed_seconds, total_ops)]: interference only ever slows a run
+    down, so the minimum is the cleanest observation.  Each rep first
+    calls [prepare ()] outside the timed window and runs the worker
+    body it returns, so a rep that needs a fresh map builds it there.
+    @raise Invalid_argument if [reps <= 0]. *)
+
 val run_collect : domains:int -> (int -> 'a) -> 'a list
 (** [run_collect ~domains body] runs [body] on each domain after a
     common barrier and returns the per-domain results in index

@@ -123,3 +123,34 @@ module Json = struct
     close_out oc;
     Printf.printf "wrote %s\n%!" path
 end
+
+type column = string * string * (Json.t -> string)
+
+let cell = function
+  | Json.String s -> s
+  | Json.Int i -> string_of_int i
+  | Json.Float f -> Printf.sprintf "%g" f
+  | Json.Bool b -> string_of_bool b
+  | Json.Null -> "-"
+  | Json.List _ | Json.Obj _ -> invalid_arg "Report.cell: not a scalar"
+
+let float fmt = function
+  | Json.Float f -> fmt f
+  | Json.Int i -> fmt (float_of_int i)
+  | _ -> invalid_arg "Report.float: not a number"
+
+let rows_table columns rows =
+  let field row key =
+    match row with
+    | Json.Obj fields when List.mem_assoc key fields -> List.assoc key fields
+    | _ -> invalid_arg (Printf.sprintf "Report.rows_table: row has no %S" key)
+  in
+  table
+    ~header:(List.map (fun (header, _, _) -> header) columns)
+    (List.map
+       (fun row -> List.map (fun (_, key, fmt) -> fmt (field row key)) columns)
+       rows)
+
+let print_rows columns rows =
+  print_string (rows_table columns rows);
+  print_newline ()

@@ -36,8 +36,10 @@ val checked_rate : what:string -> elapsed:float -> ops:int -> float
     the work.
     @raise Invalid_argument naming [what]. *)
 
-(** Minimal JSON emitter for the persisted benchmark files
-    ([BENCH_micro.json], [BENCH_sweeps.json]).  Output is deterministic
+(** Minimal JSON emitter for the six persisted benchmark files
+    ([BENCH_micro.json], [BENCH_sweeps.json], [BENCH_obs.json],
+    [BENCH_cache.json], [BENCH_server.json], [BENCH_persist.json]),
+    whose rows are also what {!print_rows} renders.  Output is deterministic
     for equal inputs: fields keep insertion order, floats render with
     ["%.6g"] (non-finite values become [null]), and no timestamps are
     ever inserted — so files regenerated from identical measurements
@@ -58,3 +60,32 @@ module Json : sig
   val write_file : string -> t -> unit
   (** Write to a path and log the path to stdout. *)
 end
+
+(** {1 Tables from persisted rows}
+
+    A BENCH writer builds each row once, as the [Json.Obj] it persists,
+    and prints its table from those same rows: a column names the
+    field it shows, so the table cannot drift from the file. *)
+
+type column = string * string * (Json.t -> string)
+(** [(header, key, fmt)]: the column headed [header] shows [fmt] of
+    field [key] of each row. *)
+
+val cell : Json.t -> string
+(** A scalar as plain text: strings as is, ints in decimal, floats
+    ["%g"], bools ["true"]/["false"], [Null] as ["-"].
+    @raise Invalid_argument on a list or object. *)
+
+val float : (float -> string) -> Json.t -> string
+(** [float fmt] formats a number field ([Int] promoted), e.g.
+    [float fmt_ns].
+    @raise Invalid_argument on any other value. *)
+
+val rows_table : column list -> Json.t list -> string
+(** [rows_table columns rows] is {!table} with one line per row and
+    the columns in the order given.
+    @raise Invalid_argument naming the key when a row is not an object
+    holding every column's key. *)
+
+val print_rows : column list -> Json.t list -> unit
+(** Print {!rows_table}, then a blank line. *)

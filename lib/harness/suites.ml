@@ -154,37 +154,61 @@ let fig11_sizes = function
   | Quick -> [ 50_000 ]
   | Full -> [ 50_000; 200_000; 600_000 ]
 
+(* Best of 3 runs, matching short multi-threaded benches. *)
+let reps = 3
+
+(* One row per structure, one column per domain count, in ms.  [time m]
+   runs once per structure, so any set-up it does before taking
+   [~domains] is shared by that structure's columns. *)
+let print_per_domain scale time =
+  let threads = thread_counts scale in
+  Report.print_table
+    ~header:("structure" :: List.map (Printf.sprintf "p=%d") threads)
+    (List.map
+       (fun (module M : IMAP) ->
+         let time = time (module M : IMAP) in
+         M.name
+         :: List.map (fun p -> Report.fmt_ms (fst (time ~domains:p))) threads)
+       structures)
+
 let fig11_insert_high_contention scale =
   Report.section "Figure 11: multi-threaded insert, high contention (ms)";
-  let threads = thread_counts scale in
   List.iter
     (fun n ->
       let keys = Workload.shuffled_keys n in
-      let rows =
-        List.map
-          (fun (module M : IMAP) ->
-            M.name
-            :: List.map
-                 (fun p ->
-                   (* Best of 3 runs, matching short multi-threaded benches. *)
-                   let best = ref infinity in
-                   for _ = 1 to 3 do
-                     let t = M.create () in
-                     let dt =
-                       Parallel.run_timed ~domains:p (fun _d ->
-                           Array.iter (fun k -> M.insert t k k) keys)
-                     in
-                     if dt < !best then best := dt
-                   done;
-                   Report.fmt_ms !best)
-                 threads)
-          structures
-      in
-      Report.print_table
-        ~header:("structure" :: List.map (Printf.sprintf "p=%d") threads)
-        rows;
+      print_per_domain scale (fun (module M : IMAP) ~domains ->
+          Parallel.best_of ~reps ~domains (fun () ->
+              let t = M.create () in
+              fun d counters ->
+                Array.iter (fun k -> M.insert t k k) keys;
+                Ct_util.Stripe.add counters d n));
       Printf.printf "(size %d; every thread inserts the same %d keys)\n\n" n n)
     (fig11_sizes scale)
+
+let disjoint_insert (module M : IMAP) ~total ~domains =
+  let ranges = Workload.disjoint_ranges ~domains ~total in
+  Parallel.best_of ~reps ~domains (fun () ->
+      let t = M.create () in
+      fun d counters ->
+        let r = ranges.(d) in
+        Array.iter (fun k -> M.insert t k k) r;
+        Ct_util.Stripe.add counters d (Array.length r))
+
+let disjoint_find (module M : IMAP) keys =
+  let t = M.create () in
+  Array.iter (fun k -> M.insert t k k) keys;
+  (* Warm the cache with one pass. *)
+  Array.iter (fun k -> ignore (M.lookup t k)) keys;
+  fun ~domains ->
+    let ranges = Workload.disjoint_ranges ~domains ~total:(Array.length keys) in
+    (* [find] raises on a missing key; one handler around the whole run
+       keeps the check out of the timed loop. *)
+    try
+      Parallel.best_of ~reps ~domains (fun () d counters ->
+          let r = ranges.(d) in
+          Array.iter (fun k -> ignore (Sys.opaque_identity (M.find t k))) r;
+          Ct_util.Stripe.add counters d (Array.length r))
+    with Not_found -> failwith (M.name ^ ": prefilled key missing")
 
 let fig12_sizes = function
   | Quick -> [ 100_000 ]
@@ -192,32 +216,9 @@ let fig12_sizes = function
 
 let fig12_insert_low_contention scale =
   Report.section "Figure 12: multi-threaded insert, low contention (ms)";
-  let threads = thread_counts scale in
   List.iter
     (fun total ->
-      let rows =
-        List.map
-          (fun (module M : IMAP) ->
-            M.name
-            :: List.map
-                 (fun p ->
-                   let ranges = Workload.disjoint_ranges ~domains:p ~total in
-                   let best = ref infinity in
-                   for _ = 1 to 3 do
-                     let t = M.create () in
-                     let dt =
-                       Parallel.run_timed ~domains:p (fun d ->
-                           Array.iter (fun k -> M.insert t k k) ranges.(d))
-                     in
-                     if dt < !best then best := dt
-                   done;
-                   Report.fmt_ms !best)
-                 threads)
-          structures
-      in
-      Report.print_table
-        ~header:("structure" :: List.map (Printf.sprintf "p=%d") threads)
-        rows;
+      print_per_domain scale (disjoint_insert ~total);
       Printf.printf "(total %d keys split across threads)\n\n" total)
     (fig12_sizes scale)
 
@@ -225,39 +226,10 @@ let fig13_size = function Quick -> 100_000 | Full -> 1_000_000
 
 let fig13_parallel_lookup scale =
   Report.section "Figure 13: multi-threaded lookup (ms)";
-  let threads = thread_counts scale in
   let n = fig13_size scale in
   let keys = Workload.shuffled_keys n in
-  let rows =
-    List.map
-      (fun (module M : IMAP) ->
-        let t = M.create () in
-        Array.iter (fun k -> M.insert t k k) keys;
-        (* Warm the cache with one pass. *)
-        Array.iter (fun k -> ignore (M.lookup t k)) keys;
-        M.name
-        :: List.map
-             (fun p ->
-               let ranges = Workload.disjoint_ranges ~domains:p ~total:n in
-               let best = ref infinity in
-               for _ = 1 to 3 do
-                 let dt =
-                   Parallel.run_timed ~domains:p (fun d ->
-                       Array.iter
-                         (fun k ->
-                           if M.lookup t k = None then failwith "missing key")
-                         ranges.(d))
-                 in
-                 if dt < !best then best := dt
-               done;
-               Report.fmt_ms !best)
-             threads)
-      structures
-  in
-  Report.print_table
-    ~header:("structure" :: List.map (Printf.sprintf "p=%d") threads)
-    rows;
-  Printf.printf "(%d keys prefilled; lookups split across threads)\n\n" n
+  print_per_domain scale (fun m -> disjoint_find m keys);
+  Printf.printf "(%d keys prefilled; finds split across threads)\n\n" n
 
 (* ------------------------------------------------------------------ *)
 (* Artifact A.5.1: level-occupancy histograms.                         *)

@@ -1,9 +1,9 @@
 (** Per-figure experiment drivers.
 
-    One function per artifact of the paper's evaluation (Section 5 and
-    the artifact appendix).  Each prints the table/series that the
-    corresponding figure plots; EXPERIMENTS.md records the outputs
-    against the paper's reported shapes.
+    One runner per artifact of the paper's evaluation (Section 5 and
+    the artifact appendix), listed in {!experiments}.  Each prints the
+    table/series that the corresponding figure plots; EXPERIMENTS.md
+    records the outputs against the paper's reported shapes.
 
     [scale] controls problem sizes: [Quick] runs in seconds for smoke
     testing, [Full] uses sizes close to the paper's. *)
@@ -27,60 +27,25 @@ val thread_counts : scale -> int list
 (** Domain counts exercised by the multi-threaded experiments at the
     given scale. *)
 
-val fig9_footprint : scale -> unit
-(** Figure 9: memory footprint per structure and size, with the
-    multiplier over the smallest (the paper normalizes to skip lists). *)
+val disjoint_insert :
+  (module IMAP) -> total:int -> domains:int -> float * int
+(** Figure 12's measurement, also the [insert] rows of
+    [BENCH_sweeps.json]: best of 3 runs, each on a fresh map, of
+    [domains] domains inserting disjoint ranges of [0 .. total-1].
+    Returns the fastest run's [(elapsed_seconds, total_ops)]. *)
 
-val fig10_single_threaded : scale -> unit
-(** Figure 10: single-threaded lookup and insert times vs size. *)
-
-val fig11_insert_high_contention : scale -> unit
-(** Figure 11: all threads insert the same key sequence. *)
-
-val fig12_insert_low_contention : scale -> unit
-(** Figure 12: threads insert disjoint key ranges. *)
-
-val fig13_parallel_lookup : scale -> unit
-(** Figure 13: parallel lookup over a prefilled map. *)
-
-val histograms : scale -> unit
-(** Artifact A.5.1: level-occupancy histograms ("BirthdaySimulations")
-    plus the adjacent-pair coverage check of Theorem 4.2. *)
-
-val theory : scale -> unit
-(** Section 4.1: analytic depth distribution vs an empirical trie, the
-    mu(n) interval of Theorem 4.2 and the expected depth of 4.3. *)
-
-val ablation_cache : scale -> unit
-(** Extension: lookup cost with the cache on/off and across
-    [max_misses] settings — quantifies the cache's contribution
-    (the paper's "w/o cache" comparison, extended). *)
-
-val ablation_narrow : scale -> unit
-(** Extension: narrow (4-slot) nodes on/off — insert time and memory
-    footprint with and without the paper's small-node optimization
-    (Section 3.2, scenario 3). *)
-
-val mixed_workload : scale -> unit
-(** Extension: YCSB-style mixed operation benchmark (90% lookup /
-    9% insert / 1% remove, and 50/40/10) across all structures and
-    thread counts — the read-mostly regime the paper argues
-    dictionaries live in. *)
-
-val zipf_lookup : scale -> unit
-(** Extension: lookup throughput under Zipf-skewed key popularity —
-    skew concentrates traffic on few keys and shows how the trie cache
-    behaves when the hot set is small. *)
-
-val trace_replay : scale -> unit
-(** Extension: replay deterministic production-style traces
-    (read-mostly / churn / write-heavy profiles from {!Trace}) against
-    every structure, single- and multi-domain. *)
-
-val remove_throughput : scale -> unit
-(** Extension: single-threaded remove throughput and the cost of
-    remove-side compression (Section 3.7), per structure. *)
+val disjoint_find : (module IMAP) -> int array -> (domains:int -> float * int)
+(** Figure 13's measurement, also the [lookup] rows of
+    [BENCH_sweeps.json]: [disjoint_find m keys] prefills a map with
+    [keys] (a permutation of [0 .. n-1]) and warms it with one lookup
+    pass; the function it returns times the best of 3 runs of
+    [domains] domains calling [find] over disjoint ranges of the keys.
+    Apply it to several domain counts to share one prefilled map.
+    @raise Failure if a prefilled key is missing. *)
 
 val experiments : (string * string * (scale -> unit)) list
-(** Every experiment above as [(name, doc, runner)], in run order: one
-    [repro] subcommand each. *)
+(** Every experiment of the paper's evaluation (Figures 9-13, the
+    level histograms and depth theory of Section 4.1) and of the
+    extensions (cache and narrow-node ablations, mixed, Zipf, remove
+    and trace-replay workloads) as [(name, doc, runner)], in run order:
+    one [repro] subcommand each. *)

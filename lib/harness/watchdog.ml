@@ -61,8 +61,6 @@ let create ?(stall_epochs = 3) ?(on_stall = fun _ -> ()) ?flight ?tracer
     stop_requested = Atomic.make false;
   }
 
-let epoch t = t.epoch
-
 let report_of t slot =
   let site, phase =
     match Progress.last t.progress slot with

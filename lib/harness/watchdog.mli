@@ -52,8 +52,6 @@ val step : t -> report list
 val stalled : t -> report list
 (** Currently stalled slots, without advancing the epoch. *)
 
-val epoch : t -> int
-
 val report_to_string : report -> string
 (** ["slot 2 stalled for 4 epochs at cachetrie.txn.help/before (17 beats)"] *)
 

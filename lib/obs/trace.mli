@@ -60,7 +60,6 @@ type stage =
   | Cache_load
   | Request
 
-val n_stages : int
 val all_stages : stage list
 val stage_index : stage -> int
 val stage_of_index : int -> stage

@@ -32,6 +32,4 @@ val gc : dir:string -> keep:int -> int
     returns the number of files removed. *)
 
 val ckpt_name : int -> string
-val tmp_name : int -> string
 val ckpt_lsn_of_name : string -> int option
-val tmp_lsn_of_name : string -> int option

@@ -32,8 +32,6 @@ type stats = {
   tmp_discarded : int;  (** partial checkpoint files ignored *)
 }
 
-val empty_stats : stats
-
 val load :
   ?salvage:bool ->
   ?metrics:Ct_util.Metrics.t ->

@@ -187,7 +187,6 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) = struct
   let port t = t.lport
   let latency t = t.lat
   let shedding t = Atomic.get t.shed_p99
-  let draining t = Atomic.get t.state > 0
 
   let stats t =
     Array.to_list

@@ -65,10 +65,6 @@ type config = {
 
 val default_config : unit -> config
 
-(** The sites loops cross, for chaos targeting:
-    ["server.worker.exec"] brackets every map operation. *)
-val exec_site : Ct_util.Yieldpoint.site
-
 (** Durable-mode hooks (DESIGN.md §14), typically built by
     {!Durable.hooks}.  A loop applies a write to the map, then
     [d_append]s it to the write-ahead log and withholds the reply until
@@ -155,8 +151,6 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP with type key = int) : sig
 
   val stat : t -> string -> int
   (** One counter by label; 0 if unknown. *)
-
-  val draining : t -> bool
 
   val drain : ?timeout:float -> t -> bool
   (** Graceful shutdown: stop accepting, answer new requests with

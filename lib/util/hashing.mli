@@ -17,9 +17,6 @@ val mask : int
 val mix : int -> int
 (** [mix h] avalanches [h] and truncates to {!hash_bits} bits. *)
 
-val mix_identity : int -> int
-(** [mix_identity h] only truncates. *)
-
 module type HASHABLE = sig
   type t
 

@@ -55,8 +55,6 @@ type counter =
 val all : counter list
 (** Every counter, in the fixed export order. *)
 
-val n_counters : int
-
 val label : counter -> string
 (** Stable snake_case name used by the exporters ("cas_attempts"). *)
 

@@ -137,6 +137,61 @@ let test_report_table () =
   let lens = List.map String.length lines in
   check_bool "aligned" true (List.for_all (fun l -> l = List.hd lens) lens)
 
+let test_report_rows_table () =
+  let module J = Harness.Report.Json in
+  let rows =
+    [
+      J.Obj [ ("name", J.String "a"); ("ns", J.Float 1.26); ("n", J.Int 3) ];
+      J.Obj [ ("name", J.String "bb"); ("ns", J.Int 20); ("n", J.Int 40) ];
+    ]
+  in
+  let columns =
+    [
+      ("count", "n", Harness.Report.cell);
+      ("who", "name", Harness.Report.cell);
+      ("ns/op", "ns", Harness.Report.float (Printf.sprintf "<%.1f>"));
+    ]
+  in
+  let lines =
+    String.split_on_char '\n' (Harness.Report.rows_table columns rows)
+    |> List.filter (( <> ) "")
+    |> List.map (fun l ->
+           List.filter (( <> ) "") (String.split_on_char ' ' l))
+  in
+  Alcotest.(check (list (list string)))
+    "columns in order, formatted"
+    [
+      [ "count"; "who"; "ns/op" ];
+      [ "-----"; "---"; "------" ];
+      [ "3"; "a"; "<1.3>" ];
+      [ "40"; "bb"; "<20.0>" ];
+    ]
+    lines;
+  Alcotest.check_raises "missing key named"
+    (Invalid_argument "Report.rows_table: row has no \"n\"") (fun () ->
+      ignore
+        (Harness.Report.rows_table columns [ J.Obj [ ("name", J.String "c") ] ]))
+
+(* Rep 2 of 3 is the fast one; its op count must come back with it. *)
+let test_best_of () =
+  let prepared = ref 0 and bodies = Atomic.make 0 in
+  let elapsed, ops =
+    Harness.Parallel.best_of ~reps:3 ~domains:1 (fun () ->
+        incr prepared;
+        let rep = !prepared in
+        fun d counters ->
+          Atomic.incr bodies;
+          Unix.sleepf (if rep = 2 then 0.001 else 0.1);
+          Ct_util.Stripe.add counters d (10 * rep))
+  in
+  check_int "prepare once per rep" 3 !prepared;
+  check_int "body once per rep" 3 (Atomic.get bodies);
+  check_int "fastest rep's ops" 20 ops;
+  check_bool "fastest rep's elapsed" true (elapsed >= 0.001 && elapsed < 0.1);
+  Alcotest.check_raises "no reps" (Invalid_argument "Parallel.best_of")
+    (fun () ->
+      ignore (Harness.Parallel.best_of ~reps:0 ~domains:1 (fun () _ _ -> ())))
+
 let test_structures_registry () =
   Alcotest.(check (list string))
     "structure roster"
@@ -286,5 +341,7 @@ let suite =
     ("measure_run", `Quick, test_measure_run);
     ("footprint", `Quick, test_footprint);
     ("report_table", `Quick, test_report_table);
+    ("report_rows_table", `Quick, test_report_rows_table);
+    ("best_of", `Quick, test_best_of);
     ("structures_registry", `Quick, test_structures_registry);
   ]
