@@ -181,7 +181,8 @@ let obs_demo l =
 
 (* Deterministic self-check of the bounded cache tier: the budget
    invariant and exact accounting under a zipfian read-through load,
-   deterministic TTL expiry on an injected clock, negative-caching
+   deterministic TTL expiry on an injected clock (on read, and by the
+   eviction scan for entries nobody reads), negative-caching
    stampede absorption, and the serving layer's opt-in cache mode end
    to end — including the tier counters showing up in the Prometheus
    export. *)
@@ -216,25 +217,38 @@ let cache scale l =
     (s.Cache.evictions > 0);
   (* Phase 2 — deterministic TTL on an injected clock. *)
   let clk = Atomic.make 0 in
-  let tcfg =
-    {
-      (Cache.default_config ~budget_words:budget) with
-      Cache.wheel_tick_ns = 10;
-      wheel_slots = 16;
-    }
-  in
+  let now () = Atomic.get clk in
   let tc =
-    Cache_tier.create ~config:tcfg ~now:(fun () -> Atomic.get clk) ()
+    Cache_tier.create ~config:(Cache.default_config ~budget_words:budget) ~now ()
   in
   ignore (Cache_tier.put ~ttl_ns:100 tc 1 "short");
   ignore (Cache_tier.put tc 2 "forever");
   check l "ttl: live before its deadline" (Cache_tier.get tc 1 = Some "short");
   Atomic.set clk 150;
   check l "ttl: dead past its deadline" (Cache_tier.get tc 1 = None);
-  check l "ttl: wheel reclaims without reads" (Cache_tier.expire_now tc >= 0
-                                               && Cache_tier.resident tc = 1);
   check l "ttl: immortal entry unaffected"
     (Cache_tier.get tc 2 = Some "forever");
+  (* Expired entries nobody reads: a full small tier admits new
+     entries, and its eviction scan reclaims the dead ones. *)
+  let small = 8 * Cache.entry_overhead_words in
+  let tw =
+    Cache_tier.create ~config:(Cache.default_config ~budget_words:small) ~now
+      ~cost:(fun _ _ -> 0) ()
+  in
+  for k = 1 to 8 do
+    ignore (Cache_tier.put ~ttl_ns:100 tw k "short")
+  done;
+  Atomic.set clk 1_000;
+  for k = 9 to 16 do
+    ignore (Cache_tier.put tw k "new")
+  done;
+  let s = Cache_tier.stats tw in
+  check l "ttl: eviction scan reclaims unread expired entries"
+    (s.Cache.hits + s.Cache.misses = 0
+    && s.Cache.expirations = 8 && s.Cache.evictions = 0
+    && s.Cache.resident = 8);
+  check l "ttl: budget held while reclaiming"
+    (s.Cache.used_words <= small && Cache_tier.validate tw = Ok ());
   (* Phase 3 — negative caching absorbs an absent-key storm. *)
   let loads = ref 0 in
   let load _ = incr loads; None in

@@ -25,15 +25,16 @@
      policy: on the served cache-zipf traffic (2 domains, 1 put in 16
      overwriting a live key) it beat FIFO and segmented LRU on hit
      rate and CPU per op (DESIGN.md §15).
-   - TTL: a hashed timing wheel (Wheel) driven opportunistically from
-     write paths by the monotonic clock (injectable for tests).  Reads
-     check expiry stamps themselves, so wheel lateness is a space
-     delay, never a stale read.
-   - negative caching: a [None] payload caches a backing-store miss
-     under its own (short) TTL, so a miss storm on one absent key costs
-     one backing-store load, not a stampede.  [get] and [get_or_load]
-     return the stored option itself, so a hit allocates only what the
-     map's lookup does.
+   - TTL: an entry's expiry stamp (monotonic clock, injectable for
+     tests) is checked only where the tier already touches the entry:
+     on read and when the CLOCK scan pops it.  Both reclaim a dead
+     entry on sight, so an expired entry is never served; one that
+     nobody reads waits for the scan, a space delay within the budget.
+   - negative caching: [get_or_load] caches a backing-store miss as a
+     [None] payload under its own (short) TTL, so a miss storm on one
+     absent key costs one backing-store load, not a stampede.  [get]
+     and [get_or_load] return the stored option itself, so a hit
+     allocates only what the map's lookup does.
 
    Rings are advisory (see ring.ml): residency truth lives in the map,
    budget truth in [used].  When every ring runs dry while over
@@ -47,25 +48,15 @@ module Clock = Ct_util.Clock
 type config = {
   budget_words : int;  (* resident-cost ceiling, machine words *)
   stripes : int;  (* ring stripes; <= 0 = one per domain slot *)
-  negative_ttl_ns : int;  (* cached-absence TTL *)
   max_entry_frac : float;  (* admission: reject entries above this share *)
-  wheel_slots : int;
-  wheel_tick_ns : int;
 }
 
 let default_config ~budget_words =
-  {
-    budget_words;
-    stripes = 0;
-    negative_ttl_ns = 1_000_000_000;
-    max_entry_frac = 0.25;
-    wheel_slots = 256;
-    wheel_tick_ns = 100_000_000;
-  }
+  { budget_words; stripes = 0; max_entry_frac = 0.25 }
 
 (* Fixed per-entry metadata charge, in words: the entry record, its
    value's option box, the map's leaf + amortized interior share, and the
-   entry's ring/wheel slots.  Deliberately a round, conservative
+   entry's ring slot.  Deliberately a round, conservative
    constant — the budget is a cost model, not an allocator. *)
 let entry_overhead_words = 24
 
@@ -83,8 +74,6 @@ type stats = {
   resident : int;
 }
 
-type 'v lookup = Hit of 'v | Negative | Miss
-
 module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
   type key = M.key
 
@@ -101,7 +90,6 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
     used : int Atomic.t;
     rings : key Ring.t array;  (* admission order *)
     smask : int;
-    wheel : key Wheel.t;
     now : unit -> int;
     cost_fn : key -> 'v -> int;
     max_entry_words : int;
@@ -128,8 +116,8 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
     in
     (* Ring capacity: ~2x the largest possible resident population
        (budget / minimum entry cost), split across stripes, so CLOCK
-       re-pushes rarely displace.  Rings and wheel are structure
-       overhead, not charged against the budget. *)
+       re-pushes rarely displace.  Rings are structure overhead, not
+       charged against the budget. *)
     let per_stripe =
       max 64 (2 * cfg.budget_words / entry_overhead_words / stripes)
     in
@@ -139,9 +127,6 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
       used = Atomic.make 0;
       rings = Array.init stripes (fun _ -> Ring.create ~capacity:per_stripe);
       smask = stripes - 1;
-      wheel =
-        Wheel.create ~slots:cfg.wheel_slots ~tick_ns:cfg.wheel_tick_ns
-          ~now:(now ());
       now;
       cost_fn;
       max_entry_words =
@@ -191,7 +176,9 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
      touches another domain's ring.  A touched entry gets its bit
      cleared and one re-push instead of eviction — except inside the
      last stripe-round of the scan bound, where eviction is forced so
-     the scan terminates even if every resident entry is hot. *)
+     the scan terminates even if every resident entry is hot.  A popped
+     entry past its TTL is reclaimed as an expiration, not an eviction:
+     with no reads, this is where it goes. *)
   let evict_one t =
     let n = t.smask + 1 in
     let bound = (4 * n) + 8 in
@@ -250,26 +237,6 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
     in
     go max_attempts
 
-  (* ------------------------------- TTL ------------------------------- *)
-
-  let wheel_expire t k =
-    match M.lookup t.map k with
-    | Some e when expired t e -> ignore (drop_expired t k e)
-    | _ -> ()
-
-  let maybe_advance t =
-    ignore (Wheel.advance t.wheel ~now:(t.now ()) ~expire:(wheel_expire t))
-
-  let expire_now t =
-    let dropped = ref 0 in
-    let expire k =
-      match M.lookup t.map k with
-      | Some e when expired t e -> if drop_expired t k e then incr dropped
-      | _ -> ()
-    in
-    ignore (Wheel.advance t.wheel ~now:(t.now ()) ~expire);
-    !dropped
-
   (* ----------------------------- operations -------------------------- *)
 
   (* The one read path.  A live entry comes back as the very option
@@ -308,16 +275,9 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
     end
     else read_untraced t k
 
-  let find t k =
-    match read t k with
-    | Some { payload = Some v; _ } -> Hit v
-    | Some _ -> Negative
-    | None -> Miss
-
   let get t k = match read t k with Some e -> e.payload | None -> None
 
   let put_payload t k payload ~ttl_ns ~value_cost =
-    maybe_advance t;
     let cost = entry_overhead_words + max 0 value_cost in
     if cost > t.max_entry_words || not (reserve t cost) then begin
       Metrics.incr t.metrics Metrics.Tier_rejections;
@@ -340,18 +300,14 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
       | None ->
           Ring.push t.rings.(stripe_of_domain t) k
             ~on_displace:(fun v -> ignore (evict_key t v)));
-      if expires_at <> max_int then Wheel.add t.wheel k ~expires_at;
       true
     end
 
   let put ?(ttl_ns = 0) t k v =
     put_payload t k (Some v) ~ttl_ns ~value_cost:(t.cost_fn k v)
 
-  let put_absent ?ttl_ns t k =
-    let ttl_ns =
-      match ttl_ns with Some n -> n | None -> t.cfg.negative_ttl_ns
-    in
-    put_payload t k None ~ttl_ns ~value_cost:0
+  (* Cache "the backing store has no [k]". *)
+  let put_absent t k ~ttl_ns = put_payload t k None ~ttl_ns ~value_cost:0
 
   let remove t k =
     match M.remove t.map k with
@@ -360,7 +316,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
         true
     | None -> false
 
-  let get_or_load ?ttl_ns ?negative_ttl_ns t k ~load =
+  let get_or_load ?ttl_ns ?(negative_ttl_ns = 1_000_000_000) t k ~load =
     match read t k with
     | Some e -> e.payload
     | None -> (
@@ -385,7 +341,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
             ignore (put ?ttl_ns t k v);
             Some v
         | None ->
-            ignore (put_absent ?ttl_ns:negative_ttl_ns t k);
+            ignore (put_absent t k ~ttl_ns:negative_ttl_ns);
             None)
 
   (* ------------------------------ reports ----------------------------- *)

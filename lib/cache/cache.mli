@@ -1,6 +1,6 @@
 (** Bounded cache tier: a functor over any [CONCURRENT_MAP] that
-    enforces a word budget with CLOCK replacement, TTL expiry via a
-    hashed timing wheel, and typed negative caching (DESIGN.md §15).
+    enforces a word budget with CLOCK replacement, TTL expiry, and
+    negative caching of backing-store misses (DESIGN.md §15).
 
     CLOCK is the only policy: keys sit in striped rings in admission
     order; eviction pops the oldest, and an entry read since its last
@@ -13,27 +13,28 @@
     resident footprint never exceeds [budget_words] at any instant of
     any interleaving.  Costs follow the Footprint word model
     ([Obj.reachable_words] of key and value by default, overridable)
-    plus a fixed {!entry_overhead_words} metadata charge. *)
+    plus a fixed {!entry_overhead_words} metadata charge.
+
+    An expired entry is never served.  It is reclaimed where the tier
+    already touches it: by the read that finds it dead, or by the CLOCK
+    scan when it pops the entry (counted as an expiration, not an
+    eviction).  Until then it stays charged against the budget. *)
 
 type config = {
   budget_words : int;  (** resident-cost ceiling, machine words *)
   stripes : int;
       (** ring stripes; [<= 0] = one per {!Ct_util.Domain_slot} *)
-  negative_ttl_ns : int;  (** TTL for {!Make.put_absent} entries *)
   max_entry_frac : float;
       (** entries costing more than this fraction of the budget are
           rejected at admission rather than flushing the cache *)
-  wheel_slots : int;
-  wheel_tick_ns : int;
 }
 
 val default_config : budget_words:int -> config
-(** Auto stripes, 1 s negative TTL, [max_entry_frac = 0.25], 256-slot
-    wheel of 100 ms ticks. *)
+(** Auto stripes and [max_entry_frac = 0.25]. *)
 
 val entry_overhead_words : int
 (** Fixed metadata charge per resident entry (entry record, map leaf,
-    ring/wheel slots), added to the caller-visible value cost. *)
+    ring slot), added to the caller-visible value cost. *)
 
 
 (** Counter snapshot; also exported via {!Make.metrics} under the
@@ -49,13 +50,6 @@ type stats = {
   budget_words_ : int;
   resident : int;
 }
-
-(** Read outcome distinguishing a cached backing-store miss from an
-    unknown key. *)
-type 'v lookup =
-  | Hit of 'v
-  | Negative  (** resident cached absence: the key is known missing *)
-  | Miss
 
 module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) : sig
   type key = M.key
@@ -77,13 +71,10 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) : sig
       @raise Invalid_argument on a budget below one entry's overhead
       or [max_entry_frac] outside [(0, 1]]. *)
 
-  val find : 'v t -> key -> 'v lookup
+  val get : 'v t -> key -> 'v option
   (** Read path.  Checks the expiry stamp itself (dropping a dead
       entry on sight) and sets the access bit.  Counts a hit, negative
-      hit, or miss. *)
-
-  val get : 'v t -> key -> 'v option
-  (** {!find} with [Negative] and [Miss] both collapsed to [None]. *)
+      hit, or miss; a cached absence and a miss both read [None]. *)
 
   val put : ?ttl_ns:int -> 'v t -> key -> 'v -> bool
   (** [put t k v] admits [k -> v] under the budget, evicting as
@@ -91,11 +82,6 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) : sig
       [max_entry_frac], or the budget could not be met), counted as a
       rejection.  [ttl_ns] omitted or [<= 0] means no expiry.
       Overwriting keeps the key's ring position. *)
-
-  val put_absent : ?ttl_ns:int -> 'v t -> key -> bool
-  (** Cache "the backing store has no [k]" for [ttl_ns] (default
-      [config.negative_ttl_ns]), making repeat lookups {!Negative}
-      instead of repeat backing-store loads. *)
 
   val remove : 'v t -> key -> bool
   (** Explicit invalidation; releases the entry's reservation. *)
@@ -107,15 +93,10 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) : sig
     key ->
     load:(key -> 'v option) ->
     'v option
-  (** Read-through: on {!Miss} calls [load] and caches its answer —
-      [Some v] as a value, [None] as a cached absence, so an absent
-      key storm costs one load per negative-TTL window rather than a
-      stampede. *)
-
-  val expire_now : 'v t -> int
-  (** Drive the timing wheel up to the current clock; returns entries
-      reclaimed.  Expiry also piggybacks on write paths — this is for
-      tests and idle housekeeping. *)
+  (** Read-through: on a miss calls [load] and caches its answer —
+      [Some v] as a value for [ttl_ns], [None] as a cached absence for
+      [negative_ttl_ns] (default 1 s), so an absent key storm costs one
+      load per negative-TTL window rather than a stampede. *)
 
   val used_words : 'v t -> int
   (** Reserved words right now; [used_words t <= budget_words t]

@@ -107,13 +107,15 @@ type config = {
   sample_paths : int;  (** random paths walked per sampling pass *)
   min_cache_level : int;  (** first cache level installed (paper: 8) *)
   cache_trigger_level : int;  (** trie level whose nodes trigger cache creation (paper: 12) *)
-  max_cache_level : int;  (** cap on the cache level, bounding cache memory *)
   narrow_nodes : bool;  (** if false, always allocate wide ANodes (ablation) *)
   dual_level_cache : bool;
       (** keep the fallback cache level fresh too (paper Section 7's
           two-level-cache suggestion); if false only the head level is
           inhabited *)
 }
+
+(* Cap on the cache level, bounding cache memory. *)
+let max_cache_level = 20
 
 let default_config =
   {
@@ -122,7 +124,6 @@ let default_config =
     sample_paths = 64;
     min_cache_level = 8;
     cache_trigger_level = 12;
-    max_cache_level = 20;
     narrow_nodes = true;
     dual_level_cache = true;
   }
@@ -656,7 +657,7 @@ module Make (H : Hashing.HASHABLE) = struct
     done;
     let target =
       let lv = 4 * !best in
-      min t.config.max_cache_level (max t.config.min_cache_level lv)
+      min max_cache_level (max t.config.min_cache_level lv)
     in
     match Atomic.get t.cache_head with
     | None -> ()

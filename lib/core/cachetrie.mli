@@ -27,7 +27,6 @@ type config = {
   sample_paths : int;  (** random root-to-leaf paths walked per sampling pass *)
   min_cache_level : int;  (** level of the first cache installed (paper: 8) *)
   cache_trigger_level : int;  (** trie level whose nodes trigger cache creation (paper: 12) *)
-  max_cache_level : int;  (** upper bound on the cache level (bounds cache memory) *)
   narrow_nodes : bool;  (** [false] always allocates 16-slot nodes (ablation) *)
   dual_level_cache : bool;
       (** keep the chain's fallback level inhabited too — the paper's

@@ -51,11 +51,12 @@ type ack =
 type config = {
   commit_interval : float;  (* group-commit fsync period, seconds *)
   fsync_retries : int;  (* budgeted retries before degrading *)
-  max_buffer : int;  (* bytes buffered before an inline flush *)
 }
 
-let default_config =
-  { commit_interval = 0.002; fsync_retries = 4; max_buffer = 1 lsl 20 }
+let default_config = { commit_interval = 0.002; fsync_retries = 4 }
+
+(* Bytes buffered before an inline flush. *)
+let max_buffer = 1 lsl 20
 
 let max_value = 1 lsl 20
 
@@ -390,7 +391,7 @@ let append t op =
         Buffer.add_bytes t.buf (encode_record ~lsn op);
         t.buffered_to <- lsn;
         Metrics.incr t.metrics Metrics.Wal_appends;
-        let pressure = Buffer.length t.buf >= t.cfg.max_buffer in
+        let pressure = Buffer.length t.buf >= max_buffer in
         let trigger =
           if lsn < t.trigger_lsn then ignore
           else begin

@@ -21,11 +21,11 @@ type ack =
 type config = {
   commit_interval : float;  (** group-commit fsync period, seconds *)
   fsync_retries : int;  (** budgeted retries before degrading *)
-  max_buffer : int;  (** buffered bytes that force an inline flush *)
 }
 
 val default_config : config
-(** 2 ms commit interval, 4 fsync retries, 1 MiB buffer cap. *)
+(** 2 ms commit interval, 4 fsync retries.  The append that brings
+    the buffer to 1 MiB flushes it inline. *)
 
 type t
 

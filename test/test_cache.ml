@@ -1,11 +1,12 @@
 (* Bounded cache tier (DESIGN.md §15): budget-never-exceeded under
    sequential and concurrent churn, deterministic TTL expiry via an
-   injected clock, CLOCK eviction order (second chance, overwrite
-   keeping its ring slot, the forced-eviction bound when all are hot,
-   each domain evicting from its own ring first), hits that allocate
-   no more than a bare map lookup, negative caching as stampede
-   protection, admission rejection of oversized entries, and the
-   ring/wheel substrates in isolation. *)
+   injected clock (reclaimed by the read path and by the eviction scan,
+   with a refresh that races either one keeping its new entry), CLOCK
+   eviction order (second chance, overwrite keeping its ring slot, the
+   forced-eviction bound when all are hot, each domain evicting from
+   its own ring first), hits that allocate no more than a bare map
+   lookup, negative caching as stampede protection, admission rejection
+   of oversized entries, and the ring substrate in isolation. *)
 
 module M = Cachetrie.Make (Ct_util.Hashing.Int_key)
 module C = Cache.Make (M)
@@ -24,8 +25,6 @@ let make ?(entries = 3) ?clk () =
       (Cache.default_config ~budget_words:(entries * ov)) with
       Cache.stripes = 1;
       max_entry_frac = 1.0;
-      wheel_slots = 8;
-      wheel_tick_ns = 10;
     }
   in
   let now =
@@ -80,30 +79,6 @@ let test_ring_concurrent () =
      which are lost, never duplicated. *)
   check_bool "no element duplicated" true
     (pops + Atomic.get displaced + final <= dom * per)
-
-(* ------------------------------- wheel ----------------------------- *)
-
-let test_wheel_fires_due () =
-  let w = Wheel.create ~slots:4 ~tick_ns:10 ~now:0 in
-  Wheel.add w 1 ~expires_at:25;
-  Wheel.add w 2 ~expires_at:1000;
-  check_int "both pending" 2 (Wheel.pending w);
-  let fired = ref [] in
-  let n = Wheel.advance w ~now:30 ~expire:(fun k -> fired := k :: !fired) in
-  check_int "one due item fired" 1 n;
-  check_bool "the due one" true (!fired = [ 1 ]);
-  (* The far item re-queues until its revolution comes around. *)
-  check_int "future item still pending" 1 (Wheel.pending w);
-  let n2 = Wheel.advance w ~now:1000 ~expire:(fun k -> fired := k :: !fired) in
-  check_int "fires on its revolution" 1 n2;
-  check_int "wheel drained" 0 (Wheel.pending w)
-
-let test_wheel_no_tick_no_work () =
-  let w = Wheel.create ~slots:4 ~tick_ns:1_000_000 ~now:0 in
-  Wheel.add w 1 ~expires_at:10;
-  (* Same tick as the cursor: nothing to walk yet. *)
-  check_int "no boundary crossed" 0
-    (Wheel.advance w ~now:999 ~expire:(fun _ -> assert false))
 
 (* ----------------------------- admission --------------------------- *)
 
@@ -293,32 +268,79 @@ let test_ttl_deterministic () =
   check_int "one expiration counted" 1 (C.stats t).Cache.expirations;
   check_ok "after expiry" t
 
-let test_ttl_wheel_reclaims () =
+(* Nobody reads the expired entries: admissions that need room pop
+   them in the CLOCK scan, which reclaims them as expirations. *)
+let test_ttl_reclaimed_by_eviction_scan () =
   let clk = Atomic.make 0 in
-  let t = make ~entries:8 ~clk () in
+  let t = make ~entries:4 ~clk () in
   for k = 1 to 4 do
     ignore (C.put ~ttl_ns:50 t k k)
   done;
-  check_int "resident before" 4 (C.resident t);
   Atomic.set clk 200;
-  (* No reads: only the wheel reclaims. *)
-  check_int "wheel fires all four" 4 (C.expire_now t);
-  check_int "wheel reclaimed" 0 (C.resident t);
-  check_int "all reservations released" 0 (C.used_words t);
-  check_ok "after wheel" t
+  for k = 5 to 8 do
+    check_bool "admitted over expired entries" true (C.put t k k)
+  done;
+  let s = C.stats t in
+  check_int "no read touched the cache" 0 (s.Cache.hits + s.Cache.misses);
+  check_int "four expirations" 4 s.Cache.expirations;
+  check_int "no evictions" 0 s.Cache.evictions;
+  check_int "budget full, not over" (4 * ov) (C.used_words t);
+  check_ok "after scan" t;
+  check_bool "expired keys gone" true
+    (List.for_all (fun k -> C.get t k = None) [ 1; 2; 3; 4 ]);
+  check_bool "new keys resident" true
+    (List.for_all (fun k -> C.get t k = Some k) [ 5; 6; 7; 8 ])
 
+(* A refresh that lands after a reclaimer found the old entry dead, but
+   before its [remove_if], keeps its new entry.  The injected clock is
+   the hook: the reclaimer reads it between the lookup and the remove,
+   and the first read after [arm] runs the refresh there. *)
 let test_ttl_refresh_wins_race () =
   let clk = Atomic.make 0 in
-  let t = make ~entries:8 ~clk () in
-  ignore (C.put ~ttl_ns:50 t 1 1);
-  Atomic.set clk 60;
-  (* Refresh after the old deadline: the stale wheel item must not
-     reap the new entry. *)
-  ignore (C.put ~ttl_ns:1_000 t 1 11);
-  ignore (C.expire_now t);
-  check_bool "refreshed entry survives stale schedule" true
-    (C.get t 1 = Some 11);
-  check_ok "after refresh" t
+  let hook = ref ignore in
+  let now () =
+    let f = !hook in
+    hook := ignore;
+    f ();
+    Atomic.get clk
+  in
+  (* Key 3 costs one entry more, so admitting it needs the scan while
+     leaving room for key 1's refresh. *)
+  let cfg =
+    {
+      (Cache.default_config ~budget_words:(3 * ov)) with
+      Cache.stripes = 1;
+      max_entry_frac = 1.0;
+    }
+  in
+  let fresh () =
+    let t =
+      C.create ~config:cfg ~now ~cost:(fun k _ -> if k = 3 then ov else 0) ()
+    in
+    Atomic.set clk 0;
+    ignore (C.put ~ttl_ns:50 t 1 1);
+    ignore (C.put t 2 2);
+    Atomic.set clk 60;
+    hook := (fun () -> ignore (C.put ~ttl_ns:1_000 t 1 11));
+    t
+  in
+  (* Read path: the read misses (it ran before the refresh), and the
+     refreshed entry stays. *)
+  let t = fresh () in
+  check_bool "racing read misses" true (C.get t 1 = None);
+  check_bool "refreshed entry survives the read" true (C.get t 1 = Some 11);
+  check_int "no expiration" 0 (C.stats t).Cache.expirations;
+  check_ok "after racing read" t;
+  (* Eviction scan: it pops key 1, the refresh lands, and the scan
+     moves on to evict key 2 instead. *)
+  let t = fresh () in
+  check_bool "admit 3" true (C.put t 3 3);
+  check_bool "refreshed entry survives the scan" true (C.get t 1 = Some 11);
+  check_bool "2 evicted instead" true (C.get t 2 = None);
+  let s = C.stats t in
+  check_bool "one eviction, no expiration" true
+    (s.Cache.evictions = 1 && s.Cache.expirations = 0);
+  check_ok "after racing scan" t
 
 (* -------------------------- negative caching ----------------------- *)
 
@@ -393,8 +415,6 @@ let prop_budget_sequential =
           (Cache.default_config ~budget_words:budget) with
           Cache.stripes = 1;
           max_entry_frac = 1.0;
-          wheel_slots = 8;
-          wheel_tick_ns = 10;
         }
       in
       let t =
@@ -412,7 +432,7 @@ let prop_budget_sequential =
           | 4 -> ignore (C.remove t k)
           | _ ->
               ignore (Atomic.fetch_and_add clk (sz + 1));
-              ignore (C.expire_now t));
+              ignore (C.get t k));
           if C.used_words t > budget then
             QCheck.Test.fail_reportf "used %d > budget %d" (C.used_words t)
               budget)
@@ -471,8 +491,6 @@ let suite =
   [
     ("ring_fifo", `Quick, test_ring_fifo);
     ("ring_concurrent", `Quick, test_ring_concurrent);
-    ("wheel_fires_due", `Quick, test_wheel_fires_due);
-    ("wheel_no_tick_no_work", `Quick, test_wheel_no_tick_no_work);
     ("budget_and_accounting", `Quick, test_budget_and_accounting);
     ("oversized_rejected", `Quick, test_oversized_rejected);
     ("eviction_clock_second_chance", `Quick, test_eviction_clock_second_chance);
@@ -480,7 +498,7 @@ let suite =
     ("eviction_own_ring_first", `Quick, test_eviction_own_ring_first);
     ("hit_allocates_nothing", `Quick, test_hit_allocates_nothing);
     ("ttl_deterministic", `Quick, test_ttl_deterministic);
-    ("ttl_wheel_reclaims", `Quick, test_ttl_wheel_reclaims);
+    ("ttl_reclaimed_by_eviction_scan", `Quick, test_ttl_reclaimed_by_eviction_scan);
     ("ttl_refresh_wins_race", `Quick, test_ttl_refresh_wins_race);
     ("negative_caching", `Quick, test_negative_caching);
     ("negative_stampede_concurrent", `Slow, test_negative_stampede_concurrent);
