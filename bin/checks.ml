@@ -181,6 +181,7 @@ let obs_demo l =
 
 (* Deterministic self-check of the bounded cache tier: the budget
    invariant and exact accounting under a zipfian read-through load,
+   scan resistance (read-through admits on a key's second miss),
    deterministic TTL expiry on an injected clock (on read, and by the
    eviction scan for entries nobody reads), negative-caching
    stampede absorption, and the serving layer's opt-in cache mode end
@@ -215,6 +216,23 @@ let cache scale l =
      >= 0.3 *. float_of_int (s.Cache.hits + s.Cache.misses));
   check l "zipf: eviction happened (universe >> budget)"
     (s.Cache.evictions > 0);
+  (* A warm tier (a hot quarter of the resident count, each key read
+     twice) takes a one-pass scan of 10 W keys it has never seen (W =
+     budget / entry overhead).  Every scan key misses once, so none
+     is admitted except by a doorkeeper false positive (about 1 in
+     16), which the free room absorbs. *)
+  let w = budget / Cache.entry_overhead_words in
+  let ts =
+    Cache_tier.create ~config:(Cache.default_config ~budget_words:budget) ()
+  in
+  let hot = List.init (w / 4) Fun.id in
+  List.iter (fun k -> ignore (Cache_tier.get_or_load ts k ~load)) (hot @ hot);
+  for k = universe to universe + (10 * w) - 1 do
+    ignore (Cache_tier.get_or_load ts k ~load)
+  done;
+  check l "scan: a one-pass scan evicts nothing from a warm tier"
+    ((Cache_tier.stats ts).Cache.evictions = 0
+    && List.for_all (fun k -> Cache_tier.get ts k = Some (string_of_int k)) hot);
   (* Phase 2 — deterministic TTL on an injected clock. *)
   let clk = Atomic.make 0 in
   let now () = Atomic.get clk in

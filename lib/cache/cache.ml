@@ -4,6 +4,16 @@
    memory; this tier is the production complement — the "millions of
    users in bounded RAM" scenario.  Design, outside-in:
 
+   - admission: [put] always admits.  A read-through load ([get_or_load]
+     returning [Some v]) is admitted only on the key's second miss
+     within a window: a doorkeeper bitset (TinyLFU's) remembers the
+     window's first misses, and the first miss of a key returns its
+     value without touching the map, the rings or [used].  So a key
+     read once, which would be evicted before it came back, costs no
+     admission, no eviction and no map write.  The window is the
+     budget's maximum resident count, W = budget / entry overhead,
+     and the bitset holds at least 8 W bits; both follow from the
+     budget, nothing is configured.
    - budget: every resident entry carries a word cost (metadata
      overhead + a caller-supplied key/value cost, by default the
      Footprint reachable-words model).  Admission CAS-reserves cost
@@ -15,7 +25,10 @@
    - replacement: CLOCK over striped lock-free rings of keys in
      admission order (Ring), one ring per domain slot.  Eviction pops
      the oldest key, starting at the caller's own ring and then
-     walking the others round-robin (there is no shared hand); an
+     walking the others round-robin (there is no shared hand), and a
+     new key goes to the caller's ring or, if that is full, the next
+     one with room, so one domain can fill the budget whatever the
+     stripe count; an
      entry whose access bit was set by a read since its last pass
      gets the bit cleared and one re-push (its second chance)
      instead.  A read stores the bit only when it is clear, so a hit
@@ -31,8 +44,11 @@
      entry on sight, so an expired entry is never served; one that
      nobody reads waits for the scan, a space delay within the budget.
    - negative caching: [get_or_load] caches a backing-store miss as a
-     [None] payload under its own (short) TTL, so a miss storm on one
-     absent key costs one backing-store load, not a stampede.  [get]
+     [None] payload under its own (short) TTL on its first miss, so a
+     miss storm on one absent key costs one backing-store load, not a
+     stampede.  A read-through admission, [Some] or [None], only fills
+     an absent key, so a [put] that lands while the load runs keeps
+     its newer value.  [get]
      and [get_or_load] return the stored option itself, so a hit
      allocates only what the map's lookup does.
 
@@ -90,11 +106,20 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
     used : int Atomic.t;
     rings : key Ring.t array;  (* admission order *)
     smask : int;
+    door : int array;  (* doorkeeper: first-miss count + bitset, see below *)
+    door_mask : int;  (* bitset size - 1 *)
+    window : int;  (* first misses between two doorkeeper clears *)
     now : unit -> int;
     cost_fn : key -> 'v -> int;
     max_entry_words : int;
     metrics : Metrics.t;
   }
+
+  (* The doorkeeper is one int array that only misses touch: word
+     [door_pad] counts the window's first misses, the bitset follows
+     it at 32 bits a word, and [door_pad] words at either end keep the
+     heap blocks next to it, which hits may read, off its lines. *)
+  let door_pad = 16
 
   let create ?config ?now ?cost () =
     let cfg =
@@ -118,15 +143,18 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
        (budget / minimum entry cost), split across stripes, so CLOCK
        re-pushes rarely displace.  Rings are structure overhead, not
        charged against the budget. *)
-    let per_stripe =
-      max 64 (2 * cfg.budget_words / entry_overhead_words / stripes)
-    in
+    let window = cfg.budget_words / entry_overhead_words in
+    let per_stripe = max 64 (2 * window / stripes) in
+    let door_bits = Ct_util.Bits.next_power_of_two (8 * window) in
     {
       cfg;
       map = M.create ();
       used = Atomic.make 0;
       rings = Array.init stripes (fun _ -> Ring.create ~capacity:per_stripe);
       smask = stripes - 1;
+      door = Array.make ((2 * door_pad) + 1 + ((door_bits + 31) / 32)) 0;
+      door_mask = door_bits - 1;
+      window;
       now;
       cost_fn;
       max_entry_words =
@@ -171,6 +199,22 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
 
   (* ---------------------------- replacement -------------------------- *)
 
+  (* Push [k] into ring [r]; if [r] is full, its oldest key is
+     displaced and evicted. *)
+  let requeue t r k = Ring.push r k ~on_displace:(fun v -> ignore (evict_key t v))
+
+  (* Track a newly resident key: in the caller's ring, else the next
+     ring round-robin with a free slot.  Only when every ring is full
+     does the push displace (and evict) the oldest of the caller's. *)
+  let push_key t k =
+    let start = stripe_of_domain t in
+    let rec go i =
+      if i > t.smask then requeue t t.rings.(start) k
+      else if not (Ring.try_push t.rings.((start + i) land t.smask) k) then
+        go (i + 1)
+    in
+    go 0
+
   (* CLOCK: pop-scan the caller's own ring first, then the others
      round-robin, so a domain evicts its own oldest admissions before it
      touches another domain's ring.  A touched entry gets its bit
@@ -178,7 +222,9 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
      last stripe-round of the scan bound, where eviction is forced so
      the scan terminates even if every resident entry is hot.  A popped
      entry past its TTL is reclaimed as an expiration, not an eviction:
-     with no reads, this is where it goes. *)
+     with no reads, this is where it goes.  If a refresh replaced it
+     first, the refresh was an overwrite and pushed no ring slot, so
+     the key goes back into the ring it came from. *)
   let evict_one t =
     let n = t.smask + 1 in
     let bound = (4 * n) + 8 in
@@ -194,10 +240,14 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
             | None -> go (i + 1) 0  (* stale: key already gone *)
             | Some e ->
                 if expired t e then
-                  if drop_expired t k e then true else go (i + 1) 0
+                  if drop_expired t k e then true
+                  else begin
+                    if M.mem t.map k then requeue t r k;
+                    go (i + 1) 0
+                  end
                 else if e.touched && i < bound - n then begin
                   e.touched <- false;
-                  Ring.push r k ~on_displace:(fun v -> ignore (evict_key t v));
+                  requeue t r k;
                   go (i + 1) 0
                 end
                 else if evict_key t k then true
@@ -277,7 +327,11 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
 
   let get t k = match read t k with Some e -> e.payload | None -> None
 
-  let put_payload t k payload ~ttl_ns ~value_cost =
+  (* Reserve, then bind.  A [put] overwrites ([M.add]); a read-through
+     load only fills an absent key ([M.put_if_absent]): a [put] that
+     landed while the load ran is newer, so the load gives its
+     reservation back and returns [false]. *)
+  let admit t k payload ~ttl_ns ~value_cost ~overwrite =
     let cost = entry_overhead_words + max 0 value_cost in
     if cost > t.max_entry_words || not (reserve t cost) then begin
       Metrics.incr t.metrics Metrics.Tier_rejections;
@@ -291,23 +345,45 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
           if e < 0 then max_int else e
       in
       let e = { payload; cost; expires_at; touched = false } in
-      (match M.add t.map k e with
-      | Some prev ->
+      match if overwrite then M.add t.map k e else M.put_if_absent t.map k e with
+      | None ->
+          push_key t k;
+          true
+      | Some prev when overwrite ->
           (* Overwrite: the old reservation is released and the ring
              position inherited — admission order does not refresh on
              update, matching the Nichecache exemplar. *)
-          release t prev
-      | None ->
-          Ring.push t.rings.(stripe_of_domain t) k
-            ~on_displace:(fun v -> ignore (evict_key t v)));
-      true
+          release t prev;
+          true
+      | Some _ ->
+          release t e;
+          false
     end
 
   let put ?(ttl_ns = 0) t k v =
-    put_payload t k (Some v) ~ttl_ns ~value_cost:(t.cost_fn k v)
+    admit t k (Some v) ~ttl_ns ~value_cost:(t.cost_fn k v) ~overwrite:true
 
-  (* Cache "the backing store has no [k]". *)
-  let put_absent t k ~ttl_ns = put_payload t k None ~ttl_ns ~value_cost:0
+  (* Doorkeeper: true iff [k]'s bit is set, i.e. [k] missed before in
+     this window.  Otherwise this is [k]'s first miss: set its bit and
+     count it, clearing the bitset first once the window has seen
+     [window] first misses.  Plain racy reads and writes, on misses
+     only: a lost bit or count costs one extra miss or a longer
+     window, never a wrong answer. *)
+  let missed_before t k =
+    let d = t.door in
+    let i = Ct_util.Hashing.mix (Hashtbl.hash k) land t.door_mask in
+    let w = door_pad + 1 + (i lsr 5) and bit = 1 lsl (i land 31) in
+    if Array.unsafe_get d w land bit <> 0 then true
+    else begin
+      let n = Array.unsafe_get d door_pad in
+      if n >= t.window then begin
+        Array.fill d (door_pad + 1) (Array.length d - (2 * door_pad) - 1) 0;
+        Array.unsafe_set d door_pad 1
+      end
+      else Array.unsafe_set d door_pad (n + 1);
+      Array.unsafe_set d w (Array.unsafe_get d w lor bit);
+      false
+    end
 
   let remove t k =
     match M.remove t.map k with
@@ -316,7 +392,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
         true
     | None -> false
 
-  let get_or_load ?ttl_ns ?(negative_ttl_ns = 1_000_000_000) t k ~load =
+  let get_or_load ?(ttl_ns = 0) ?(negative_ttl_ns = 1_000_000_000) t k ~load =
     match read t k with
     | Some e -> e.payload
     | None -> (
@@ -336,13 +412,15 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
           end
           else load k
         in
-        match loaded with
+        (match loaded with
         | Some v ->
-            ignore (put ?ttl_ns t k v);
-            Some v
+            if missed_before t k then
+              ignore
+                (admit t k loaded ~ttl_ns ~value_cost:(t.cost_fn k v) ~overwrite:false)
         | None ->
-            ignore (put_absent t k ~ttl_ns:negative_ttl_ns);
-            None)
+            ignore
+              (admit t k None ~ttl_ns:negative_ttl_ns ~value_cost:0 ~overwrite:false));
+        loaded)
 
   (* ------------------------------ reports ----------------------------- *)
 

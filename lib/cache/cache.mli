@@ -1,11 +1,14 @@
 (** Bounded cache tier: a functor over any [CONCURRENT_MAP] that
-    enforces a word budget with CLOCK replacement, TTL expiry, and
-    negative caching of backing-store misses (DESIGN.md §15).
+    enforces a word budget with CLOCK replacement, second-miss
+    admission of read-through loads, TTL expiry, and negative caching
+    of backing-store misses (DESIGN.md §15).
 
     CLOCK is the only policy: keys sit in striped rings in admission
     order; eviction pops the oldest, and an entry read since its last
     pass gets one second chance (its access bit is cleared and it is
     re-pushed) instead.  An overwrite keeps the key's ring position.
+    A new key goes to the caller's ring, or to the next one with room
+    when that is full.
 
     The budget is a hard invariant, not a goal: admission reserves an
     entry's cost against the budget with a CAS {e before} the entry
@@ -93,10 +96,18 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) : sig
     key ->
     load:(key -> 'v option) ->
     'v option
-  (** Read-through: on a miss calls [load] and caches its answer —
-      [Some v] as a value for [ttl_ns], [None] as a cached absence for
-      [negative_ttl_ns] (default 1 s), so an absent key storm costs one
-      load per negative-TTL window rather than a stampede. *)
+  (** Read-through: on a miss calls [load] and returns its answer.
+      [None] is cached as an absence for [negative_ttl_ns] (default
+      1 s) on the first miss, so an absent key storm costs one load
+      per negative-TTL window rather than a stampede.  [Some v] is
+      cached (for [ttl_ns]; omitted or [<= 0] = no expiry) only on the
+      key's second miss within a window of W first misses, W =
+      [budget_words / entry_overhead_words]: a doorkeeper bitset
+      remembers the window's first misses, so a key read once costs a
+      load and nothing else — no admission, eviction or map write.
+      Either admission only fills an absent key: a {!put} that lands
+      while [load] runs keeps its value.  A hit allocates no more
+      than the map's lookup. *)
 
   val used_words : 'v t -> int
   (** Reserved words right now; [used_words t <= budget_words t]

@@ -77,14 +77,17 @@ let rec try_claim t =
   else if Atomic.compare_and_set t.tail tl (tl + 1) then Some tl
   else try_claim t
 
-let push t k ~on_displace =
-  let rec go () =
-    match try_claim t with
-    | Some pos -> Atomic.set t.slots.(pos land t.mask) (Some k)
-    | None ->
-        (* Full: displace the oldest to the caller (who typically
-           evicts it), then retry — push always lands. *)
-        (match pop t with Some d -> on_displace d | None -> ());
-        go ()
-  in
-  go ()
+let try_push t k =
+  match try_claim t with
+  | Some pos ->
+      Atomic.set t.slots.(pos land t.mask) (Some k);
+      true
+  | None -> false
+
+let rec push t k ~on_displace =
+  if not (try_push t k) then begin
+    (* Full: displace the oldest to the caller (who typically evicts
+       it), then retry — push always lands. *)
+    (match pop t with Some d -> on_displace d | None -> ());
+    push t k ~on_displace
+  end

@@ -18,6 +18,10 @@ val capacity : 'k t -> int
 val length : 'k t -> int
 (** Occupancy estimate (racy reads, clamped to [[0, capacity]]). *)
 
+val try_push : 'k t -> 'k -> bool
+(** [try_push t k] appends [k] if the ring has a free slot; [false]
+    (and no change) when it is full. *)
+
 val push : 'k t -> 'k -> on_displace:('k -> unit) -> unit
 (** [push t k ~on_displace] appends [k].  Always lands; when the ring
     is full the oldest element is popped and handed to [on_displace]

@@ -1,12 +1,15 @@
 (* Bounded cache tier (DESIGN.md §15): budget-never-exceeded under
    sequential and concurrent churn, deterministic TTL expiry via an
    injected clock (reclaimed by the read path and by the eviction scan,
-   with a refresh that races either one keeping its new entry), CLOCK
-   eviction order (second chance, overwrite keeping its ring slot, the
-   forced-eviction bound when all are hot, each domain evicting from
-   its own ring first), hits that allocate no more than a bare map
-   lookup, negative caching as stampede protection, admission rejection
-   of oversized entries, and the ring substrate in isolation. *)
+   with a refresh that races either one keeping its new entry and its
+   ring slot), CLOCK eviction order (second chance, overwrite keeping
+   its ring slot, the forced-eviction bound when all are hot, each
+   domain evicting from its own ring first, one domain filling the
+   budget over any stripe count), hits that allocate no more than a
+   bare map lookup, read-through admission on a key's second miss
+   (scan resistance, the doorkeeper window, a racing put winning),
+   negative caching as stampede protection, admission rejection of
+   oversized entries, and the ring substrate in isolation. *)
 
 module M = Cachetrie.Make (Ct_util.Hashing.Int_key)
 module C = Cache.Make (M)
@@ -225,6 +228,39 @@ let test_eviction_own_ring_first () =
   check_bool "3 resident" true (C.get t 3 = Some 3);
   check_ok "own ring first" t
 
+(* More stripes than admitting domains: when the caller's ring is full,
+   a new key goes to the next ring with room, so one domain fills the
+   budget to within one entry whatever the stripe count.  (At 32
+   stripes each ring holds 64 keys: displacing from the caller's full
+   ring would cap the tier at 64 resident.) *)
+let test_ring_spill_fills_budget () =
+  let budget = 1 lsl 14 in
+  let fill stripes =
+    let cfg =
+      {
+        (Cache.default_config ~budget_words:budget) with
+        Cache.stripes;
+        max_entry_frac = 1.0;
+      }
+    in
+    let t = C.create ~config:cfg ~cost:(fun _ _ -> 0) () in
+    for k = 1 to 2 * budget / ov do
+      ignore (C.put t k k)
+    done;
+    check_bool
+      (Printf.sprintf "%d stripes: budget filled to within one entry" stripes)
+      true
+      (C.used_words t > budget - ov);
+    check_ok "spilled rings" t;
+    C.resident t
+  in
+  let one = fill 1 in
+  check_int "one stripe holds budget / overhead" (budget / ov) one;
+  List.iter
+    (fun stripes ->
+      check_int (Printf.sprintf "%d stripes hold as many as one" stripes) one (fill stripes))
+    [ 8; 32 ]
+
 (* A hit hands out the option the tier stored: [get] and [get_or_load]
    allocate no more per hit than a bare map [lookup] does. *)
 let test_hit_allocates_nothing () =
@@ -294,8 +330,12 @@ let test_ttl_reclaimed_by_eviction_scan () =
 (* A refresh that lands after a reclaimer found the old entry dead, but
    before its [remove_if], keeps its new entry.  The injected clock is
    the hook: the reclaimer reads it between the lookup and the remove,
-   and the first read after [arm] runs the refresh there. *)
-let test_ttl_refresh_wins_race () =
+   and the first clock read after [refresh_race] returns runs the
+   refresh there.  One stripe, a budget of three entries: key 1 (TTL
+   50) and key 2 are resident, the clock reads 60, and key 3 costs one
+   entry more, so admitting it needs the scan while leaving room for
+   key 1's refresh. *)
+let refresh_race () =
   let clk = Atomic.make 0 in
   let hook = ref ignore in
   let now () =
@@ -304,8 +344,6 @@ let test_ttl_refresh_wins_race () =
     f ();
     Atomic.get clk
   in
-  (* Key 3 costs one entry more, so admitting it needs the scan while
-     leaving room for key 1's refresh. *)
   let cfg =
     {
       (Cache.default_config ~budget_words:(3 * ov)) with
@@ -313,27 +351,24 @@ let test_ttl_refresh_wins_race () =
       max_entry_frac = 1.0;
     }
   in
-  let fresh () =
-    let t =
-      C.create ~config:cfg ~now ~cost:(fun k _ -> if k = 3 then ov else 0) ()
-    in
-    Atomic.set clk 0;
-    ignore (C.put ~ttl_ns:50 t 1 1);
-    ignore (C.put t 2 2);
-    Atomic.set clk 60;
-    hook := (fun () -> ignore (C.put ~ttl_ns:1_000 t 1 11));
-    t
-  in
+  let t = C.create ~config:cfg ~now ~cost:(fun k _ -> if k = 3 then ov else 0) () in
+  ignore (C.put ~ttl_ns:50 t 1 1);
+  ignore (C.put t 2 2);
+  Atomic.set clk 60;
+  hook := (fun () -> ignore (C.put ~ttl_ns:1_000 t 1 11));
+  t
+
+let test_ttl_refresh_wins_race () =
   (* Read path: the read misses (it ran before the refresh), and the
      refreshed entry stays. *)
-  let t = fresh () in
+  let t = refresh_race () in
   check_bool "racing read misses" true (C.get t 1 = None);
   check_bool "refreshed entry survives the read" true (C.get t 1 = Some 11);
   check_int "no expiration" 0 (C.stats t).Cache.expirations;
   check_ok "after racing read" t;
   (* Eviction scan: it pops key 1, the refresh lands, and the scan
      moves on to evict key 2 instead. *)
-  let t = fresh () in
+  let t = refresh_race () in
   check_bool "admit 3" true (C.put t 3 3);
   check_bool "refreshed entry survives the scan" true (C.get t 1 = Some 11);
   check_bool "2 evicted instead" true (C.get t 2 = None);
@@ -341,6 +376,19 @@ let test_ttl_refresh_wins_race () =
   check_bool "one eviction, no expiration" true
     (s.Cache.evictions = 1 && s.Cache.expirations = 0);
   check_ok "after racing scan" t
+
+(* The refresh that beat the scan was an overwrite, which pushes no
+   ring slot, so the scan puts the popped key back.  A key in no ring
+   outlives every younger key: only the fold fallback reaches it. *)
+let test_ttl_refreshed_key_stays_evictable () =
+  let t = refresh_race () in
+  check_bool "admit 3 past the racing refresh" true (C.put t 3 3);
+  for k = 4 to 9 do
+    check_bool "admit" true (C.put t k k)
+  done;
+  check_bool "refreshed 1 evicted in its turn" true (C.get t 1 = None);
+  check_bool "youngest keys resident" true (C.get t 8 = Some 8 && C.get t 9 = Some 9);
+  check_ok "after admissions" t
 
 (* -------------------------- negative caching ----------------------- *)
 
@@ -387,6 +435,8 @@ let test_negative_stampede_concurrent () =
   Array.iter Domain.join doms;
   check_int "storm cost one load total" 1 (Atomic.get loads)
 
+(* A loaded value is admitted on its key's second miss: the first miss
+   only records the key in the doorkeeper. *)
 let test_get_or_load_positive () =
   let t = make ~entries:8 () in
   let loads = ref 0 in
@@ -394,10 +444,97 @@ let test_get_or_load_positive () =
     incr loads;
     Some (k * 2)
   in
-  check_bool "loads on miss" true (C.get_or_load t 5 ~load = Some 10);
-  check_bool "then hits" true (C.get_or_load t 5 ~load = Some 10);
-  check_int "loaded once" 1 !loads;
-  check_int "hit counted" 1 (C.stats t).Cache.hits
+  check_bool "first miss loads" true (C.get_or_load t 5 ~load = Some 10);
+  check_int "first miss admits nothing" 0 (C.resident t);
+  check_int "first miss reserves nothing" 0 (C.used_words t);
+  check_bool "second miss loads" true (C.get_or_load t 5 ~load = Some 10);
+  check_int "second miss admits" 1 (C.resident t);
+  check_bool "third call hits" true (C.get_or_load t 5 ~load = Some 10);
+  check_int "loaded on misses 1 and 2" 2 !loads;
+  let s = C.stats t in
+  check_bool "two misses, one hit" true (s.Cache.misses = 2 && s.Cache.hits = 1);
+  check_ok "read-through" t
+
+(* Hot keys are admitted, then a one-pass scan of 10 W distinct keys (W
+   = the budget's resident count) runs through [get_or_load].  Each
+   scan key misses once, so the doorkeeper keeps it out: no eviction,
+   and every hot key stays.  A bitset false positive admits a scan key
+   on its first miss; with at least 8 W bits that is under 1 in 8. *)
+let test_scan_resistance () =
+  let w = 1024 and hot = 128 in
+  let t = make ~entries:w () in
+  let load k = Some k in
+  for _ = 1 to 2 do
+    for k = 0 to hot - 1 do
+      ignore (C.get_or_load t k ~load)
+    done
+  done;
+  check_int "hot keys admitted" hot (C.resident t);
+  let scan = 10 * w in
+  for k = 1_000_000 to 1_000_000 + scan - 1 do
+    ignore (C.get_or_load t k ~load)
+  done;
+  check_int "the scan evicted nothing" 0 (C.stats t).Cache.evictions;
+  check_bool "every hot key resident" true
+    (List.for_all (fun k -> C.get t k = Some k) (List.init hot Fun.id));
+  let admitted = C.resident t - hot in
+  if admitted > scan / 8 then
+    Alcotest.failf "scan admitted %d of %d keys on their first miss" admitted scan;
+  check_ok "after the scan" t
+
+(* The doorkeeper forgets after W first misses (W = the budget's
+   resident count).  A key whose first miss is followed by W - 1 other
+   first misses is admitted on its second miss; after W of them the
+   bitset has been cleared, and it needs two misses again.  A key
+   counts as a first miss iff [get_or_load] did not admit it: a bitset
+   false positive admits a fresh key and does not count. *)
+let test_doorkeeper_window_reset () =
+  let w = 64 in
+  let load k = Some k in
+  let admits t k =
+    let before = C.resident t in
+    ignore (C.get_or_load t k ~load);
+    C.resident t > before
+  in
+  let with_first_misses others =
+    let t = make ~entries:w () in
+    check_bool "first miss of key 0" false (admits t 0);
+    let next = ref 1 and counted = ref 0 in
+    while !counted < others do
+      if not (admits t !next) then incr counted;
+      incr next
+    done;
+    t
+  in
+  let t = with_first_misses (w - 1) in
+  check_bool "W - 1 first misses later: second miss admits" true (admits t 0);
+  let t = with_first_misses w in
+  check_bool "W first misses later: second miss is a first miss again" false
+    (admits t 0);
+  check_bool "then the next miss admits" true (admits t 0);
+  check_int "nothing evicted" 0 (C.stats t).Cache.evictions
+
+(* A [put] that lands while a read-through load runs is newer than the
+   loaded value: the admission must not overwrite it, for a loaded
+   [Some] or a cached [None] alike.  The load itself calls [put]. *)
+let test_read_through_yields_to_put () =
+  let t = make ~entries:8 () in
+  check_bool "first miss" true (C.get_or_load t 1 ~load:(fun _ -> Some 10) = Some 10);
+  let load k =
+    ignore (C.put t k 11);
+    Some 10
+  in
+  check_bool "second miss returns its load" true (C.get_or_load t 1 ~load = Some 10);
+  check_bool "the racing put's value stays" true (C.get t 1 = Some 11);
+  let load k =
+    ignore (C.put t k 21);
+    None
+  in
+  check_bool "absent load returns None" true (C.get_or_load t 2 ~load = None);
+  check_bool "the racing put's value stays over a cached absence" true
+    (C.get t 2 = Some 21);
+  check_int "losing admissions released their reservations" (2 * ov) (C.used_words t);
+  check_ok "after racing puts" t
 
 (* ----------------------- budget under churn ------------------------ *)
 
@@ -441,9 +578,10 @@ let prop_budget_sequential =
       | Ok () -> true
       | Error e -> QCheck.Test.fail_reportf "validate: %s" e)
 
-(* Concurrent churn: worker domains hammer put/get/remove with sized
-   values while a sampler reads [used_words] continuously — the budget
-   bound must hold at every sampled instant, not just at rest. *)
+(* Concurrent churn: worker domains hammer put/get/remove and
+   read-through [get_or_load] (a sized value, or an absence for one key
+   in eight) while a sampler reads [used_words] continuously — the
+   budget bound must hold at every sampled instant, not just at rest. *)
 let test_budget_concurrent_churn () =
   let budget = 64 * ov in
   let cfg =
@@ -471,10 +609,15 @@ let test_budget_concurrent_churn () =
             let rng = Random.State.make [| 0xC0FFEE; d |] in
             for _ = 1 to 20_000 do
               let k = Random.State.int rng 256 in
-              match Random.State.int rng 4 with
+              match Random.State.int rng 5 with
               | 0 | 1 ->
                   ignore (C.put t k (String.make (Random.State.int rng 128) 'v'))
               | 2 -> ignore (C.get t k)
+              | 3 ->
+                  ignore
+                    (C.get_or_load t k ~load:(fun k ->
+                         if k land 7 = 0 then None
+                         else Some (String.make (Random.State.int rng 128) 'l')))
               | _ -> ignore (C.remove t k)
             done))
   in
@@ -496,13 +639,18 @@ let suite =
     ("eviction_clock_second_chance", `Quick, test_eviction_clock_second_chance);
     ("eviction_clock_all_touched", `Quick, test_eviction_clock_all_touched);
     ("eviction_own_ring_first", `Quick, test_eviction_own_ring_first);
+    ("ring_spill_fills_budget", `Quick, test_ring_spill_fills_budget);
     ("hit_allocates_nothing", `Quick, test_hit_allocates_nothing);
     ("ttl_deterministic", `Quick, test_ttl_deterministic);
     ("ttl_reclaimed_by_eviction_scan", `Quick, test_ttl_reclaimed_by_eviction_scan);
     ("ttl_refresh_wins_race", `Quick, test_ttl_refresh_wins_race);
+    ("ttl_refreshed_key_stays_evictable", `Quick, test_ttl_refreshed_key_stays_evictable);
     ("negative_caching", `Quick, test_negative_caching);
     ("negative_stampede_concurrent", `Slow, test_negative_stampede_concurrent);
     ("get_or_load_positive", `Quick, test_get_or_load_positive);
+    ("scan_resistance", `Quick, test_scan_resistance);
+    ("doorkeeper_window_reset", `Quick, test_doorkeeper_window_reset);
+    ("read_through_yields_to_put", `Quick, test_read_through_yields_to_put);
     QCheck_alcotest.to_alcotest prop_budget_sequential;
     ("budget_concurrent_churn", `Slow, test_budget_concurrent_churn);
   ]
