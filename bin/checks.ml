@@ -180,7 +180,8 @@ let obs_demo l =
 (* -------------------------------- cache ------------------------------- *)
 
 (* Deterministic self-check of the bounded cache tier: the budget
-   invariant and exact accounting under a zipfian read-through load,
+   invariant, exact accounting and the slot invariant under a zipfian
+   read-through load and then put/remove churn,
    scan resistance (read-through admits on a key's second miss),
    deterministic TTL expiry on an injected clock (on read, and by the
    eviction scan for entries nobody reads), negative-caching
@@ -206,10 +207,17 @@ let cache scale l =
   in
   let load k = Some (string_of_int k) in
   Array.iter (fun k -> ignore (Cache_tier.get_or_load t k ~load)) keys;
+  (* Then churn the same keys: overwrites of resident keys, fresh puts
+     and removes, each of which hands over or vacates a slot. *)
+  Array.iteri
+    (fun i k ->
+      if i land 3 = 0 then ignore (Cache_tier.put t k (string_of_int i))
+      else if i land 3 = 1 then ignore (Cache_tier.remove t k))
+    (Array.sub keys 0 (n / 4));
   let s = Cache_tier.stats t in
   check l "zipf: resident footprint within budget"
     (s.Cache.used_words <= budget);
-  check l "zipf: quiescent accounting reconciles"
+  check l "zipf: accounting and slots reconcile after churn"
     (Cache_tier.validate t = Ok ());
   check l "zipf: skewed load hits at least 30%"
     (float_of_int s.Cache.hits

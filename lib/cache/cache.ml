@@ -8,7 +8,7 @@
      returning [Some v]) is admitted only on the key's second miss
      within a window: a doorkeeper bitset (TinyLFU's) remembers the
      window's first misses, and the first miss of a key returns its
-     value without touching the map, the rings or [used].  So a key
+     value without touching the map, the slots or [used].  So a key
      read once, which would be evicted before it came back, costs no
      admission, no eviction and no map write.  The window is the
      budget's maximum resident count, W = budget / entry overhead,
@@ -22,27 +22,32 @@
      of every interleaving — the QCheck churn property samples it
      concurrently — and resident cost never exceeds [used] (cost is
      released only after the entry is out of the map).
-   - replacement: CLOCK over striped lock-free rings of keys in
-     admission order (Ring), one ring per domain slot.  Eviction pops
-     the oldest key, starting at the caller's own ring and then
-     walking the others round-robin (there is no shared hand), and a
-     new key goes to the caller's ring or, if that is full, the next
-     one with room, so one domain can fill the budget whatever the
-     stripe count; an
-     entry whose access bit was set by a read since its last pass
-     gets the bit cleared and one re-push (its second chance)
-     instead.  A read stores the bit only when it is clear, so a hit
-     on a hot entry is a pure read and writes no line that another
-     domain reads.  An overwrite keeps the key's ring position.
-     Entries without a TTL never read the clock.  CLOCK is the only
-     policy: on the served cache-zipf traffic (2 domains, 1 put in 16
-     overwriting a live key) it beat FIFO and segmented LRU on hit
-     rate and CPU per op (DESIGN.md §15).
+   - replacement: CLOCK over one array of W entry slots.  Each entry
+     records its key and its slot.  A new entry claims a vacant slot
+     after its reservation; whoever unbinds an entry from the map
+     vacates its slot before releasing its cost, so occupied slots
+     never exceed [used / entry_overhead_words] <= W and a claim
+     always finds a vacant slot.  An overwrite hands the old entry's
+     slot to the new one, so it keeps its position.  Each domain slot
+     has a persistent hand that starts in the domain's region of the
+     array and sweeps all of it: an entry read since the hand last
+     passed gets its access bit cleared, an untouched one is evicted,
+     and the admission that needed the room takes the slot it just
+     vacated.  Otherwise a new entry takes the first vacant slot from
+     the domain's fill cursor, which also starts in its region.  So a
+     domain evicts its own admissions first, and a lone domain evicts
+     in one CLOCK order over the whole array.  A read stores the bit
+     only when it is clear, so a hit on a hot entry is a pure read and
+     writes no line that another domain reads.  Entries without a TTL
+     never read the clock.  CLOCK is the only policy: on the served
+     cache-zipf traffic (2 domains, 1 put in 16 overwriting a live
+     key) it beat FIFO and segmented LRU on hit rate and CPU per op
+     (DESIGN.md §15).
    - TTL: an entry's expiry stamp (monotonic clock, injectable for
      tests) is checked only where the tier already touches the entry:
-     on read and when the CLOCK scan pops it.  Both reclaim a dead
+     on read and when a CLOCK hand passes it.  Both reclaim a dead
      entry on sight, so an expired entry is never served; one that
-     nobody reads waits for the scan, a space delay within the budget.
+     nobody reads waits for a hand, a space delay within the budget.
    - negative caching: [get_or_load] caches a backing-store miss as a
      [None] payload under its own (short) TTL on its first miss, so a
      miss storm on one absent key costs one backing-store load, not a
@@ -50,33 +55,33 @@
      an absent key, so a [put] that lands while the load runs keeps
      its newer value.  [get]
      and [get_or_load] return the stored option itself, so a hit
-     allocates only what the map's lookup does.
-
-   Rings are advisory (see ring.ml): residency truth lives in the map,
-   budget truth in [used].  When every ring runs dry while over
-   budget — possible only after ring races orphaned entries — a fold
-   fallback picks victims straight from the map, so the budget
-   invariant survives ring imperfection. *)
+     allocates only what the map's lookup does. *)
 
 module Metrics = Ct_util.Metrics
 module Clock = Ct_util.Clock
+module Slots = Ct_util.Slots
+module Stripe = Ct_util.Stripe
+module Yp = Ct_util.Yieldpoint
 
 type config = {
   budget_words : int;  (* resident-cost ceiling, machine words *)
-  stripes : int;  (* ring stripes; <= 0 = one per domain slot *)
   max_entry_frac : float;  (* admission: reject entries above this share *)
 }
 
-let default_config ~budget_words =
-  { budget_words; stripes = 0; max_entry_frac = 0.25 }
+let default_config ~budget_words = { budget_words; max_entry_frac = 0.25 }
 
 (* Fixed per-entry metadata charge, in words: the entry record, its
    value's option box, the map's leaf + amortized interior share, and the
-   entry's ring slot.  Deliberately a round, conservative
+   entry's slot.  Deliberately a round, conservative
    constant — the budget is a cost model, not an allocator. *)
 let entry_overhead_words = 24
 
 let word_cost v = Obj.reachable_words (Obj.repr v)
+
+(* The slot CASes, for the chaos layer and the schedule explorer. *)
+let claim_site = Yp.register "cache.slot.claim"
+let vacate_site = Yp.register "cache.slot.vacate"
+let inherit_site = Yp.register "cache.slot.inherit"
 
 type stats = {
   hits : int;
@@ -94,9 +99,11 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
   type key = M.key
 
   type 'v entry = {
+    key : key;
     payload : 'v option;  (* None = the backing store has no such key *)
     cost : int;  (* words reserved against the budget *)
     expires_at : int;  (* cache-clock ns; max_int = never *)
+    slot : int;  (* the index this entry occupies in [slots] *)
     mutable touched : bool;  (* access bit (CLOCK second chance) *)
   }
 
@@ -104,11 +111,12 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
     cfg : config;
     map : 'v entry M.t;
     used : int Atomic.t;
-    rings : key Ring.t array;  (* admission order *)
-    smask : int;
+    slots : 'v entry Slots.t;  (* W slots, each [vacant] or one entry *)
+    vacant : 'v entry;  (* the empty-slot sentinel, never bound *)
+    hands : Stripe.t;  (* per domain: col 0 CLOCK hand, col 1 fill cursor *)
     door : int array;  (* doorkeeper: first-miss count + bitset, see below *)
     door_mask : int;  (* bitset size - 1 *)
-    window : int;  (* first misses between two doorkeeper clears *)
+    window : int;  (* W: slot count, and first misses per doorkeeper window *)
     now : unit -> int;
     cost_fn : key -> 'v -> int;
     max_entry_words : int;
@@ -135,23 +143,31 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
       | Some f -> f
       | None -> fun k v -> word_cost k + word_cost v
     in
-    let stripes =
-      if cfg.stripes > 0 then Ct_util.Bits.next_power_of_two cfg.stripes
-      else Ct_util.Domain_slot.capacity
-    in
-    (* Ring capacity: ~2x the largest possible resident population
-       (budget / minimum entry cost), split across stripes, so CLOCK
-       re-pushes rarely displace.  Rings are structure overhead, not
-       charged against the budget. *)
     let window = cfg.budget_words / entry_overhead_words in
-    let per_stripe = max 64 (2 * window / stripes) in
     let door_bits = Ct_util.Bits.next_power_of_two (8 * window) in
+    (* The sentinel's key is never read: no hand, claim or check looks
+       past [== vacant]. *)
+    let vacant =
+      { key = Obj.magic 0; payload = None; cost = 0; expires_at = max_int; slot = -1;
+        touched = false }
+    in
+    (* Row [r] of the hands (domain slot [r]; the last is the overflow
+       row) starts its hand and its fill cursor at region [r] of the
+       array. *)
+    let hands = Stripe.create ~width:2 () in
+    let rows = Stripe.stripes hands + 1 in
+    for r = 0 to rows - 1 do
+      let h = Stripe.row hands r and start = r * window / rows in
+      Stripe.add_at hands h 0 start;
+      Stripe.add_at hands h 1 start
+    done;
     {
       cfg;
       map = M.create ();
       used = Atomic.make 0;
-      rings = Array.init stripes (fun _ -> Ring.create ~capacity:per_stripe);
-      smask = stripes - 1;
+      slots = Slots.make window vacant;
+      vacant;
+      hands;
       door = Array.make ((2 * door_pad) + 1 + ((door_bits + 31) / 32)) 0;
       door_mask = door_bits - 1;
       window;
@@ -169,123 +185,121 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
   let used_words t = Atomic.get t.used
   let resident t = M.size t.map
 
-  let[@inline] stripe_of_domain t = Ct_util.Domain_slot.get () land t.smask
-
   (* ---------------------------- accounting --------------------------- *)
 
-  let[@inline] release t e = ignore (Atomic.fetch_and_add t.used (-e.cost))
+  let[@inline] release t words = ignore (Atomic.fetch_and_add t.used (-words))
 
   (* A no-TTL entry never reads the clock. *)
   let[@inline] expired t e = e.expires_at <> max_int && e.expires_at <= t.now ()
 
-  (* Remove [k] for budget pressure.  True iff this call unbound it. *)
-  let evict_key t k =
-    match M.remove t.map k with
-    | Some e ->
-        release t e;
-        Metrics.incr t.metrics Metrics.Tier_evictions;
-        true
-    | None -> false
+  let[@inline] vacate t e =
+    Yp.here Yp.Before vacate_site;
+    Slots.cas t.slots e.slot e t.vacant && (Yp.here Yp.After vacate_site; true)
 
-  (* Remove [k] only if it still holds the expired [e]; a racing put
-     that refreshed the key must keep its new entry (and its cost). *)
-  let drop_expired t k e =
-    if M.remove_if t.map k ~expected:e then begin
-      release t e;
-      Metrics.incr t.metrics Metrics.Tier_expirations;
-      true
-    end
-    else false
+  (* Called by whoever unbound [e] from the map: vacate its slot, then
+     release its cost.  The vacate fails only when an overwrite of [e]
+     took the slot first; that overwrite's [replace_if] then fails too,
+     and it releases [e]'s cost once it has vacated its own entry. *)
+  let vacate_release t e = if vacate t e then release t e.cost
+
+  (* Unbind [e] if it is still bound.  True iff this call unbound it. *)
+  let drop t e = M.remove_if t.map e.key ~expected:e && (vacate_release t e; true)
 
   (* ---------------------------- replacement -------------------------- *)
 
-  (* Push [k] into ring [r]; if [r] is full, its oldest key is
-     displaced and evicted. *)
-  let requeue t r k = Ring.push r k ~on_displace:(fun v -> ignore (evict_key t v))
+  (* Occupied slots a scan examines per eviction; the last of them is
+     evicted even if touched, so a put into an all-hot cache does O(1)
+     work. *)
+  let scan_bound = 12
 
-  (* Track a newly resident key: in the caller's ring, else the next
-     ring round-robin with a free slot.  Only when every ring is full
-     does the push displace (and evict) the oldest of the caller's. *)
-  let push_key t k =
-    let start = stripe_of_domain t in
-    let rec go i =
-      if i > t.smask then requeue t t.rings.(start) k
-      else if not (Ring.try_push t.rings.((start + i) land t.smask) k) then
-        go (i + 1)
-    in
-    go 0
-
-  (* CLOCK: pop-scan the caller's own ring first, then the others
-     round-robin, so a domain evicts its own oldest admissions before it
-     touches another domain's ring.  A touched entry gets its bit
-     cleared and one re-push instead of eviction — except inside the
-     last stripe-round of the scan bound, where eviction is forced so
-     the scan terminates even if every resident entry is hot.  A popped
-     entry past its TTL is reclaimed as an expiration, not an eviction:
-     with no reads, this is where it goes.  If a refresh replaced it
-     first, the refresh was an overwrite and pushed no ring slot, so
-     the key goes back into the ring it came from. *)
+  (* CLOCK: advance the caller's hand until it evicts an entry, and
+     return that entry's slot; -1 when two laps unbound nothing.  A
+     touched entry gets its bit cleared (its second chance) and is
+     evicted when a hand next finds it untouched.  An entry past its
+     TTL is reclaimed as an expiration, not an eviction: with no reads,
+     this is where it goes.  An entry this scan fails to unbind (a
+     racing overwrite or remove got it first) keeps its slot. *)
   let evict_one t =
-    let n = t.smask + 1 in
-    let bound = (4 * n) + 8 in
-    let start = stripe_of_domain t in
-    let rec go i dry =
-      if dry >= n || i >= bound then false
+    let h = Stripe.cursor t.hands in
+    let rec go steps seen =
+      if steps >= 2 * t.window then -1
       else
-        let r = t.rings.((start + i) land t.smask) in
-        match Ring.pop r with
-        | None -> go (i + 1) (dry + 1)
-        | Some k -> (
-            match M.lookup t.map k with
-            | None -> go (i + 1) 0  (* stale: key already gone *)
-            | Some e ->
-                if expired t e then
-                  if drop_expired t k e then true
-                  else begin
-                    if M.mem t.map k then requeue t r k;
-                    go (i + 1) 0
-                  end
-                else if e.touched && i < bound - n then begin
-                  e.touched <- false;
-                  requeue t r k;
-                  go (i + 1) 0
-                end
-                else if evict_key t k then true
-                else go (i + 1) 0)
+        let i = Stripe.fetch_add_at t.hands h 0 1 mod t.window in
+        let e = Slots.get t.slots i in
+        if e == t.vacant then go (steps + 1) seen
+        else if expired t e then
+          if drop t e then begin
+            Metrics.incr t.metrics Metrics.Tier_expirations;
+            i
+          end
+          else go (steps + 1) (seen + 1)
+        else if e.touched && seen < scan_bound - 1 then begin
+          e.touched <- false;
+          go (steps + 1) (seen + 1)
+        end
+        else if drop t e then begin
+          Metrics.incr t.metrics Metrics.Tier_evictions;
+          i
+        end
+        else go (steps + 1) (seen + 1)
     in
     go 0 0
 
-  exception Found_victim
-
-  (* Rings dry but still over budget: ring races orphaned some
-     entries.  Pick a victim straight from the map — O(resident), but
-     only reachable after a lost race, so amortized noise. *)
-  let fallback_evict t =
-    let victim = ref None in
-    (try
-       M.iter
-         (fun k _ ->
-           victim := Some k;
-           raise_notrace Found_victim)
-         t.map
-     with Found_victim -> ());
-    match !victim with Some k -> evict_key t k | None -> false
+  let refused = -2
 
   (* CAS-reserve [cost] words, evicting while it does not fit.  The
      reservation is what makes the budget a hard invariant: [used]
      grows only through a compare-and-set that proved the new total
-     fits, and entries join the map only after their reservation. *)
+     fits, and entries join the map only after their reservation.
+     Returns the slot the last eviction vacated (-1 if none), or
+     [refused]. *)
   let reserve t cost =
-    let max_attempts = (t.cfg.budget_words / entry_overhead_words) + 16 in
-    let rec go attempts =
+    let rec go attempts hint =
       let u = Atomic.get t.used in
       if u + cost <= t.cfg.budget_words then
-        Atomic.compare_and_set t.used u (u + cost) || go attempts
-      else if attempts <= 0 then false
-      else if evict_one t || fallback_evict t then go (attempts - 1)
-      else false
+        if Atomic.compare_and_set t.used u (u + cost) then hint else go attempts hint
+      else if attempts <= 0 then refused
+      else
+        let i = evict_one t in
+        if i < 0 then refused else go (attempts - 1) i
     in
-    go max_attempts
+    go (t.window + 16) (-1)
+
+  (* First vacant slot from the caller's fill cursor on, which then
+     moves past it.  A vacant slot exists whenever the caller holds a
+     reservation; a lap can still miss it while other domains claim and
+     vacate, so the search goes round until it finds one. *)
+  let find_vacant t =
+    let h = Stripe.cursor t.hands in
+    let c = Stripe.get_at t.hands h 1 in
+    let rec go j =
+      let i = (c + j) mod t.window in
+      if Slots.get t.slots i == t.vacant then begin
+        Stripe.add_at t.hands h 1 (j + 1);
+        i
+      end
+      else begin
+        if (j + 1) mod t.window = 0 then begin
+          Domain.cpu_relax ();
+          Yp.here Yp.Before claim_site
+        end;
+        go (j + 1)
+      end
+    in
+    go 0
+
+  (* Put a new entry into a vacant slot: [hint], the slot the caller's
+     own eviction just vacated, if it is still vacant, else
+     [find_vacant]'s. *)
+  let rec claim t hint k payload cost expires_at =
+    let i = if hint >= 0 && Slots.get t.slots hint == t.vacant then hint else find_vacant t in
+    let e = { key = k; payload; cost; expires_at; slot = i; touched = false } in
+    Yp.here Yp.Before claim_site;
+    if Slots.cas t.slots i t.vacant e then begin
+      Yp.here Yp.After claim_site;
+      e
+    end
+    else claim t (-1) k payload cost expires_at
 
   (* ----------------------------- operations -------------------------- *)
 
@@ -303,7 +317,9 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
           | None -> Metrics.Tier_negative_hits);
         live
     | dead ->
-        (match dead with Some e -> ignore (drop_expired t k e) | None -> ());
+        (match dead with
+        | Some e -> if drop t e then Metrics.incr t.metrics Metrics.Tier_expirations
+        | None -> ());
         Metrics.incr t.metrics Metrics.Tier_misses;
         None
 
@@ -327,41 +343,75 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
 
   let get t k = match read t k with Some e -> e.payload | None -> None
 
-  (* Reserve, then bind.  A [put] overwrites ([M.add]); a read-through
-     load only fills an absent key ([M.put_if_absent]): a [put] that
-     landed while the load ran is newer, so the load gives its
-     reservation back and returns [false]. *)
+  let reject t =
+    Metrics.incr t.metrics Metrics.Tier_rejections;
+    false
+
+  let expiry t ttl_ns =
+    if ttl_ns <= 0 then max_int
+    else
+      let e = t.now () + ttl_ns in
+      if e < 0 then max_int else e
+
+  (* Reserve, claim a slot, then bind.  A [put] overwrites ([M.add])
+     and unbinds what it displaced; a read-through load only fills an
+     absent key ([M.put_if_absent]): a [put] that landed while the load
+     ran is newer, so the load gives its slot and reservation back and
+     returns [false]. *)
   let admit t k payload ~ttl_ns ~value_cost ~overwrite =
     let cost = entry_overhead_words + max 0 value_cost in
-    if cost > t.max_entry_words || not (reserve t cost) then begin
-      Metrics.incr t.metrics Metrics.Tier_rejections;
-      false
-    end
-    else begin
-      let expires_at =
-        if ttl_ns <= 0 then max_int
-        else
-          let e = t.now () + ttl_ns in
-          if e < 0 then max_int else e
-      in
-      let e = { payload; cost; expires_at; touched = false } in
-      match if overwrite then M.add t.map k e else M.put_if_absent t.map k e with
-      | None ->
-          push_key t k;
-          true
-      | Some prev when overwrite ->
-          (* Overwrite: the old reservation is released and the ring
-             position inherited — admission order does not refresh on
-             update, matching the Nichecache exemplar. *)
-          release t prev;
-          true
-      | Some _ ->
-          release t e;
-          false
-    end
+    let hint = if cost > t.max_entry_words then refused else reserve t cost in
+    if hint = refused then reject t
+    else
+      let e = claim t hint k payload cost (expiry t ttl_ns) in
+      if overwrite then begin
+        (match M.add t.map k e with Some prev -> vacate_release t prev | None -> ());
+        true
+      end
+      else
+        match M.put_if_absent t.map k e with
+        | None -> true
+        | Some _ ->
+            vacate_release t e;
+            false
 
+  (* A put of a resident key reserves only the growth of its cost and
+     hands the old entry's slot to the new one before swapping the
+     binding, so an overwrite at a full budget evicts nothing and keeps
+     its position.  If the scan or a remove unbinds the old entry first
+     (its slot CAS or [replace_if] fails), the put is a fresh
+     admission. *)
   let put ?(ttl_ns = 0) t k v =
-    admit t k (Some v) ~ttl_ns ~value_cost:(t.cost_fn k v) ~overwrite:true
+    let value_cost = t.cost_fn k v in
+    match M.find t.map k with
+    | exception Not_found -> admit t k (Some v) ~ttl_ns ~value_cost ~overwrite:true
+    | prev ->
+        let cost = entry_overhead_words + max 0 value_cost in
+        let extra = max 0 (cost - prev.cost) in
+        if cost > t.max_entry_words || reserve t extra = refused then reject t
+        else
+          let payload = Some v and expires_at = expiry t ttl_ns in
+          let e = { key = k; payload; cost; expires_at; slot = prev.slot; touched = false } in
+          Yp.here Yp.Before inherit_site;
+          if Slots.cas t.slots prev.slot prev e then begin
+            Yp.here Yp.After inherit_site;
+            if M.replace_if t.map k ~expected:prev e then begin
+              release t (max 0 (prev.cost - cost));
+              true
+            end
+            else begin
+              (* [prev] was unbound after [e] took its slot, so its
+                 unbinder's vacate failed and left [prev]'s cost to
+                 us: give back both reservations. *)
+              ignore (vacate t e);
+              release t (prev.cost + extra);
+              admit t k payload ~ttl_ns ~value_cost ~overwrite:true
+            end
+          end
+          else begin
+            release t extra;
+            admit t k payload ~ttl_ns ~value_cost ~overwrite:true
+          end
 
   (* Doorkeeper: true iff [k]'s bit is set, i.e. [k] missed before in
      this window.  Otherwise this is [k]'s first miss: set its bit and
@@ -388,7 +438,7 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
   let remove t k =
     match M.remove t.map k with
     | Some e ->
-        release t e;
+        vacate_release t e;
         true
     | None -> false
 
@@ -438,18 +488,40 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) = struct
       resident = M.size t.map;
     }
 
-  (* Quiescent cross-check: exact accounting and the budget bound. *)
+  exception Invalid of string
+
+  (* Quiescent cross-check: exact accounting, the budget bound, and the
+     slot invariant — every resident entry sits in the slot it records,
+     and every occupied slot holds a resident entry (so occupied slots
+     equal [resident], and are at most W). *)
   let validate t =
-    let used = Atomic.get t.used in
-    if used > t.cfg.budget_words then
-      Error
-        (Printf.sprintf "used %d words exceeds budget %d" used
-           t.cfg.budget_words)
-    else if used < 0 then Error (Printf.sprintf "used %d is negative" used)
-    else
-      let sum = M.fold (fun acc _ e -> acc + e.cost) 0 t.map in
-      if sum <> used then
-        Error
-          (Printf.sprintf "resident cost %d words != reserved %d" sum used)
-      else Ok ()
+    let fail fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt in
+    try
+      let used = Atomic.get t.used in
+      if used > t.cfg.budget_words then
+        fail "used %d words exceeds budget %d" used t.cfg.budget_words;
+      if used < 0 then fail "used %d is negative" used;
+      let sum, resident =
+        M.fold
+          (fun (sum, n) _ e ->
+            if Slots.get t.slots e.slot != e then
+              fail "a resident entry is not in its slot %d" e.slot;
+            (sum + e.cost, n + 1))
+          (0, 0) t.map
+      in
+      if sum <> used then fail "resident cost %d words != reserved %d" sum used;
+      let occupied = ref 0 in
+      for i = 0 to t.window - 1 do
+        let e = Slots.get t.slots i in
+        if e != t.vacant then begin
+          incr occupied;
+          match M.find t.map e.key with
+          | bound when bound == e -> ()
+          | _ | (exception Not_found) -> fail "slot %d holds an unbound entry" i
+        end
+      done;
+      if !occupied <> resident then
+        fail "%d occupied slots != %d resident entries" !occupied resident;
+      Ok ()
+    with Invalid m -> Error m
 end

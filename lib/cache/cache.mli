@@ -3,12 +3,13 @@
     admission of read-through loads, TTL expiry, and negative caching
     of backing-store misses (DESIGN.md §15).
 
-    CLOCK is the only policy: keys sit in striped rings in admission
-    order; eviction pops the oldest, and an entry read since its last
-    pass gets one second chance (its access bit is cleared and it is
-    re-pushed) instead.  An overwrite keeps the key's ring position.
-    A new key goes to the caller's ring, or to the next one with room
-    when that is full.
+    CLOCK is the only policy: entries sit in one array of W =
+    [budget_words / entry_overhead_words] slots, and each entry records
+    its own slot.  Each domain has a hand that starts in its region of
+    the array and sweeps all of it; an entry read since the hand last
+    passed gets one second chance (its access bit is cleared), an
+    untouched one is evicted and its slot goes to the admission that
+    needed the room.  An overwrite keeps the key's slot.
 
     The budget is a hard invariant, not a goal: admission reserves an
     entry's cost against the budget with a CAS {e before} the entry
@@ -19,25 +20,24 @@
     plus a fixed {!entry_overhead_words} metadata charge.
 
     An expired entry is never served.  It is reclaimed where the tier
-    already touches it: by the read that finds it dead, or by the CLOCK
-    scan when it pops the entry (counted as an expiration, not an
-    eviction).  Until then it stays charged against the budget. *)
+    already touches it: by the read that finds it dead, or by a CLOCK
+    hand that passes it (counted as an expiration, not an eviction).  Until then it stays charged against the budget. *)
 
 type config = {
-  budget_words : int;  (** resident-cost ceiling, machine words *)
-  stripes : int;
-      (** ring stripes; [<= 0] = one per {!Ct_util.Domain_slot} *)
+  budget_words : int;
+      (** resident-cost ceiling, machine words; also fixes the slot
+          count W = [budget_words / entry_overhead_words] *)
   max_entry_frac : float;
       (** entries costing more than this fraction of the budget are
           rejected at admission rather than flushing the cache *)
 }
 
 val default_config : budget_words:int -> config
-(** Auto stripes and [max_entry_frac = 0.25]. *)
+(** [max_entry_frac = 0.25]. *)
 
 val entry_overhead_words : int
 (** Fixed metadata charge per resident entry (entry record, map leaf,
-    ring slot), added to the caller-visible value cost. *)
+    slot), added to the caller-visible value cost. *)
 
 
 (** Counter snapshot; also exported via {!Make.metrics} under the
@@ -84,7 +84,8 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) : sig
       needed.  [false] = admission refused (entry above
       [max_entry_frac], or the budget could not be met), counted as a
       rejection.  [ttl_ns] omitted or [<= 0] means no expiry.
-      Overwriting keeps the key's ring position. *)
+      Overwriting a resident key keeps its slot and reserves only the
+      growth of its cost, so an equal-cost overwrite evicts nothing. *)
 
   val remove : 'v t -> key -> bool
   (** Explicit invalidation; releases the entry's reservation. *)
@@ -124,6 +125,8 @@ module Make (M : Ct_util.Map_intf.CONCURRENT_MAP) : sig
       [Metrics.to_json] like every other family. *)
 
   val validate : 'v t -> (unit, string) result
-  (** Quiescent invariant check: [0 <= used <= budget] and [used]
-      equals the fold-summed cost of resident entries. *)
+  (** Quiescent invariant check: [0 <= used <= budget], [used]
+      equals the fold-summed cost of resident entries, every resident
+      entry sits in the slot it records, and no slot holds an entry
+      that is not resident (so occupied slots equal [resident]). *)
 end

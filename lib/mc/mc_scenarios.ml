@@ -247,9 +247,51 @@ let crash_scenarios_for (target : target) : Mc_core.scenario list =
         [ 1; 2; 3 ])
     [ ("insert", [ Insert (2, 7) ]); ("remove", [ Remove 0 ]) ]
 
+(* ---------------------------- the cache tier ------------------------ *)
+
+(* [Cache.Make] over the colliding-key cache-trie, with a 2-entry
+   budget, an injected clock and zero-cost values: every entry costs
+   one overhead, so keys 0 and 1 (which share a full hash) fill both
+   slots before the fibers start.  One fiber puts key 3, which must
+   evict, then removes key 1 under the other's scan.  The other
+   overwrites key 0 (inheriting its slot, or losing it to the scan),
+   admits a cached absence for key 3 (losing to the put, or displaced
+   by it) and puts key 2.  The oracle is [validate]: the budget, exact
+   accounting, and every resident entry in the slot it records with no
+   other slot occupied. *)
+module Tier = Cache.Make (CT)
+
+let cache_tier : Mc_core.scenario =
+  let prepare () =
+    let cfg =
+      {
+        (Cache.default_config ~budget_words:(2 * Cache.entry_overhead_words)) with
+        Cache.max_entry_frac = 1.0;
+      }
+    in
+    let t = Tier.create ~config:cfg ~now:(fun () -> 0) ~cost:(fun _ _ -> 0) () in
+    ignore (Tier.put t 0 0);
+    ignore (Tier.put t 1 1);
+    let evicting () =
+      ignore (Tier.put t 3 3);
+      ignore (Tier.remove t 1)
+    in
+    let overwriting () =
+      ignore (Tier.put t 0 10);
+      ignore (Tier.get_or_load t 3 ~load:(fun _ -> None));
+      ignore (Tier.put t 2 2)
+    in
+    let oracle ~crashed:_ =
+      Result.map_error (fun e -> "validate: " ^ e) (Tier.validate t)
+    in
+    { Mc_core.bodies = [ evicting; overwriting ]; oracle }
+  in
+  Mc_core.scenario "cache-tier" prepare
+
 let all : Mc_core.scenario list =
   List.concat_map
     (fun t -> scenarios_for t @ crash_scenarios_for t)
     targets
+  @ [ cache_tier ]
 
 let find name = List.find_opt (fun s -> s.Mc_core.sname = name) all

@@ -2,14 +2,16 @@
    sequential and concurrent churn, deterministic TTL expiry via an
    injected clock (reclaimed by the read path and by the eviction scan,
    with a refresh that races either one keeping its new entry and its
-   ring slot), CLOCK eviction order (second chance, overwrite keeping
-   its ring slot, the forced-eviction bound when all are hot, each
-   domain evicting from its own ring first, one domain filling the
-   budget over any stripe count), hits that allocate no more than a
-   bare map lookup, read-through admission on a key's second miss
-   (scan resistance, the doorkeeper window, a racing put winning),
-   negative caching as stampede protection, admission rejection of
-   oversized entries, and the ring substrate in isolation. *)
+   slot), CLOCK eviction order (second chance, overwrite keeping its
+   slot, the forced-eviction bound when all are hot, each domain
+   evicting its own admissions first, a lone domain evicting in one
+   CLOCK order over the whole array and filling the budget), an
+   overwrite at a full budget evicting nothing, hits that allocate no
+   more than a bare map lookup, read-through admission on a key's
+   second miss (scan resistance, the doorkeeper window, a racing put
+   winning), negative caching as stampede protection, and admission
+   rejection of oversized entries.  [check_ok] runs [validate], which
+   checks the slot invariant as well as the accounting. *)
 
 module M = Cachetrie.Make (Ct_util.Hashing.Int_key)
 module C = Cache.Make (M)
@@ -19,16 +21,13 @@ let check_int = Alcotest.(check int)
 
 let ov = Cache.entry_overhead_words
 
-(* Deterministic caches: one stripe (so replacement order is a single
-   ring), zero-cost values (every entry costs exactly [ov]), and an
-   injected counter clock. *)
+(* Deterministic caches: zero-cost values (every entry costs exactly
+   [ov], so the [entries] slots fill the budget), and an injected
+   counter clock.  Driven from one domain, whose hand and fill cursor
+   start at the same slot, admission order is slot order. *)
 let make ?(entries = 3) ?clk () =
   let cfg =
-    {
-      (Cache.default_config ~budget_words:(entries * ov)) with
-      Cache.stripes = 1;
-      max_entry_frac = 1.0;
-    }
+    { (Cache.default_config ~budget_words:(entries * ov)) with Cache.max_entry_frac = 1.0 }
   in
   let now =
     match clk with Some c -> fun () -> Atomic.get c | None -> fun () -> 0
@@ -39,49 +38,6 @@ let check_ok what t =
   match C.validate t with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: validate: %s" what e
-
-(* ------------------------------- ring ------------------------------ *)
-
-let test_ring_fifo () =
-  let r = Ring.create ~capacity:4 in
-  check_int "rounded capacity" 4 (Ring.capacity r);
-  let displaced = ref [] in
-  let keep k = displaced := k :: !displaced in
-  List.iter (fun k -> Ring.push r k ~on_displace:keep) [ 1; 2; 3; 4 ];
-  check_int "nothing displaced while roomy" 0 (List.length !displaced);
-  Ring.push r 5 ~on_displace:keep;
-  check_bool "full push displaces the oldest" true (!displaced = [ 1 ]);
-  let drained = List.filter_map (fun _ -> Ring.pop r) [ (); (); (); () ] in
-  check_bool "FIFO drain order" true (drained = [ 2; 3; 4; 5 ]);
-  check_bool "then empty" true (Ring.pop r = None);
-  check_int "length empty" 0 (Ring.length r)
-
-let test_ring_concurrent () =
-  let r = Ring.create ~capacity:1024 in
-  let per = 2_000 and dom = 4 in
-  let popped = Array.init dom (fun _ -> Atomic.make 0) in
-  let displaced = Atomic.make 0 in
-  let workers =
-    Array.init dom (fun d ->
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              Ring.push r
-                ((d * per) + i)
-                ~on_displace:(fun _ -> Atomic.incr displaced);
-              if i land 1 = 0 then
-                match Ring.pop r with
-                | Some _ -> Atomic.incr popped.(d)
-                | None -> ()
-            done))
-  in
-  Array.iter Domain.join workers;
-  let rec drain n = match Ring.pop r with Some _ -> drain (n + 1) | None -> n in
-  let final = drain 0 in
-  let pops = Array.fold_left (fun a c -> a + Atomic.get c) 0 popped in
-  (* Every push landed; accounts may only diverge by abandoned slots,
-     which are lost, never duplicated. *)
-  check_bool "no element duplicated" true
-    (pops + Atomic.get displaced + final <= dom * per)
 
 (* ----------------------------- admission --------------------------- *)
 
@@ -94,8 +50,6 @@ let test_budget_and_accounting () =
   check_int "three resident reservations" (3 * ov) (C.used_words t);
   check_int "resident" 3 (C.resident t);
   check_ok "loaded cache" t;
-  (* Overwrite below full occupancy (at capacity the conservative
-     pre-[add] reservation of prev + new would evict first). *)
   check_bool "overwrite admitted" true (C.put t 2 222);
   check_int "overwrite releases the old reservation" (3 * ov) (C.used_words t);
   check_bool "overwritten value visible" true (C.get t 2 = Some 222);
@@ -105,13 +59,7 @@ let test_budget_and_accounting () =
   check_ok "after churn" t
 
 let test_oversized_rejected () =
-  let cfg =
-    {
-      (Cache.default_config ~budget_words:(100 * ov)) with
-      Cache.stripes = 1;
-      max_entry_frac = 0.1;
-    }
-  in
+  let cfg = { (Cache.default_config ~budget_words:(100 * ov)) with Cache.max_entry_frac = 0.1 } in
   let t = C.create ~config:cfg ~cost:(fun _ v -> v) () in
   check_bool "whale refused" false (C.put t 1 10_000);
   check_bool "nothing resident" true (C.resident t = 0 && C.used_words t = 0);
@@ -130,9 +78,9 @@ let test_eviction_clock_second_chance () =
   check_bool "untouched 2 evicted" true (C.get t 2 = None);
   check_bool "3 survives" true (C.get t 3 = Some 3);
   check_ok "clock" t;
-  (* An overwrite keeps the key's ring position and takes no second
-     ring slot.  Below capacity, so the overwrite's reservation
-     evicts nothing; no reads, so no access bit is set. *)
+  (* An overwrite keeps the key's slot and takes no second one.  Below
+     capacity, so the overwrite's reservation evicts nothing; no
+     reads, so no access bit is set. *)
   let t = make ~entries:3 () in
   List.iter (fun k -> ignore (C.put t k k)) [ 1; 2 ];
   check_bool "overwrite admitted" true (C.put t 1 11);
@@ -141,7 +89,7 @@ let test_eviction_clock_second_chance () =
   check_int "exactly one eviction" 1 (C.stats t).Cache.evictions;
   check_int "still within budget" (3 * ov) (C.used_words t);
   check_bool "overwritten 1 kept the oldest slot" true (C.get t 1 = None);
-  (* Ring now 2, 3, 4 — with a second slot for 1 it would be
+  (* CLOCK order now 2, 3, 4 — with a second slot for 1 it would be
      2, 1, 3, 4, and after re-admitting 1 the next put would evict 1
      through that stale slot instead of 3. *)
   check_bool "re-admit 1" true (C.put t 1 1);
@@ -153,9 +101,9 @@ let test_eviction_clock_second_chance () =
   check_ok "clock overwrite" t
 
 (* Every resident entry hot: the scan clears access bits until the
-   last stripe-round of its bound (one stripe: bound 12, forced from
-   pop 12 on), then evicts the entry it holds — so a put still evicts
-   exactly one entry and keeps the budget. *)
+   last of its bound (12 occupied slots per eviction), then evicts the
+   entry it holds — so a put still evicts exactly one entry and keeps
+   the budget. *)
 let test_eviction_clock_all_touched () =
   let n = 16 in
   let t = make ~entries:n () in
@@ -176,90 +124,88 @@ let test_eviction_clock_all_touched () =
        (fun k -> k = 12 || C.get t k = Some k)
        (List.init (n + 1) Fun.id))
 
-(* Run [f] on a spawned domain whose slot parity is not [p].  A
-   candidate that lands on parity [p] parks holding its slot, so the
-   next candidate leases another one. *)
-let on_other_parity p f =
-  let release = Atomic.make false in
-  let rec go spawned tries =
-    let state = Atomic.make 0 in  (* 1 = ran [f], 2 = parked *)
-    let d =
-      Domain.spawn (fun () ->
-          if Ct_util.Domain_slot.get () land 1 <> p then
-            Fun.protect ~finally:(fun () -> Atomic.set state 1) f
-          else begin
-            Atomic.set state 2;
-            while not (Atomic.get release) do Domain.cpu_relax () done
-          end)
-    in
-    while Atomic.get state = 0 do Domain.cpu_relax () done;
-    if Atomic.get state = 1 || tries <= 1 then (Atomic.get state = 1, d :: spawned)
-    else go (d :: spawned) (tries - 1)
-  in
-  let ran, spawned = go [] 4 in
-  Atomic.set release true;
-  List.iter Domain.join spawned;
-  if not ran then Alcotest.fail "no free domain slot of the other parity"
+(* Each domain's hand and fill cursor start in its own region of the
+   slot array; with W = 4 (domain slots + 1) every region is distinct.
+   The main domain admits key 0, then a spawned domain fills the rest
+   of the array and admits one key more: its hand starts at its own
+   first admission, key 1, so that is the victim and key 0 stays (a
+   single hand starting at slot 0 would evict key 0).  The main
+   domain's next admission evicts its own key 0. *)
+let test_eviction_own_region_first () =
+  let w = 4 * (Ct_util.Domain_slot.capacity + 1) in
+  let t = make ~entries:w () in
+  check_bool "admit main's key" true (C.put t 0 0);
+  Domain.join
+    (Domain.spawn (fun () ->
+         for k = 1 to w do
+           ignore (C.put t k k)
+         done));
+  check_int "the spawned domain's last put evicted one key" 1 (C.stats t).Cache.evictions;
+  check_bool "the spawned domain's own first key was the victim" true (C.get t 1 = None);
+  check_bool "admit from the main domain" true (C.put t (w + 1) 0);
+  check_int "one more eviction" 2 (C.stats t).Cache.evictions;
+  check_bool "main's own key was its victim" true (C.get t 0 = None);
+  check_bool "the spawned domain's other keys stay" true
+    (List.for_all (fun k -> C.get t k = Some k) (List.init (w - 1) (fun i -> i + 2)));
+  check_ok "own region first" t
 
-(* Eviction starts at the evicting domain's own ring.  Two stripes and
-   a budget of two entries: the main domain and a spawned domain each
-   admit one key, then the domain on stripe 1 admits a third.  Its own
-   key is the victim and the other domain's key stays; a shared hand
-   starting at stripe 0 would evict the stripe-0 key instead. *)
-let test_eviction_own_ring_first () =
-  let cfg =
-    {
-      (Cache.default_config ~budget_words:(2 * ov)) with
-      Cache.stripes = 2;
-      max_entry_frac = 1.0;
-    }
-  in
-  let t = C.create ~config:cfg ~now:(fun () -> 0) ~cost:(fun _ _ -> 0) () in
-  let main_stripe = Ct_util.Domain_slot.get () land 1 in
-  check_bool "admit main's key" true (C.put t 1 1);
-  on_other_parity main_stripe (fun () ->
-      check_bool "admit the spawned domain's key" true (C.put t 2 2);
-      if main_stripe = 0 then check_bool "admit 3 on stripe 1" true (C.put t 3 3));
-  if main_stripe = 1 then check_bool "admit 3 on stripe 1" true (C.put t 3 3);
-  let own, other = if main_stripe = 1 then (1, 2) else (2, 1) in
-  check_int "exactly one eviction" 1 (C.stats t).Cache.evictions;
-  check_bool "stripe 1's own key evicted" true (C.get t own = None);
-  check_bool "stripe 0's key stays" true (C.get t other = Some other);
-  check_bool "3 resident" true (C.get t 3 = Some 3);
-  check_ok "own ring first" t
-
-(* More stripes than admitting domains: when the caller's ring is full,
-   a new key goes to the next ring with room, so one domain fills the
-   budget to within one entry whatever the stripe count.  (At 32
-   stripes each ring holds 64 keys: displacing from the caller's full
-   ring would cap the tier at 64 resident.) *)
-let test_ring_spill_fills_budget () =
+(* One domain fills the budget to within one entry and holds as many
+   entries as W allows, whichever domain slot (and so region) it
+   holds. *)
+let test_one_domain_fills_budget () =
   let budget = 1 lsl 14 in
-  let fill stripes =
-    let cfg =
-      {
-        (Cache.default_config ~budget_words:budget) with
-        Cache.stripes;
-        max_entry_frac = 1.0;
-      }
-    in
+  let fill () =
+    let cfg = { (Cache.default_config ~budget_words:budget) with Cache.max_entry_frac = 1.0 } in
     let t = C.create ~config:cfg ~cost:(fun _ _ -> 0) () in
     for k = 1 to 2 * budget / ov do
       ignore (C.put t k k)
     done;
-    check_bool
-      (Printf.sprintf "%d stripes: budget filled to within one entry" stripes)
-      true
-      (C.used_words t > budget - ov);
-    check_ok "spilled rings" t;
-    C.resident t
+    check_bool "budget filled to within one entry" true (C.used_words t > budget - ov);
+    check_int "W resident" (budget / ov) (C.resident t);
+    check_ok "filled" t
   in
-  let one = fill 1 in
-  check_int "one stripe holds budget / overhead" (budget / ov) one;
-  List.iter
-    (fun stripes ->
-      check_int (Printf.sprintf "%d stripes hold as many as one" stripes) one (fill stripes))
-    [ 8; 32 ]
+  fill ();
+  Domain.join (Domain.spawn fill)
+
+(* A lone domain admits past its own region into every slot, then keeps
+   admitting: each put evicts exactly the oldest untouched key, across
+   the whole array.  A get of an absent key sets no access bit, so
+   checking the victims does not reorder them. *)
+let test_lone_domain_evicts_in_clock_order () =
+  let w = 256 in
+  let t = make ~entries:w () in
+  for k = 1 to w do
+    ignore (C.put t k k)
+  done;
+  for j = 1 to w do
+    check_bool "admit" true (C.put t (w + j) 0);
+    if (C.stats t).Cache.evictions <> j || C.get t j <> None then
+      Alcotest.failf "put %d: %d evictions, key %d %s" (w + j) (C.stats t).Cache.evictions j
+        (if C.get t j = None then "evicted" else "still resident")
+  done;
+  check_int "the younger keys all resident" w (C.resident t);
+  check_ok "clock order" t
+
+(* An overwrite of a resident key reserves only the growth of its cost:
+   at a full budget, equal-cost overwrites of every key evict nothing.
+   Entries cost 2 [ov] here, so half the slots stay vacant and an
+   overwrite that leaked its old slot would show in [validate]. *)
+let test_overwrite_at_full_budget_evicts_nothing () =
+  let n = 16 in
+  let cfg = { (Cache.default_config ~budget_words:(2 * n * ov)) with Cache.max_entry_frac = 1.0 } in
+  let t = C.create ~config:cfg ~now:(fun () -> 0) ~cost:(fun _ _ -> ov) () in
+  for k = 1 to n do
+    ignore (C.put t k k)
+  done;
+  check_int "budget full" (2 * n * ov) (C.used_words t);
+  for k = 1 to n do
+    check_bool "overwrite admitted" true (C.put t k (k * 10))
+  done;
+  check_int "no eviction" 0 (C.stats t).Cache.evictions;
+  check_int "resident unchanged" n (C.resident t);
+  check_bool "every overwrite visible" true
+    (List.for_all (fun k -> C.get t k = Some (k * 10)) (List.init n (fun i -> i + 1)));
+  check_ok "after overwrites" t
 
 (* A hit hands out the option the tier stored: [get] and [get_or_load]
    allocate no more per hit than a bare map [lookup] does. *)
@@ -329,12 +275,12 @@ let test_ttl_reclaimed_by_eviction_scan () =
 
 (* A refresh that lands after a reclaimer found the old entry dead, but
    before its [remove_if], keeps its new entry.  The injected clock is
-   the hook: the reclaimer reads it between the lookup and the remove,
-   and the first clock read after [refresh_race] returns runs the
-   refresh there.  One stripe, a budget of three entries: key 1 (TTL
-   50) and key 2 are resident, the clock reads 60, and key 3 costs one
-   entry more, so admitting it needs the scan while leaving room for
-   key 1's refresh. *)
+   the hook: the reclaimer reads it between finding the entry and the
+   remove, and the first clock read after [refresh_race] returns runs
+   the refresh there.  A budget of three entries: key 1 (TTL 50) and
+   key 2 are resident, the clock reads 60, and key 3 costs one entry
+   more, so admitting it needs the scan while leaving room for key 1's
+   refresh. *)
 let refresh_race () =
   let clk = Atomic.make 0 in
   let hook = ref ignore in
@@ -344,13 +290,7 @@ let refresh_race () =
     f ();
     Atomic.get clk
   in
-  let cfg =
-    {
-      (Cache.default_config ~budget_words:(3 * ov)) with
-      Cache.stripes = 1;
-      max_entry_frac = 1.0;
-    }
-  in
+  let cfg = { (Cache.default_config ~budget_words:(3 * ov)) with Cache.max_entry_frac = 1.0 } in
   let t = C.create ~config:cfg ~now ~cost:(fun k _ -> if k = 3 then ov else 0) () in
   ignore (C.put ~ttl_ns:50 t 1 1);
   ignore (C.put t 2 2);
@@ -366,7 +306,7 @@ let test_ttl_refresh_wins_race () =
   check_bool "refreshed entry survives the read" true (C.get t 1 = Some 11);
   check_int "no expiration" 0 (C.stats t).Cache.expirations;
   check_ok "after racing read" t;
-  (* Eviction scan: it pops key 1, the refresh lands, and the scan
+  (* Eviction scan: it reaches key 1, the refresh lands, and the scan
      moves on to evict key 2 instead. *)
   let t = refresh_race () in
   check_bool "admit 3" true (C.put t 3 3);
@@ -377,9 +317,8 @@ let test_ttl_refresh_wins_race () =
     (s.Cache.evictions = 1 && s.Cache.expirations = 0);
   check_ok "after racing scan" t
 
-(* The refresh that beat the scan was an overwrite, which pushes no
-   ring slot, so the scan puts the popped key back.  A key in no ring
-   outlives every younger key: only the fold fallback reaches it. *)
+(* The refresh that beat the scan was an overwrite, which took key 1's
+   slot, so key 1 is evicted in its turn and outlives no younger key. *)
 let test_ttl_refreshed_key_stays_evictable () =
   let t = refresh_race () in
   check_bool "admit 3 past the racing refresh" true (C.put t 3 3);
@@ -547,13 +486,7 @@ let prop_budget_sequential =
   Test.make ~count:20 ~name:"cache_budget_sequential" ops (fun ops ->
       let clk = Atomic.make 0 in
       let budget = 16 * ov in
-      let cfg =
-        {
-          (Cache.default_config ~budget_words:budget) with
-          Cache.stripes = 1;
-          max_entry_frac = 1.0;
-        }
-      in
+      let cfg = { (Cache.default_config ~budget_words:budget) with Cache.max_entry_frac = 1.0 } in
       let t =
         C.create ~config:cfg
           ~now:(fun () -> Atomic.get clk)
@@ -632,14 +565,15 @@ let test_budget_concurrent_churn () =
 
 let suite =
   [
-    ("ring_fifo", `Quick, test_ring_fifo);
-    ("ring_concurrent", `Quick, test_ring_concurrent);
     ("budget_and_accounting", `Quick, test_budget_and_accounting);
     ("oversized_rejected", `Quick, test_oversized_rejected);
     ("eviction_clock_second_chance", `Quick, test_eviction_clock_second_chance);
     ("eviction_clock_all_touched", `Quick, test_eviction_clock_all_touched);
-    ("eviction_own_ring_first", `Quick, test_eviction_own_ring_first);
-    ("ring_spill_fills_budget", `Quick, test_ring_spill_fills_budget);
+    ("eviction_own_region_first", `Quick, test_eviction_own_region_first);
+    ("one_domain_fills_budget", `Quick, test_one_domain_fills_budget);
+    ("lone_domain_evicts_in_clock_order", `Quick, test_lone_domain_evicts_in_clock_order);
+    ("overwrite_at_full_budget_evicts_nothing", `Quick,
+     test_overwrite_at_full_budget_evicts_nothing);
     ("hit_allocates_nothing", `Quick, test_hit_allocates_nothing);
     ("ttl_deterministic", `Quick, test_ttl_deterministic);
     ("ttl_reclaimed_by_eviction_scan", `Quick, test_ttl_reclaimed_by_eviction_scan);
