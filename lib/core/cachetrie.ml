@@ -16,10 +16,13 @@ module Slots = Ct_util.Slots
      its ANode, so CAS identities work exactly as in the paper
      (DESIGN.md "Slot layout").  The casts between the two views of an
      ANode block sit in one section below.
-   - An SNode is one 5-word block, an inline record whose mutable
+   - An SNode is one 4-word block, an inline record whose mutable
      [txn] field is CASed in place through the same primitive
      (Ct_util.Field), so a leaf is named by its [node] value.  [txn]
-     is a closed variant instead of [Any].
+     is a closed variant instead of [Any].  Unlike the paper's SNode
+     it stores no hash: no read needs one (reads compare keys), and
+     the rare paths that move a leaf to another slot (push-down,
+     expansion, compression) recompute it from the key.
    - Full 32-bit hash collisions are resolved with immutable LNodes
      (association lists), updated by direct slot CAS and frozen by
      wrapping in FNode.
@@ -91,8 +94,8 @@ let yp_cas_slot m site an pos expected repl =
   if ok then Yp.here Yp.After site else Metrics.incr m Metrics.Cas_retries;
   ok
 
-(* [txn] is field 3 of an SNode block ({hash; key; value; txn}). *)
-let txn_field = 3
+(* [txn] is field 2 of an SNode block ({key; value; txn}). *)
+let txn_field = 2
 
 let yp_cas_txn m site leaf expected repl =
   Metrics.incr m Metrics.Cas_attempts;
@@ -155,7 +158,7 @@ module Make (H : Hashing.HASHABLE) = struct
   type 'v node =
     | Null  (** empty ANode slot *)
     | FVNode  (** frozen empty slot *)
-    | SNode of { hash : int; key : key; value : 'v; mutable txn : 'v txn }
+    | SNode of { key : key; value : 'v; mutable txn : 'v txn }
         (** leaf holding one binding; [txn] is CASed in place *)
     | ANode of anode_repr [@warning "-37"]
         (** inner node: one block of 4 (narrow) or 16 (wide) slots,
@@ -251,6 +254,18 @@ module Make (H : Hashing.HASHABLE) = struct
   let[@inline] anode_of_node (node : 'v node) : 'v anode = Obj.magic node
   let new_anode n : 'v anode = Obj.obj (Obj.new_block anode_tag n)
 
+  (* The walks' slot read and width.  [Slots.get] is [Obj.field], a
+     generic array load that reads the block header and tests for
+     [Double_array_tag] before every slot, and it sits behind a call
+     into another module wherever that module is compiled opaque (as
+     dune's default profile does); typed as a [node array], whose
+     elements the compiler knows are never floats, the read is one
+     plain load inlined here.  Writes and CASes stay on [Slots]. *)
+  let[@inline] slot (an : 'v anode) i : 'v node =
+    Array.unsafe_get (Obj.magic an : 'v node array) i
+
+  let[@inline] width (an : 'v anode) = Obj.size (Obj.repr an)
+
   (* [None] when [an] is laid out as an ANode: the [ANode] tag and 4 or
      16 fields.  [validate] checks it on every ANode of the trie. *)
   let anode_layout_error (an : 'v anode) =
@@ -294,10 +309,10 @@ module Make (H : Hashing.HASHABLE) = struct
 
   let create () = create_with ~config:default_config ()
   let hash_of k = H.hash k land Hashing.mask
-  let apos (an : 'v anode) h lev = (h lsr lev) land (Slots.length an - 1)
-  let is_narrow (an : 'v anode) = Slots.length an = narrow_width
+  let[@inline] apos (an : 'v anode) h lev = (h lsr lev) land (width an - 1)
+  let[@inline] is_narrow (an : 'v anode) = width an = narrow_width
 
-  let fresh_snode h k v = SNode { hash = h; key = k; value = v; txn = No_txn }
+  let fresh_snode k v = SNode { key = k; value = v; txn = No_txn }
 
   (* Association-list operations with the structure's own key equality
      (the [List.assoc_opt]/[List.remove_assoc] they replace used
@@ -339,8 +354,8 @@ module Make (H : Hashing.HASHABLE) = struct
     and np2 = (h2 lsr lev) land (narrow_width - 1) in
     if cfg.narrow_nodes && np1 <> np2 then begin
       let an = new_anode narrow_width in
-      Slots.set an np1 (fresh_snode h1 k1 v1);
-      Slots.set an np2 (fresh_snode h2 k2 v2);
+      Slots.set an np1 (fresh_snode k1 v1);
+      Slots.set an np2 (fresh_snode k2 v2);
       node_of_anode an
     end
     else begin
@@ -348,8 +363,8 @@ module Make (H : Hashing.HASHABLE) = struct
       and wp2 = (h2 lsr lev) land (wide_width - 1) in
       let an = new_anode wide_width in
       if wp1 <> wp2 then begin
-        Slots.set an wp1 (fresh_snode h1 k1 v1);
-        Slots.set an wp2 (fresh_snode h2 k2 v2)
+        Slots.set an wp1 (fresh_snode k1 v1);
+        Slots.set an wp2 (fresh_snode k2 v2)
       end
       else Slots.set an wp1 (join_disjoint cfg h1 k1 v1 h2 k2 v2 (lev + 4));
       node_of_anode an
@@ -363,12 +378,13 @@ module Make (H : Hashing.HASHABLE) = struct
      ANodes contain only SNodes. *)
   let rec build_insert cfg (node : 'v node) lev h k v : 'v node =
     match node with
-    | Null -> fresh_snode h k v
+    | Null -> fresh_snode k v
     | SNode sn ->
-        if sn.hash = h && H.equal sn.key k then fresh_snode h k v
-        else if sn.hash = h then
-          LNode { lhash = h; entries = [ (k, v); (sn.key, sn.value) ] }
-        else join_disjoint cfg sn.hash sn.key sn.value h k v lev
+        if H.equal sn.key k then fresh_snode k v
+        else
+          let sh = hash_of sn.key in
+          if sh = h then LNode { lhash = h; entries = [ (k, v); (sn.key, sn.value) ] }
+          else join_disjoint cfg sh sn.key sn.value h k v lev
     | LNode ln ->
         if ln.lhash = h then
           LNode { ln with entries = (k, v) :: lremove_assoc k ln.entries }
@@ -384,7 +400,7 @@ module Make (H : Hashing.HASHABLE) = struct
           let pos = (h lsr lev) land (narrow_width - 1) in
           match Slots.get an pos with
           | Null ->
-              Slots.set an pos (fresh_snode h k v);
+              Slots.set an pos (fresh_snode k v);
               node
           | _ ->
               (* Promote the narrow node to a wide one, then insert. *)
@@ -394,7 +410,7 @@ module Make (H : Hashing.HASHABLE) = struct
                   match child with
                   | Null -> ()
                   | SNode sn as leaf ->
-                      Slots.set wide ((sn.hash lsr lev) land (wide_width - 1)) leaf
+                      Slots.set wide ((hash_of sn.key lsr lev) land (wide_width - 1)) leaf
                   | LNode _ | ANode _ | FVNode | FNode _ | ENode _ | XNode _ ->
                       (* narrow nodes hold only SNodes *)
                       assert false)
@@ -416,7 +432,7 @@ module Make (H : Hashing.HASHABLE) = struct
   let rec collect_frozen (node : 'v node) acc =
     match node with
     | Null | FVNode -> acc
-    | SNode sn -> (sn.hash, sn.key, sn.value) :: acc
+    | SNode sn -> (hash_of sn.key, sn.key, sn.value) :: acc
     | LNode ln -> List.fold_left (fun acc (k, v) -> (ln.lhash, k, v) :: acc) acc ln.entries
     | FNode inner -> collect_frozen inner acc
     | ANode _ ->
@@ -506,7 +522,7 @@ module Make (H : Hashing.HASHABLE) = struct
         let repl =
           match bindings with
           | [] -> Null
-          | [ (h, k, v) ] -> fresh_snode h k v
+          | [ (_, k, v) ] -> fresh_snode k v
           | many ->
               let an = new_anode wide_width in
               List.iter (fun (h, k, v) -> ignore (build_into_anode t.config an xn.x_level h k v)) many;
@@ -571,7 +587,7 @@ module Make (H : Hashing.HASHABLE) = struct
   let write_anode_entry cl (an : 'v anode) h =
     let pos = h land (Array.length cl.c_entries - 1) in
     let entry = node_of_anode an in
-    if Slots.length an = wide_width && cl.c_entries.(pos) != entry then begin
+    if width an = wide_width && cl.c_entries.(pos) != entry then begin
       Yp.here Yp.Before yp_cache_install;
       cl.c_entries.(pos) <- entry;
       Yp.here Yp.After yp_cache_install
@@ -717,7 +733,7 @@ module Make (H : Hashing.HASHABLE) = struct
 
   let rec find_at t k h lev (cur : 'v anode) : 'v =
     Yp.here Yp.Before yp_read_walk;
-    match Slots.get cur (apos cur h lev) with
+    match slot cur (apos cur h lev) with
     | Null | FVNode -> raise_notrace Not_found
     | ANode _ as child ->
         let an = anode_of_node child in
@@ -764,8 +780,7 @@ module Make (H : Hashing.HASHABLE) = struct
                 probe_find t k h mcur cl.c_parent)
         | ANode _ as entry -> (
             let an = anode_of_node entry in
-            let cpos = (h lsr cl.c_level) land (Slots.length an - 1) in
-            match Slots.get an cpos with
+            match slot an (apos an h cl.c_level) with
             | FVNode | FNode _ -> probe_find t k h mcur cl.c_parent
             | SNode s2
               when (match s2.txn with
@@ -821,14 +836,14 @@ module Make (H : Hashing.HASHABLE) = struct
   let rec insert_at t k v h lev (cur : 'v anode) (prev : 'v anode option) mode :
       'v outcome =
     let pos = apos cur h lev in
-    match Slots.get cur pos with
+    match slot cur pos with
     | Null -> (
         match mode with
         | If_present | If_value _ -> Done_none
         | Always | If_absent ->
             if
               yp_cas_slot t.metrics yp_insert_null cur pos Null
-                (fresh_snode h k v)
+                (fresh_snode k v)
             then Done_none
             else insert_at t k v h lev cur prev mode)
     | ANode _ as child ->
@@ -844,7 +859,7 @@ module Make (H : Hashing.HASHABLE) = struct
               | If_absent -> Done_some old.value
               | If_value expected when old.value != expected -> Done_some old.value
               | Always | If_present | If_value _ ->
-                  let repl = fresh_snode h k v in
+                  let repl = fresh_snode k v in
                   if
                     announce_and_commit t.metrics cur pos leaf
                       (Replace repl) repl
@@ -853,24 +868,17 @@ module Make (H : Hashing.HASHABLE) = struct
             end
             else if (match mode with If_present | If_value _ -> true | Always | If_absent -> false)
             then Done_none
-            else if old.hash = h && not (is_narrow cur) then begin
-              (* Full hash collision: replace the SNode with an LNode.
-                 Narrow nodes expand first, so LNodes (and ANode
-                 children) only ever live inside wide nodes. *)
-              let ln = LNode { lhash = h; entries = [ (k, v); (old.key, old.value) ] } in
-              if announce_and_commit t.metrics cur pos leaf (Replace ln) ln
-              then Done_none
-              else insert_at t k v h lev cur prev mode
-            end
             else if is_narrow cur then begin
-              (* Narrow node must be expanded first (scenario 3). *)
+              (* Narrow node must be expanded first (scenario 3), so
+                 LNodes (and ANode children) only ever live inside
+                 wide nodes. *)
               match prev with
               | None -> Restart (* fast path entered here without a parent *)
               | Some parent -> (
                   let ppos = apos parent h (lev - 4) in
                   (* Re-read the parent slot: it must still hold [cur]
                      itself, or a descriptor to help. *)
-                  match Slots.get parent ppos with
+                  match slot parent ppos with
                   | ANode _ as pnode when pnode == node_of_anode cur ->
                       let en =
                         {
@@ -887,7 +895,7 @@ module Make (H : Hashing.HASHABLE) = struct
                           pnode self
                       then begin
                         complete_expansion t self en;
-                        match Slots.get parent ppos with
+                        match slot parent ppos with
                         | ANode _ as node ->
                             let wide = anode_of_node node in
                             inhabit_anode t wide h lev;
@@ -906,8 +914,14 @@ module Make (H : Hashing.HASHABLE) = struct
                   | _ -> Restart)
             end
             else begin
-              (* Wide node: push both bindings one level down. *)
-              let child = join_disjoint t.config old.hash old.key old.value h k v (lev + 4) in
+              (* Wide node: a full hash collision replaces the SNode
+                 with an LNode, any other pair is pushed one level
+                 down. *)
+              let oh = hash_of old.key in
+              let child =
+                if oh = h then LNode { lhash = h; entries = [ (k, v); (old.key, old.value) ] }
+                else join_disjoint t.config oh old.key old.value h k v (lev + 4)
+              in
               if
                 announce_and_commit t.metrics cur pos leaf
                   (Replace child) child
@@ -990,7 +1004,7 @@ module Make (H : Hashing.HASHABLE) = struct
             cur;
           if !live = 0 || (!live = 1 && !only_leaves) then begin
             let ppos = apos parent h (lev - 4) in
-            match Slots.get parent ppos with
+            match slot parent ppos with
             | ANode _ as pnode when pnode == node_of_anode cur ->
                 let xn =
                   {
@@ -1016,7 +1030,7 @@ module Make (H : Hashing.HASHABLE) = struct
   let rec remove_at t k h lev (cur : 'v anode) (prev : 'v anode option) rmode :
       'v outcome =
     let pos = apos cur h lev in
-    match Slots.get cur pos with
+    match slot cur pos with
     | Null -> Done_none
     | ANode _ as child ->
         let res = remove_at t k h (lev + 4) (anode_of_node child) (Some cur) rmode in
@@ -1064,7 +1078,7 @@ module Make (H : Hashing.HASHABLE) = struct
               let fresh =
                 match entries with
                 | [] -> Null
-                | [ (k1, v1) ] -> fresh_snode ln.lhash k1 v1
+                | [ (k1, v1) ] -> fresh_snode k1 v1
                 | _ -> LNode { ln with entries }
               in
               if yp_cas_slot t.metrics yp_remove_lnode cur pos old_node fresh
@@ -1100,8 +1114,7 @@ module Make (H : Hashing.HASHABLE) = struct
         match cl.c_entries.(pos) with
         | ANode _ as entry -> (
             let an = anode_of_node entry in
-            let cpos = (h lsr cl.c_level) land (Slots.length an - 1) in
-            match Slots.get an cpos with
+            match slot an (apos an h cl.c_level) with
             | FVNode | FNode _ -> probe_insert t k v h mode cl.c_parent
             | SNode s2
               when (match s2.txn with
@@ -1151,8 +1164,7 @@ module Make (H : Hashing.HASHABLE) = struct
         match cl.c_entries.(pos) with
         | ANode _ as entry -> (
             let an = anode_of_node entry in
-            let cpos = (h lsr cl.c_level) land (Slots.length an - 1) in
-            match Slots.get an cpos with
+            match slot an (apos an h cl.c_level) with
             | FVNode | FNode _ -> probe_remove t k h rmode cl.c_parent
             | SNode s2
               when (match s2.txn with
@@ -1259,8 +1271,7 @@ module Make (H : Hashing.HASHABLE) = struct
                 probe_start t scr keys base out miss mcur p cl.c_parent)
         | ANode _ as entry -> (
             let an = anode_of_node entry in
-            let cpos = (h lsr cl.c_level) land (Slots.length an - 1) in
-            match Slots.get an cpos with
+            match slot an (apos an h cl.c_level) with
             | FVNode | FNode _ ->
                 probe_start t scr keys base out miss mcur p cl.c_parent
             | SNode s2
@@ -1326,7 +1337,7 @@ module Make (H : Hashing.HASHABLE) = struct
         let lev = scr.s_lev.(p) in
         let k = keys.(base + p) in
         Yp.here Yp.Before yp_read_walk;
-        match Slots.get cur (apos cur h lev) with
+        match slot cur (apos cur h lev) with
         | Null | FVNode -> out.(base + p) <- miss
         | ANode _ as child ->
             let an = anode_of_node child in
@@ -1479,7 +1490,7 @@ module Make (H : Hashing.HASHABLE) = struct
   (* Word-cost model, exact for the trie: every block counts its
      header plus its fields, so with the cache off the model moves
      word for word with [Obj.reachable_words] (keys and values are not
-     counted).  An SNode is one 5-word block.  An ANode, the root
+     counted).  An SNode is one 4-word block.  An ANode, the root
      included, is one block of 1 + width words: header and slots, with
      no constructor box.  An LNode is its box, its 3-word record
      and, per binding, a 3-word cons cell and a 3-word pair.  FNode is
@@ -1495,7 +1506,7 @@ module Make (H : Hashing.HASHABLE) = struct
     and node_words (node : 'v node) =
       match node with
       | Null | FVNode -> 0
-      | SNode _ -> 5
+      | SNode _ -> 4
       | LNode ln -> 2 + 3 + (6 * List.length ln.entries)
       | FNode inner -> 2 + node_words inner
       | ANode _ -> anode_words (anode_of_node node)
@@ -1600,9 +1611,7 @@ module Make (H : Hashing.HASHABLE) = struct
       | ENode _ -> err "ENode reachable at level %d during quiescence" lev
       | XNode _ -> err "XNode reachable at level %d during quiescence" lev
       | SNode sn -> begin
-          if sn.hash <> hash_of sn.key then
-            err "SNode hash %#x does not match key hash %#x" sn.hash (hash_of sn.key);
-          check_hash "SNode" sn.hash lev prefix pmask;
+          check_hash "SNode" (hash_of sn.key) lev prefix pmask;
           match sn.txn with
           | No_txn -> ()
           | Frozen_snode -> err "frozen SNode reachable during quiescence"

@@ -511,6 +511,76 @@ let prop_budget_sequential =
       | Ok () -> true
       | Error e -> QCheck.Test.fail_reportf "validate: %s" e)
 
+(* The churn below never fills the slot array (its entries cost 24-39
+   words against 64 slots' worth), so it cannot see the order in which
+   an unbinder vacates and releases.  Here every entry costs exactly
+   [ov], so a full budget is a full array, and a victim's remove parks
+   between its unbind and its slot vacate while three domains churn and
+   then fill the budget afresh.  The parked entry still holds its cost,
+   so every reservation has a vacant slot to claim and each operation
+   finishes within a bounded wait; a tier that released the cost before
+   vacating would leave a put that reserved the parked cost spinning
+   for a slot until the victim moves. *)
+let full_slots_phase () =
+  let t = make ~entries:64 () in
+  let vacate =
+    match Ct_util.Yieldpoint.with_prefix "cache.slot.vacate" with
+    | [ s ] -> s
+    | _ -> Alcotest.fail "yield point cache.slot.vacate is not registered"
+  in
+  for k = 0 to 63 do
+    ignore (C.put t k "")
+  done;
+  check_int "every slot filled" 64 (C.resident t);
+  let inj = Chaos.stall vacate in
+  Fun.protect ~finally:Chaos.clear (fun () ->
+      let victim =
+        Domain.spawn (fun () -> Chaos.as_victim inj (fun () -> C.remove t 0))
+      in
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while (not (Chaos.stalled inj)) && Unix.gettimeofday () < deadline do
+        Unix.sleepf 1e-3
+      done;
+      check_bool "victim parked before its vacate" true (Chaos.stalled inj);
+      let ops = Atomic.make 0 and finished = Atomic.make 0 in
+      let workers =
+        Array.init 3 (fun d ->
+            Domain.spawn (fun () ->
+                let rng = Random.State.make [| 0xF111; d |] in
+                for _ = 1 to 5_000 do
+                  let k = 1 + Random.State.int rng 255 in
+                  (match Random.State.int rng 4 with
+                  | 0 | 1 -> ignore (C.put t k "")
+                  | 2 -> ignore (C.get t k)
+                  | _ -> ignore (C.remove t k));
+                  Atomic.incr ops
+                done;
+                for k = 1 to 64 do
+                  ignore (C.put t ((1000 * (d + 1)) + k) "");
+                  Atomic.incr ops
+                done;
+                Atomic.incr finished))
+      in
+      (* Bounded wait on every operation: each must complete within
+         10 s of the one before it. *)
+      let stuck = ref false in
+      let rec watch last deadline =
+        if Atomic.get finished < 3 then begin
+          Unix.sleepf 1e-3;
+          let now = Atomic.get ops in
+          if now <> last then watch now (Unix.gettimeofday () +. 10.0)
+          else if Unix.gettimeofday () > deadline then stuck := true
+          else watch last deadline
+        end
+      in
+      watch 0 (Unix.gettimeofday () +. 10.0);
+      Chaos.release inj;
+      check_bool "victim removed its key" true (Domain.join victim);
+      Array.iter Domain.join workers;
+      check_bool "no operation waited unboundedly while the victim was parked" false !stuck;
+      check_ok "full-slot churn reconciles" t;
+      check_bool "budget held" true (C.used_words t <= 64 * ov))
+
 (* Concurrent churn: worker domains hammer put/get/remove and
    read-through [get_or_load] (a sized value, or an absence for one key
    in eight) while a sampler reads [used_words] continuously — the
@@ -561,7 +631,8 @@ let test_budget_concurrent_churn () =
   check_int "budget held at every sampled instant" 0 (Atomic.get violations);
   check_ok "quiescent accounting reconciles" t;
   let s = C.stats t in
-  check_bool "churn evicted something" true (s.Cache.evictions > 0)
+  check_bool "churn evicted something" true (s.Cache.evictions > 0);
+  full_slots_phase ()
 
 let suite =
   [
